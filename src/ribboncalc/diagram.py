@@ -11,7 +11,7 @@ Diagrams are immutable values; every move returns a new diagram.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .abelian import AbelianGroup, cokernel, symmetric_signature
 

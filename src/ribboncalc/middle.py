@@ -11,6 +11,7 @@ finger contributes a cancelling pair, so only geometric counts vary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .trees import SignedTree, is_positive
 
@@ -42,25 +43,39 @@ class MiddleLevelData:
     """Sphere pairs, fingers and accessory loops.
 
     Construction does not validate; :func:`validate_middle` reports
-    violations as data, and replay code may hold transient states where a
-    loop still names a just-removed finger.
+    violations as data.  Lookups by id see the first finger or loop with
+    that id.
     """
 
     pairs: int
     fingers: tuple[Finger, ...] = ()
     accessory_loops: tuple[AccessoryLoop, ...] = ()
 
+    @cached_property
+    def fingers_by_id(self) -> dict[str, Finger]:
+        return _first_by_id(self.fingers)
+
+    @cached_property
+    def loops_by_id(self) -> dict[str, AccessoryLoop]:
+        return _first_by_id(self.accessory_loops)
+
     def finger(self, fid: str) -> Finger:
-        for f in self.fingers:
-            if f.id == fid:
-                return f
-        raise KeyError(fid)
+        return self.fingers_by_id[fid]
 
     def loop(self, lid: str) -> AccessoryLoop:
-        for l in self.accessory_loops:
-            if l.id == lid:
-                return l
-        raise KeyError(lid)
+        return self.loops_by_id[lid]
+
+    def cap_ids(self) -> tuple[str, ...]:
+        """The ids a cap assignment covers: whitney ids, then loop ids."""
+        return (tuple(f.whitney for f in self.fingers)
+                + tuple(l.id for l in self.accessory_loops))
+
+
+def _first_by_id(items):
+    out = {}
+    for x in items:
+        out.setdefault(x.id, x)
+    return out
 
 
 def validate_middle(m: MiddleLevelData) -> list[str]:
@@ -110,53 +125,51 @@ class FingerGraph:
     nodes: tuple[int, ...]
     edges: tuple[tuple[str, int, int], ...]  # (finger id, from_a, through_b)
     cycles: tuple[tuple[int, ...], ...]
+    order: tuple[int, ...]  # depth-first finishing order: sinks first
 
     @property
     def acyclic(self) -> bool:
         return not self.cycles
 
 
-def finger_graph(m: MiddleLevelData, restrict_to_loops: bool = True) -> FingerGraph:
-    """The finger multigraph with a cycle report.
+def finger_graph(m: MiddleLevelData) -> FingerGraph:
+    """The finger multigraph with a cycle report and a sinks-first order.
 
-    With ``restrict_to_loops`` the cycle search starts only from fingers
-    referenced by accessory loops; otherwise every finger seeds it.
+    One depth-first search visits nodes and successors in ascending order;
+    every back edge it meets reports a cycle.  The search keeps its own
+    stack, so long finger chains do not exhaust the interpreter's.
     """
     edges = tuple((f.id, f.from_a, f.through_b) for f in m.fingers)
-    if restrict_to_loops:
-        seeds = {m.finger(fid).from_a
-                 for l in m.accessory_loops for fid in l.fingers}
-    else:
-        seeds = {f.from_a for f in m.fingers}
-    succ: dict[int, list[int]] = {}
+    succ: dict[int, set[int]] = {}
     for _, a, b in edges:
-        succ.setdefault(a, []).append(b)
+        succ.setdefault(a, set()).add(b)
     cycles: list[tuple[int, ...]] = []
     seen_cycles: set[frozenset[int]] = set()
-    state: dict[int, int] = {}
-    stack: list[int] = []
-
-    def dfs(v: int) -> None:
-        state[v] = 1
-        stack.append(v)
-        for w in succ.get(v, ()):
-            if state.get(w) == 1:
-                cyc = tuple(stack[stack.index(w):])
-                key = frozenset(cyc)
-                if key not in seen_cycles:
-                    seen_cycles.add(key)
-                    cycles.append(cyc)
-            elif state.get(w) != 2:
-                dfs(w)
-        state[v] = 2
-        stack.pop()
-
-    for s in sorted(seeds):
-        if state.get(s) != 2:
-            state.pop(s, None)
-            dfs(s)
+    order: list[int] = []
+    state: dict[int, int] = {}  # 1: on the search path, 2: finished
+    path: list[int] = []
+    # todo[0] yields the roots; todo[k] the successors of path[k - 1].
+    todo = [iter(range(1, m.pairs + 1))]
+    while todo:
+        w = next(todo[-1], None)
+        if w is None:
+            todo.pop()
+            if path:
+                v = path.pop()
+                state[v] = 2
+                order.append(v)
+        elif state.get(w) == 1:
+            cyc = tuple(path[path.index(w):])
+            key = frozenset(cyc)
+            if key not in seen_cycles:
+                seen_cycles.add(key)
+                cycles.append(cyc)
+        elif w not in state:
+            state[w] = 1
+            path.append(w)
+            todo.append(iter(sorted(succ.get(w, ()))))
     return FingerGraph(nodes=tuple(range(1, m.pairs + 1)), edges=edges,
-                       cycles=tuple(cycles))
+                       cycles=tuple(cycles), order=tuple(order))
 
 
 # -- caps and descriptors ------------------------------------------------
@@ -171,7 +184,7 @@ class Cap:
     def standard(self) -> bool:
         return self.tree is None
 
-    @property
+    @cached_property
     def positive(self) -> bool:
         return self.tree is not None and is_positive(self.tree)
 
@@ -190,25 +203,27 @@ class RibbonDescriptor:
     caps: tuple[tuple[str, Cap], ...] = ()
 
     def __post_init__(self) -> None:
-        capmap = dict(self.caps)
-        needed = ({f.whitney for f in self.middle.fingers}
-                  | {l.id for l in self.middle.accessory_loops})
-        missing = needed - set(capmap)
+        needed = set(self.middle.cap_ids())
+        missing = needed - set(self.caps_by_id)
         if missing:
             raise MiddleError(f"missing caps for {sorted(missing)}")
-        extra = set(capmap) - needed
+        extra = set(self.caps_by_id) - needed
         if extra:
             raise MiddleError(f"caps for unknown ids {sorted(extra)}")
 
+    @cached_property
+    def caps_by_id(self) -> dict[str, Cap]:
+        """Each cap id's cap; a repeated id keeps its last entry."""
+        return dict(self.caps)
+
     def cap(self, cid: str) -> Cap:
-        return dict(self.caps)[cid]
+        return self.caps_by_id[cid]
 
 
 def make_descriptor(middle: MiddleLevelData,
                     caps: dict[str, Cap]) -> RibbonDescriptor:
-    needed = [f.whitney for f in middle.fingers] + \
-             [l.id for l in middle.accessory_loops]
-    return RibbonDescriptor(middle, tuple((cid, caps[cid]) for cid in needed))
+    return RibbonDescriptor(
+        middle, tuple((cid, caps[cid]) for cid in middle.cap_ids()))
 
 
 # -- the positivity decision ---------------------------------------------

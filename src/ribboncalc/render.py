@@ -36,7 +36,7 @@ def tree_dot(t: SignedTree) -> str:
 
 
 def finger_dot(m: MiddleLevelData) -> str:
-    g = finger_graph(m, restrict_to_loops=False)
+    g = finger_graph(m)
     out = ["digraph fingers {", "  rankdir=LR;"]
     for n in g.nodes:
         out.append(f"  {n} [shape=circle label={_q(f'A{n}/B{n}')}];")

@@ -10,12 +10,12 @@ pairs are cancelled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
 
-from .middle import (AccessoryLoop, Cap, Finger, FingerGraph, MiddleLevelData,
-                     PositivityDecision, RibbonDescriptor, STANDARD_CAP,
+from .middle import (Finger, MiddleLevelData, RibbonDescriptor, STANDARD_CAP,
                      finger_graph, geometric_matrix, is_positive_ribbon,
-                     make_descriptor, whitney_set)
+                     make_descriptor)
 from .trees import kuga_blowup_cost, prune_depth
 
 
@@ -32,28 +32,44 @@ class StabilizationError(Exception):
 
 @dataclass(frozen=True)
 class ReplaceCap:
+    """Swap a non-positive tree cap for a standard 2-handle."""
+
     target: str  # whitney or accessory loop id
     cost: int
 
 
 @dataclass(frozen=True)
 class BreakLoop:
+    """Break a loop across a standard-capped finger, removing the finger."""
+
     loop: str
     via_whitney: str
 
 
 @dataclass(frozen=True)
 class NormanTrick:
+    """Remove a finger by tubing its target sphere into its source."""
+
     finger: str
     delta: tuple[tuple[int, int], ...]  # (target sphere, added intersections)
 
 
 @dataclass(frozen=True)
+class CancelFinger:
+    """Remove a standard-capped finger on no loop by a Whitney trick."""
+
+    finger: str
+    whitney: str
+
+
+@dataclass(frozen=True)
 class CancelPair:
+    """Cancel the complementary sphere pair ``ids == ("A<i>", "B<i>")``."""
+
     ids: tuple[str, ...]
 
 
-Step = ReplaceCap | BreakLoop | NormanTrick | CancelPair
+Step = ReplaceCap | BreakLoop | NormanTrick | CancelFinger | CancelPair
 
 
 @dataclass(frozen=True)
@@ -98,15 +114,6 @@ def replace_nonpositive_caps(
     return out, steps, blowups, k
 
 
-def _drop_finger(m: MiddleLevelData, fid: str,
-                 with_loops: bool = True) -> MiddleLevelData:
-    loops = m.accessory_loops
-    if with_loops:
-        loops = tuple(l for l in loops if fid not in l.fingers)
-    return MiddleLevelData(
-        m.pairs, tuple(f for f in m.fingers if f.id != fid), loops)
-
-
 def break_loops(r: RibbonDescriptor) -> tuple[RibbonDescriptor, list[Step]]:
     """Whitney-trick removal of standard-capped fingers and their loops.
 
@@ -116,38 +123,42 @@ def break_loops(r: RibbonDescriptor) -> tuple[RibbonDescriptor, list[Step]]:
     """
     steps: list[Step] = []
     m = r.middle
-    capmap = dict(r.caps)
-    while True:
-        hit = None
-        for loop in m.accessory_loops:
-            for fid in loop.fingers:
-                f = m.finger(fid)
-                if capmap[f.whitney].standard:
-                    hit = (loop, f)
-                    break
-            if hit:
-                break
-        if hit is None:
-            break
-        loop, f = hit
-        for l in m.accessory_loops:
-            if f.id in l.fingers:
-                steps.append(BreakLoop(l.id, f.whitney))
-                capmap.pop(l.id, None)
-        m = _drop_finger(m, f.id)
-        capmap.pop(f.whitney, None)
-    # Unreferenced standard-capped fingers cancel as Whitney-trick pairs.
-    referenced = {fid for l in m.accessory_loops for fid in l.fingers}
-    for f in list(m.fingers):
-        if f.id not in referenced and capmap[f.whitney].standard:
-            steps.append(CancelPair((f.id, f.whitney)))
-            m = _drop_finger(m, f.id)
-            capmap.pop(f.whitney, None)
-    # Caps of removed loops go with them.
-    live = ({f.whitney for f in m.fingers}
-            | {l.id for l in m.accessory_loops})
-    capmap = {cid: cap for cid, cap in capmap.items() if cid in live}
-    return make_descriptor(m, capmap), steps
+    fingers = dict(m.fingers_by_id)
+    loops = dict(m.loops_by_id)
+    on_loops = _loops_by_finger(m)
+    # A loop passed over here never becomes breakable later: fingers only
+    # leave together with every loop through them.
+    for loop in list(loops.values()):
+        if loop.id not in loops:
+            continue
+        f = next((fingers[fid] for fid in loop.fingers
+                  if r.cap(fingers[fid].whitney).standard), None)
+        if f is not None:
+            steps += _break_loops_through(f, loops, on_loops)
+            del fingers[f.id]
+    referenced = {fid for l in loops.values() for fid in l.fingers}
+    for f in list(fingers.values()):
+        if f.id not in referenced and r.cap(f.whitney).standard:
+            steps.append(CancelFinger(f.id, f.whitney))
+            del fingers[f.id]
+    m = MiddleLevelData(m.pairs, tuple(fingers.values()),
+                        tuple(loops.values()))
+    return make_descriptor(m, r.caps_by_id), steps
+
+
+def _loops_by_finger(m: MiddleLevelData) -> dict[str, list[str]]:
+    """Finger id -> ids of the loops through it, in loop order."""
+    out: dict[str, list[str]] = {}
+    for l in m.loops_by_id.values():
+        for fid in l.fingers:
+            out.setdefault(fid, []).append(l.id)
+    return out
+
+
+def _break_loops_through(f: Finger, loops: dict, on_loops: dict) -> list[Step]:
+    """Take the live loops through ``f`` out of ``loops``, one step each."""
+    return [BreakLoop(lid, f.whitney) for lid in on_loops.get(f.id, ())
+            if loops.pop(lid, None) is not None]
 
 
 def norman_trick_step(g: list[list[int]], from_a: int, through_b: int) -> dict[int, int]:
@@ -190,17 +201,17 @@ def norman_eliminate(m: MiddleLevelData) -> NormanResult:
     first in the finger graph, so each processed finger sees a clean target
     row and contributes no cascade intersections.
     """
-    graph = finger_graph(m, restrict_to_loops=False)
+    graph = finger_graph(m)
     if graph.cycles:
         return NormanResult((), _freeze(geometric_matrix(m)),
                             cycle=graph.cycles[0])
     g = geometric_matrix(m)
-    order = _reverse_topological(m.pairs, graph)
+    by_source: dict[int, list[Finger]] = {}
+    for f in m.fingers:
+        by_source.setdefault(f.from_a, []).append(f)
     steps: list[NormanTrick] = []
-    for source in order:
-        for f in m.fingers:
-            if f.from_a != source:
-                continue
+    for source in graph.order:
+        for f in by_source.get(source, ()):
             j = f.through_b - 1
             row = g[j]
             if any(row[t] != (1 if t == j else 0) for t in range(m.pairs)):
@@ -213,28 +224,6 @@ def norman_eliminate(m: MiddleLevelData) -> NormanResult:
 
 def _freeze(g: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in g)
-
-
-def _reverse_topological(pairs: int, graph: FingerGraph) -> list[int]:
-    """Sphere indices ordered sinks first along finger edges."""
-    succ: dict[int, set[int]] = {n: set() for n in range(1, pairs + 1)}
-    for _, a, b in graph.edges:
-        succ[a].add(b)
-    done: list[int] = []
-    state: dict[int, int] = {}
-
-    def dfs(v: int) -> None:
-        state[v] = 1
-        for w in sorted(succ[v]):
-            if w not in state:
-                dfs(w)
-        state[v] = 2
-        done.append(v)
-
-    for n in range(1, pairs + 1):
-        if n not in state:
-            dfs(n)
-    return done
 
 
 # -- end-to-end planning -------------------------------------------------
@@ -263,12 +252,11 @@ def stabilization_plan(r: RibbonDescriptor) -> StabilizationPlan:
                 f"finger cycle {result.cycle} survives loop breaking"
                 + (f" (loops {loops})" if loops else ""))
     m = r2.middle
+    live = dict(m.loops_by_id)
+    on_loops = _loops_by_finger(m)
     for trick in result.steps:
-        broken = [l for l in m.accessory_loops if trick.finger in l.fingers]
         steps.append(trick)
-        for l in broken:
-            steps.append(BreakLoop(l.id, m.finger(trick.finger).whitney))
-        m = _drop_finger(m, trick.finger)
+        steps += _break_loops_through(m.finger(trick.finger), live, on_loops)
     for i in range(1, m.pairs + 1):
         steps.append(CancelPair((f"A{i}", f"B{i}")))
     return StabilizationPlan(
@@ -287,7 +275,8 @@ class VerifyResult:
 
 def verify_plan(r: RibbonDescriptor, p: StabilizationPlan) -> VerifyResult:
     """Replay every step against the descriptor, checking preconditions,
-    recorded deltas, the blow-up total and the terminal product state."""
+    recorded deltas, the blow-up total and the terminal product state.
+    Any plan gets a verdict; a malformed step is a failing step."""
     if p.outcome.kind == "positive-obstruction":
         decision = is_positive_ribbon(r)
         if not decision.positive:
@@ -297,10 +286,23 @@ def verify_plan(r: RibbonDescriptor, p: StabilizationPlan) -> VerifyResult:
         return VerifyResult(True)
 
     m = r.middle
+    # Live state of the replay, keyed by id.
+    fingers = dict(m.fingers_by_id)
+    by_whitney = {f.whitney: f for f in reversed(fingers.values())}
+    loops = dict(m.loops_by_id)
+    loop_count = Counter(fid for l in loops.values()
+                         for fid in set(l.fingers))
     capmap = dict(r.caps)
     g = geometric_matrix(m)
     blowups = 0
     spheres = set(range(1, m.pairs + 1))
+
+    def remove(f: Finger) -> None:
+        del fingers[f.id]
+        if by_whitney.get(f.whitney) is f:
+            del by_whitney[f.whitney]
+        capmap.pop(f.whitney, None)
+
     for idx, step in enumerate(p.steps):
         if isinstance(step, ReplaceCap):
             cap = capmap.get(step.target)
@@ -313,33 +315,28 @@ def verify_plan(r: RibbonDescriptor, p: StabilizationPlan) -> VerifyResult:
             capmap[step.target] = STANDARD_CAP
             blowups += step.cost
         elif isinstance(step, BreakLoop):
-            try:
-                loop = m.loop(step.loop)
-            except KeyError:
+            loop = loops.get(step.loop)
+            if loop is None:
                 return VerifyResult(False, idx, f"loop {step.loop} not present")
-            finger = next((f for f in m.fingers
-                           if f.whitney == step.via_whitney), None)
+            finger = by_whitney.get(step.via_whitney)
             if finger is not None:
                 if finger.id not in loop.fingers:
                     return VerifyResult(False, idx,
                                         f"loop {step.loop} does not cross "
                                         f"whitney {step.via_whitney}")
-                if not capmap[step.via_whitney].standard:
+                if capmap.get(step.via_whitney) != STANDARD_CAP:
                     return VerifyResult(
                         False, idx,
                         f"whitney {step.via_whitney} is not standard-capped")
                 g[finger.from_a - 1][finger.through_b - 1] -= 2
-                m = _drop_finger(m, finger.id, with_loops=False)
-                capmap.pop(step.via_whitney, None)
+                remove(finger)
             # finger already removed: the loop is simply broken.
-            m = MiddleLevelData(
-                m.pairs, m.fingers,
-                tuple(l for l in m.accessory_loops if l.id != step.loop))
+            del loops[step.loop]
+            loop_count.subtract(set(loop.fingers))
             capmap.pop(step.loop, None)
         elif isinstance(step, NormanTrick):
-            try:
-                f = m.finger(step.finger)
-            except KeyError:
+            f = fingers.get(step.finger)
+            if f is None:
                 return VerifyResult(False, idx,
                                     f"finger {step.finger} not present")
             j = f.through_b - 1
@@ -350,39 +347,40 @@ def verify_plan(r: RibbonDescriptor, p: StabilizationPlan) -> VerifyResult:
             delta = norman_trick_step(g, f.from_a, f.through_b)
             if tuple(sorted(delta.items())) != step.delta:
                 return VerifyResult(False, idx, "recorded delta rows mismatch")
-            m = _drop_finger(m, f.id, with_loops=False)
-            capmap.pop(f.whitney, None)
+            remove(f)
+        elif isinstance(step, CancelFinger):
+            f = fingers.get(step.finger)
+            if f is None:
+                return VerifyResult(False, idx,
+                                    f"finger {step.finger} not present")
+            if f.whitney != step.whitney \
+                    or capmap.get(step.whitney) != STANDARD_CAP:
+                return VerifyResult(
+                    False, idx, f"{step.finger}/{step.whitney} is not a "
+                                "standard-capped pair")
+            if loop_count[f.id] > 0:
+                return VerifyResult(
+                    False, idx, f"finger {step.finger} is still on a loop")
+            g[f.from_a - 1][f.through_b - 1] -= 2
+            remove(f)
         elif isinstance(step, CancelPair):
-            if len(step.ids) == 2 and step.ids[0].startswith("A") \
-                    and step.ids[1].startswith("B") \
-                    and step.ids[0][1:] == step.ids[1][1:] \
-                    and step.ids[0][1:].isdigit():
-                i = int(step.ids[0][1:])
-                if i not in spheres:
-                    return VerifyResult(False, idx, f"sphere pair {i} missing")
-                if any(f.from_a == i or f.through_b == i for f in m.fingers):
-                    return VerifyResult(
-                        False, idx, f"sphere pair {i} still carries fingers")
-                if any(g[i - 1][t] != (1 if t == i - 1 else 0)
-                       for t in range(m.pairs)):
-                    return VerifyResult(
-                        False, idx, f"row A_{i} carries extra intersections")
-                spheres.discard(i)
-            else:
-                fid, wid = step.ids
-                try:
-                    f = m.finger(fid)
-                except KeyError:
-                    return VerifyResult(False, idx, f"finger {fid} not present")
-                if f.whitney != wid or not capmap[wid].standard:
-                    return VerifyResult(
-                        False, idx, f"{fid}/{wid} is not a standard-capped pair")
-                if any(fid in l.fingers for l in m.accessory_loops):
-                    return VerifyResult(
-                        False, idx, f"finger {fid} is still on a loop")
-                g[f.from_a - 1][f.through_b - 1] -= 2
-                m = _drop_finger(m, fid)
-                capmap.pop(wid, None)
+            a, b = step.ids if len(step.ids) == 2 else ("", "")
+            if a[:1] != "A" or b[:1] != "B" or a[1:] != b[1:] \
+                    or not a[1:].isdecimal():
+                return VerifyResult(False, idx,
+                                    f"{step.ids!r} does not name a sphere pair")
+            i = int(a[1:])
+            if i not in spheres:
+                return VerifyResult(False, idx, f"sphere pair {i} missing")
+            if any(f.from_a == i or f.through_b == i
+                   for f in fingers.values()):
+                return VerifyResult(
+                    False, idx, f"sphere pair {i} still carries fingers")
+            if any(g[i - 1][t] != (1 if t == i - 1 else 0)
+                   for t in range(m.pairs)):
+                return VerifyResult(
+                    False, idx, f"row A_{i} carries extra intersections")
+            spheres.discard(i)
         else:
             return VerifyResult(False, idx, f"unknown step {step!r}")
     if blowups != p.blowups:
@@ -392,10 +390,11 @@ def verify_plan(r: RibbonDescriptor, p: StabilizationPlan) -> VerifyResult:
         return VerifyResult(False, None,
                             f"sphere pairs {sorted(spheres)} were never "
                             "cancelled")
-    if m.fingers:
+    if fingers:
         return VerifyResult(False, None, "fingers remain at the end")
-    if m.accessory_loops:
+    if loops:
         return VerifyResult(False, None, "accessory loops remain at the end")
     if any(not cap.standard for cap in capmap.values()):
         return VerifyResult(False, None, "non-standard caps remain at the end")
     return VerifyResult(True)
+

@@ -162,14 +162,14 @@ def serialize_diagram(d: KirbyDiagram) -> str:
 # -- trees ---------------------------------------------------------------
 
 def parse_tree(text: str) -> SignedTree:
-    trees = _parse_tree_blocks(text)
+    trees, _ = _parse_tree_blocks(text)
     if len(trees) != 1:
         raise ParseError(1, f"expected exactly one tree block, found {len(trees)}")
-    return trees[0]
+    return next(iter(trees.values()))
 
 
 def _parse_tree_blocks(text: str, stop_at: str | None = None):
-    trees: list[SignedTree] = []
+    trees: dict[str, SignedTree] = {}
     cur: dict | None = None
     pending: list[tuple[int, str]] = list(_lines(text))
 
@@ -179,25 +179,24 @@ def _parse_tree_blocks(text: str, stop_at: str | None = None):
             return
         if cur["root"] is None:
             raise ParseError(cur["line"], f"tree {cur['name']} has no root")
-        trees.append(SignedTree(cur["name"], tuple(cur["nodes"]), cur["root"],
-                                tuple(cur["edges"]), cur["finite"]))
+        trees[cur["name"]] = SignedTree(cur["name"], tuple(cur["nodes"]),
+                                        cur["root"], tuple(cur["edges"]),
+                                        cur["finite"])
         cur = None
 
-    rest: list[tuple[int, str]] = []
-    for n, line in pending:
+    for k, (n, line) in enumerate(pending):
         toks = line.split()
         kw = toks[0]
         if stop_at is not None and kw == stop_at:
             finish()
-            rest = [(n, line)] + [x for x in pending if x[0] > n]
-            return trees, rest
+            return trees, pending[k:]
         if kw == "tree":
             finish()
             if len(toks) != 2:
                 raise ParseError(n, "tree header needs a name")
-            if any(t.name == toks[1] for t in trees):
+            if toks[1] in trees:
                 raise ParseError(n, f"duplicate tree name {toks[1]}")
-            cur = {"name": toks[1], "nodes": [], "root": None,
+            cur = {"name": toks[1], "nodes": {}, "root": None,
                    "edges": [], "finite": False, "line": n}
         elif cur is None:
             raise ParseError(n, "expected 'tree NAME' header first")
@@ -205,7 +204,7 @@ def _parse_tree_blocks(text: str, stop_at: str | None = None):
             for nid in toks[1:]:
                 if nid in cur["nodes"]:
                     raise ParseError(n, f"duplicate node id {nid}")
-                cur["nodes"].append(nid)
+                cur["nodes"][nid] = None
         elif kw == "root":
             if len(toks) != 2 or cur["root"] is not None:
                 raise ParseError(n, "malformed or duplicate root line")
@@ -222,9 +221,7 @@ def _parse_tree_blocks(text: str, stop_at: str | None = None):
         else:
             raise ParseError(n, f"unknown keyword {kw!r}")
     finish()
-    if stop_at is not None:
-        return trees, []
-    return trees
+    return trees, []
 
 
 def serialize_tree(t: SignedTree) -> str:
@@ -241,7 +238,7 @@ def serialize_tree(t: SignedTree) -> str:
 # -- middle data and ribbon descriptors ----------------------------------
 
 def parse_middle(text: str) -> MiddleLevelData:
-    m, caps, _ = _parse_middle_block(list(_lines(text)), {})
+    m, caps = _parse_middle_block(list(_lines(text)), {})
     if caps:
         raise ParseError(1, "cap lines belong to ribbon documents")
     return m
@@ -249,8 +246,8 @@ def parse_middle(text: str) -> MiddleLevelData:
 
 def _parse_middle_block(lines, trees_by_name):
     pairs = None
-    fingers: list[Finger] = []
-    loops: list[AccessoryLoop] = []
+    fingers: dict[str, Finger] = {}
+    loops: dict[str, AccessoryLoop] = {}
     caps: dict[str, Cap] = {}
     started = False
     for n, line in lines:
@@ -269,16 +266,16 @@ def _parse_middle_block(lines, trees_by_name):
         elif kw == "finger":
             if len(toks) != 5:
                 raise ParseError(n, "finger needs: finger ID FROM THRU WID")
-            if any(f.id == toks[1] for f in fingers):
+            if toks[1] in fingers:
                 raise ParseError(n, f"duplicate finger id {toks[1]}")
-            fingers.append(Finger(toks[1], _int(toks[2], n, "sphere index"),
-                                  _int(toks[3], n, "sphere index"), toks[4]))
+            fingers[toks[1]] = Finger(toks[1], _int(toks[2], n, "sphere index"),
+                                      _int(toks[3], n, "sphere index"), toks[4])
         elif kw == "loop":
             if len(toks) < 3:
                 raise ParseError(n, "loop needs an id and at least one finger")
-            if any(l.id == toks[1] for l in loops):
+            if toks[1] in loops:
                 raise ParseError(n, f"duplicate loop id {toks[1]}")
-            loops.append(AccessoryLoop(toks[1], tuple(toks[2:])))
+            loops[toks[1]] = AccessoryLoop(toks[1], tuple(toks[2:]))
         elif kw == "cap":
             if len(toks) < 3:
                 raise ParseError(n, "cap needs: cap ID standard|tree NAME")
@@ -299,22 +296,21 @@ def _parse_middle_block(lines, trees_by_name):
         raise ParseError(1, "missing 'middle' header")
     if pairs is None:
         raise ParseError(1, "middle block has no pairs line")
-    m = MiddleLevelData(pairs, tuple(fingers), tuple(loops))
-    return m, caps, None
+    m = MiddleLevelData(pairs, tuple(fingers.values()), tuple(loops.values()))
+    return m, caps
 
 
 def parse_ribbon(text: str) -> RibbonDescriptor:
     trees, rest = _parse_tree_blocks(text, stop_at="middle")
     if not rest:
         raise ParseError(1, "ribbon document has no middle block")
-    by_name = {t.name: t for t in trees}
-    m, caps, _ = _parse_middle_block(rest, by_name)
-    needed = ([f.whitney for f in m.fingers]
-              + [l.id for l in m.accessory_loops])
+    m, caps = _parse_middle_block(rest, trees)
+    needed = m.cap_ids()
     missing = [cid for cid in needed if cid not in caps]
     if missing:
         raise ParseError(1, f"missing caps for {missing}")
-    extra = [cid for cid in caps if cid not in needed]
+    known = set(needed)
+    extra = [cid for cid in caps if cid not in known]
     if extra:
         raise ParseError(1, f"caps for unknown ids {extra}")
     return RibbonDescriptor(m, tuple((cid, caps[cid]) for cid in needed))

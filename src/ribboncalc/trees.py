@@ -8,7 +8,7 @@ back-edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 class TreeError(Exception):
@@ -314,19 +314,3 @@ def kuga_blowup_cost(t: SignedTree) -> int:
                 frontier.append(e.child)
     return total
 
-
-# -- embedding facts -----------------------------------------------------
-
-def tower_embeds_into_standard(t: SignedTree) -> bool:
-    """Every finite tower embeds into the standard 2-handle."""
-    if not t.finite:
-        raise TreeError(f"tree {t.name} is not a tower")
-    return True
-
-
-def positive_embeds_into_chplus(t: SignedTree) -> PositiveWitness:
-    """The positive-branch certificate behind embedding into CH+."""
-    w = positive_witness(t)
-    if w is None:
-        raise TreeError(f"handle {t.name} is not positive")
-    return w

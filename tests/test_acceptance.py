@@ -26,7 +26,8 @@ from ribboncalc import (AbelianGroup, Cap, Finger, MiddleLevelData,
                         serialize_script, serialize_tree, signature,
                         stabilization_plan, twist_blow_up, verify_plan,
                         whitney_set, zero_dot_swap)
-from ribboncalc.simplify import BreakLoop, CancelPair, NormanTrick, ReplaceCap
+from ribboncalc.simplify import (BreakLoop, CancelFinger, CancelPair,
+                                 NormanTrick, ReplaceCap)
 
 from genlib import (dotted_ids, framed_ids, oracle_cycle_exists,
                     oracle_frontier_negatives, oracle_is_positive,
@@ -252,18 +253,14 @@ def _check_terminal_product_state(r, plan):
     steps = plan.steps
     removed = set()
     for s in steps:
-        if isinstance(s, NormanTrick):
+        if isinstance(s, (NormanTrick, CancelFinger)):
             removed.add(s.finger)
-        elif isinstance(s, CancelPair) and len(s.ids) == 2 \
-                and not s.ids[0].startswith("A"):
-            removed.add(s.ids[0])
     by_whitney = {f.whitney: f.id for f in r.middle.fingers}
     for s in steps:
         if isinstance(s, BreakLoop):
             removed.add(by_whitney[s.via_whitney])
     assert removed == {f.id for f in r.middle.fingers}
-    cancelled_spheres = {s.ids for s in steps if isinstance(s, CancelPair)
-                         and s.ids[0].startswith("A")}
+    cancelled_spheres = {s.ids for s in steps if isinstance(s, CancelPair)}
     assert cancelled_spheres == {(f"A{i}", f"B{i}")
                                  for i in range(1, r.middle.pairs + 1)}
     # every loop is broken, so its cap leaves with it

@@ -59,38 +59,35 @@ class TestGeometricMatrix:
 class TestFingerGraph:
     def test_acyclic_report(self):
         m = middle(3, [("f1", 1, 2, "w1"), ("f2", 2, 3, "w2")])
-        g = finger_graph(m, restrict_to_loops=False)
+        g = finger_graph(m)
         assert g.acyclic
         assert g.edges == (("f1", 1, 2), ("f2", 2, 3))
+        assert g.order == (3, 2, 1)
 
     def test_self_loop_is_a_cycle(self):
         m = middle(1, [("f1", 1, 1, "w1")])
-        g = finger_graph(m, restrict_to_loops=False)
+        g = finger_graph(m)
         assert g.cycles == ((1,),)
 
     def test_two_cycle(self):
         m = middle(2, [("f1", 1, 2, "w1"), ("f2", 2, 1, "w2")])
-        g = finger_graph(m, restrict_to_loops=False)
+        g = finger_graph(m)
         assert not g.acyclic
         assert set(g.cycles[0]) == {1, 2}
 
-    def test_loop_restriction_can_hide_cycles(self):
-        # A cycle among fingers no accessory loop touches is not reported
-        # when the search is seeded from loops only.
+    def test_cycle_off_every_loop_is_reported(self):
+        # No accessory loop touches the f1/f2 cycle; it is reported anyway.
         m = middle(3, [("f1", 1, 2, "w1"), ("f2", 2, 1, "w2"),
                        ("f3", 3, 1, "w3")],
                    [("l1", ["f3"])])
-        assert not finger_graph(m, restrict_to_loops=True).acyclic \
-            or finger_graph(m, restrict_to_loops=False).cycles
-        unrestricted = finger_graph(m, restrict_to_loops=False)
-        assert not unrestricted.acyclic
+        assert not finger_graph(m).acyclic
 
     def test_oracle_agreement(self):
         rng = random.Random(29)
         for _ in range(200):
             m = (random_acyclic_middle(rng) if rng.random() < 0.5
                  else random_cyclic_middle(rng))
-            g = finger_graph(m, restrict_to_loops=False)
+            g = finger_graph(m)
             assert g.acyclic == (not oracle_cycle_exists(m))
 
 

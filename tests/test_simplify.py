@@ -10,8 +10,9 @@ from ribboncalc import (AccessoryLoop, Cap, Finger, MiddleLevelData,
                         is_positive_ribbon, make_descriptor, norman_eliminate,
                         norman_trick_step, stabilization_plan, verify_plan,
                         StabilizationError)
-from ribboncalc.simplify import (BreakLoop, CancelPair, NormanTrick,
-                                 ReplaceCap, break_loops,
+from ribboncalc.simplify import (BreakLoop, CancelFinger, CancelPair,
+                                 NormanTrick, Outcome, ReplaceCap,
+                                 StabilizationPlan, VerifyResult, break_loops,
                                  replace_nonpositive_caps)
 from ribboncalc.trees import SignedTree, TreeEdge
 
@@ -128,7 +129,7 @@ class TestBreakLoops:
         m = middle(2, [("f1", 1, 2, "w1")])
         r = make_descriptor(m, {"w1": STANDARD_CAP})
         out, steps = break_loops(r)
-        assert steps == [CancelPair(("f1", "w1"))]
+        assert steps == [CancelFinger("f1", "w1")]
         assert not out.middle.fingers
 
     def test_positive_capped_loop_survives(self):
@@ -179,6 +180,26 @@ class TestStabilizationPlan:
         assert not is_positive_ribbon(r).positive
         with pytest.raises(StabilizationError, match="cycle"):
             stabilization_plan(r)
+
+    def test_sphere_pair_names_on_a_finger(self):
+        # Finger A1 with Whitney loop B1 is cancelled as a finger, not
+        # mistaken for the sphere pair (A1, B1).
+        m = middle(2, [("A1", 1, 2, "B1")])
+        r = make_descriptor(m, {"B1": STANDARD_CAP})
+        plan = stabilization_plan(r)
+        assert plan.steps == (CancelFinger("A1", "B1"),
+                              CancelPair(("A1", "B1")),
+                              CancelPair(("A2", "B2")))
+        assert verify_plan(r, plan).ok
+
+    def test_long_finger_chain(self):
+        # Deeper than the interpreter's recursion limit.
+        n = 3000
+        m = middle(n, [(f"f{i}", i, i + 1, f"w{i}") for i in range(1, n)])
+        r = make_descriptor(m, {f"w{i}": CHP for i in range(1, n)})
+        plan = stabilization_plan(r)
+        assert [s.finger for s in plan.steps[:2]] == [f"f{n - 1}", f"f{n - 2}"]
+        assert verify_plan(r, plan).ok
 
     def test_random_descriptors_produce_verified_products(self):
         rng = random.Random(41)
@@ -244,3 +265,89 @@ class TestVerifyPlanTampering:
     def positive_plan_source(self):
         m = middle(1, [("f1", 1, 1, "w1")], [("l1", ["f1"])])
         return make_descriptor(m, {"w1": CHP, "l1": CHP})
+
+
+def _random_step(rng, pool):
+    def ident():
+        return rng.choice(pool)
+    kind = rng.randrange(5)
+    if kind == 0:
+        return ReplaceCap(ident(), rng.randint(-1, 6))
+    if kind == 1:
+        return BreakLoop(ident(), ident())
+    if kind == 2:
+        return NormanTrick(ident(), tuple((rng.randint(0, 7), rng.randint(-2, 6))
+                                          for _ in range(rng.randint(0, 2))))
+    if kind == 3:
+        return CancelFinger(ident(), ident())
+    return CancelPair(tuple(ident() for _ in range(rng.randint(0, 3))))
+
+
+def _mutate(rng, plan, pool):
+    steps = list(plan.steps)
+    blowups = plan.blowups
+    kind = plan.outcome.kind
+    for _ in range(rng.randint(1, 3)):
+        op = rng.randrange(8)
+        at = rng.randrange(len(steps) + 1)
+        if op == 0 and steps:
+            del steps[min(at, len(steps) - 1)]
+        elif op == 1 and steps:
+            steps.insert(at, rng.choice(steps))
+        elif op == 2 and len(steps) > 1:
+            i, j = rng.sample(range(len(steps)), 2)
+            steps[i], steps[j] = steps[j], steps[i]
+        elif op == 3 and steps:
+            steps[min(at, len(steps) - 1)] = _random_step(rng, pool)
+        elif op == 4:
+            steps.insert(at, _random_step(rng, pool))
+        elif op == 5:
+            steps = [replace(s, cost=s.cost + rng.choice((-1, 1)))
+                     if isinstance(s, ReplaceCap) and rng.random() < 0.5
+                     else s for s in steps]
+            blowups += rng.choice((0, 1))
+        elif op == 6:
+            steps = [replace(s, delta=((rng.randint(1, 6), 2),))
+                     if isinstance(s, NormanTrick) and rng.random() < 0.5
+                     else s for s in steps]
+        else:
+            kind = rng.choice(("product", "positive-obstruction", "other"))
+    return StabilizationPlan(plan.k, blowups, tuple(steps), Outcome(kind))
+
+
+class TestVerifyPlanIsTotal:
+    def test_mutated_plans_get_a_verdict(self):
+        rng = random.Random(43)
+        odd = ["", "x", "A", "B", "A1", "B1", "A0", "B0", "A01", "B01",
+               "A\u00b2", "B\u00b2", "A-1", "B-1", "A1 B1"]
+        verdicts = 0
+        for _ in range(250):
+            r = random_nonpositive_descriptor(rng)
+            plan = stabilization_plan(r)
+            pool = odd + list(r.middle.cap_ids()) + [
+                f.id for f in r.middle.fingers]
+            for _ in range(5):
+                result = verify_plan(r, _mutate(rng, plan, pool))
+                assert isinstance(result, VerifyResult)
+                verdicts += 1
+        assert verdicts >= 1000
+
+    def test_cancel_pair_of_any_arity(self):
+        r = make_descriptor(middle(2, [("f1", 1, 2, "w1")]),
+                            {"w1": STANDARD_CAP})
+        plan = stabilization_plan(r)
+        for ids in ((), ("x",), ("a", "b", "c"), ("A1", "B2"), ("f1", "w1")):
+            bad = replace(plan, steps=(CancelPair(ids),) + plan.steps)
+            result = verify_plan(r, bad)
+            assert not result.ok and result.failing_step == 0
+
+    def test_shared_whitney_id(self):
+        # Unvalidated data: two fingers share the Whitney loop w.
+        m = middle(2, [("f1", 1, 2, "w"), ("f2", 1, 2, "w")],
+                   [("l1", ["f2"])])
+        r = make_descriptor(m, {"w": STANDARD_CAP, "l1": STANDARD_CAP})
+        trick = NormanTrick("f1", ())
+        for tail in ((BreakLoop("l1", "w"),), (CancelFinger("f2", "w"),),
+                     (BreakLoop("l1", "w"), CancelFinger("f2", "w"))):
+            plan = StabilizationPlan(0, 0, (trick,) + tail, Outcome("product"))
+            assert not verify_plan(r, plan).ok

@@ -8,8 +8,6 @@ from ribboncalc import (SignedTree, SizeLimit, TreeEdge, TreeError, chplus,
                         is_positive, is_strictly_positive, kuga_blowup_cost,
                         positive_witness, prune_depth,
                         tower_has_positive_branch, truncate, validate_tree)
-from ribboncalc.trees import (positive_embeds_into_chplus,
-                              tower_embeds_into_standard)
 
 from genlib import (oracle_frontier_negatives, oracle_is_positive,
                     oracle_longest_positive_path, random_nonpositive_tree,
@@ -66,6 +64,7 @@ class TestPositivity:
 
     def test_chminus_not_positive(self):
         assert not is_positive(CHMINUS)
+        assert positive_witness(CHMINUS) is None
 
     def test_alternating_not_positive(self):
         # The only cycle uses a negative edge.
@@ -211,15 +210,3 @@ class TestKugaBlowupCost:
             t = random_nonpositive_tree(rng)
             assert kuga_blowup_cost(t) == oracle_frontier_negatives(t)
 
-
-class TestEmbeddingFacts:
-    def test_every_tower_embeds_into_standard(self):
-        rng = random.Random(23)
-        for _ in range(50):
-            assert tower_embeds_into_standard(random_tree(rng, finite=True))
-
-    def test_positive_embeds_with_certificate(self):
-        w = positive_embeds_into_chplus(chplus())
-        assert w.cycle == ("r",)
-        with pytest.raises(TreeError):
-            positive_embeds_into_chplus(CHMINUS)
