@@ -1,15 +1,16 @@
-"""Finitely generated abelian groups and exact integer Smith normal form.
+"""Finitely generated abelian groups, exact integer Smith normal form and
+exact signature.
 
 All arithmetic is over Python ints, so there is no overflow or precision
-concern.  The Smith form here is the canonical homology oracle for the rest
-of the package: first homology groups of surgered boundaries are cokernels
-of integer linking matrices.
+concern, and every intermediate value is an integer.  The Smith form here
+is the canonical homology oracle for the rest of the package: first
+homology groups of surgered boundaries are cokernels of integer linking
+matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 
@@ -48,93 +49,83 @@ class AbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
+def _smallest(a: list[list[int]]) -> tuple[int, int] | None:
+    """Position of a nonzero entry of least magnitude, or None if a is 0."""
+    best, where = 0, None
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            if x and (where is None or abs(x) < best):
+                best, where = abs(x), (i, j)
+                if best == 1:
+                    return where
+    return where
+
+
 def smith_invariants(matrix: list[list[int]]) -> list[int]:
     """Diagonal of the Smith normal form, as nonnegative ints d1 | d2 | ...
 
     Zero entries (rank deficiency) are kept at the end of the list.  The
     input is not modified.
+
+    Each step pivots on a nonzero entry of least magnitude in the trailing
+    block.  A row pass reduces the pivot column modulo the pivot and a
+    column pass does the same to the pivot row; after either pass the
+    smallest nonzero remainder, if any, becomes the new pivot, so the pivot
+    strictly shrinks and the entries stay small.  Once row and column are
+    clear, a row the pivot does not divide is added to the pivot row and
+    the step goes on; otherwise (at once for a unit pivot) the pivot is
+    recorded and its row and column are dropped.  Each recorded pivot
+    divides every later one, so the diagonal is already a divisibility
+    chain.
     """
     a = [list(map(int, row)) for row in matrix]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
+    cols = len(a[0]) if a else 0
     for row in a:
         if len(row) != cols:
             raise ValueError("matrix rows have unequal lengths")
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
     diag: list[int] = []
-    t = 0
-    while t < rows and t < cols:
-        # Locate a nonzero pivot in the trailing submatrix.
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
+    while a and a[0]:
+        where = _smallest(a)
+        if where is None:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-
+        i, j = where
+        a[0], a[i] = a[i], a[0]
+        if j:
+            for row in a:
+                row[0], row[j] = row[j], row[0]
         while True:
-            # Clear column t with row operations; a nonzero remainder has
-            # smaller magnitude than the pivot, so swapping it up strictly
-            # shrinks the pivot and the loop terminates.
-            for i in range(t + 1, rows):
-                while a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    for j in range(t, cols):
-                        a[i][j] -= q * a[t][j]
-                    if a[i][t]:
-                        swap_rows(t, i)
-            # Clear row t with column operations, same scheme.
-            for j in range(t + 1, cols):
-                while a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    for i in range(t, rows):
-                        a[i][j] -= q * a[i][t]
-                    if a[t][j]:
-                        swap_cols(t, j)
-            if any(a[i][t] for i in range(t + 1, rows)):
+            top = a[0]
+            p = top[0]
+            # Row pass: reduce the pivot column below the pivot.
+            for k in range(1, len(a)):
+                q = a[k][0] // p
+                if q:
+                    a[k] = [x - q * y for x, y in zip(a[k], top)]
+            rest = [k for k in range(1, len(a)) if a[k][0]]
+            if rest:
+                k = min(rest, key=lambda k: abs(a[k][0]))
+                a[0], a[k] = a[k], a[0]
                 continue
-            # Pivot must divide the rest of the submatrix; if not, fold the
-            # offending row into row t and redo the elimination.
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j] % a[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            if p in (1, -1):
+                break  # a unit clears its row and divides every entry
+            # Column pass: the pivot column is clear below the pivot, so
+            # reducing the pivot row changes no other row.
+            for c in range(1, len(top)):
+                top[c] %= p
+            rest = [c for c in range(1, len(top)) if top[c]]
+            if rest:
+                c = min(rest, key=lambda c: abs(top[c]))
+                for row in a:
+                    row[0], row[c] = row[c], row[0]
+                continue
+            offender = next((row for row in a[1:]
+                             if any(x % p for x in row)), None)
             if offender is None:
                 break
-            for j in range(t, cols):
-                a[t][j] += a[offender][j]
-        diag.append(abs(a[t][t]))
-        t += 1
-
-    while len(diag) < min(rows, cols):
-        diag.append(0)
-    # Normalize the divisibility chain (defensive; the division fix above
-    # already guarantees it for nonzero entries).
-    nonzero = [d for d in diag if d]
-    zeros = len(diag) - len(nonzero)
-    for i in range(len(nonzero)):
-        for j in range(i + 1, len(nonzero)):
-            g = gcd(nonzero[i], nonzero[j])
-            lcm = nonzero[i] // g * nonzero[j]
-            nonzero[i], nonzero[j] = g, lcm
-    return nonzero + [0] * zeros
+            a[0] = [x + y for x, y in zip(top, offender)]
+        diag.append(abs(p))
+        a = [row[1:] for row in a[1:]]
+    return diag + [0] * (min(len(matrix), cols) - len(diag))
 
 
 def cokernel(matrix: list[list[int]], generators: int | None = None) -> AbelianGroup:
@@ -157,49 +148,62 @@ def cokernel(matrix: list[list[int]], generators: int | None = None) -> AbelianG
 def symmetric_signature(matrix: list[list[int]]) -> int:
     """Signature of a symmetric integer matrix, computed exactly.
 
-    Uses symmetric Gaussian reduction over the rationals; when the diagonal
-    of the remaining block vanishes, a nonzero off-diagonal entry spans a
-    hyperbolic plane contributing signature zero.
+    Uses congruence elimination over the integers.  A nonzero diagonal
+    entry p = a[k][k] is a pivot: it contributes sign(p), and the remaining
+    block becomes sign(p)*(p*a[i][j] - a[i][k]*a[k][j]), which is |p| times
+    the Schur complement.  When the remaining diagonal vanishes, a nonzero
+    entry b at (i0, j0) spans a hyperbolic plane contributing 0, and the
+    remaining block becomes sign(b)*(b*a[i][j] - a[i][i0]*a[j0][j]
+    - a[i][j0]*a[i0][j]), which is |b| times the Schur complement.  After
+    each step the block is divided by the gcd of its entries.  Positive
+    scaling keeps the inertia (Sylvester's law), and the block stays a
+    primitive multiple of a matrix of minors of the input, so its entries
+    stay as small as in Bareiss elimination.
     """
     n = len(matrix)
-    a = [[Fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if a[i][j] != a[j][i]:
+    a = [list(map(int, row)) for row in matrix]
+    for i, row in enumerate(a):
+        if len(row) != n:
+            raise ValueError("matrix is not square")
+        for j in range(i):
+            if row[j] != a[j][i]:
                 raise ValueError("matrix is not symmetric")
-    active = list(range(n))
-    pos = neg = 0
-    while active:
-        piv = next((i for i in active if a[i][i] != 0), None)
+    sig = 0
+    while a:
+        piv = next((k for k, row in enumerate(a) if row[k]), None)
         if piv is not None:
             p = a[piv][piv]
-            if p > 0:
-                pos += 1
-            else:
-                neg += 1
-            rest = [i for i in active if i != piv]
-            for i in rest:
-                for j in rest:
-                    a[i][j] -= a[i][piv] * a[piv][j] / p
-            active = rest
-            continue
-        pair = None
-        for i in active:
-            for j in active:
-                if i != j and a[i][j] != 0:
-                    pair = (i, j)
-                    break
-            if pair:
+            s = 1 if p > 0 else -1
+            sig += s
+            del a[piv]
+            u = [row.pop(piv) for row in a]
+            su = [s * x for x in u]
+            p = abs(p)
+            a = [[p * x - ui * y for x, y in zip(row, su)]
+                 for row, ui in zip(a, u)]
+        else:
+            i0, j0 = next(((i, j) for i, row in enumerate(a)
+                           for j, x in enumerate(row) if x), (None, None))
+            if i0 is None:
+                break  # remaining block is zero
+            b = a[i0][j0]
+            s = 1 if b > 0 else -1
+            keep = [k for k in range(len(a)) if k != i0 and k != j0]
+            u = [a[k][i0] for k in keep]
+            w = [a[k][j0] for k in keep]
+            su = [s * x for x in u]
+            sw = [s * x for x in w]
+            b = abs(b)
+            a = [[b * a[i][j] - ui * y - wi * z
+                  for j, y, z in zip(keep, sw, su)]
+                 for i, ui, wi in zip(keep, u, w)]
+        g = 0
+        for row in a:
+            g = gcd(g, *row)
+            if g == 1:
                 break
-        if pair is None:
+        if g == 0:
             break  # remaining block is zero
-        i0, j0 = pair
-        b = a[i0][j0]
-        pos += 1
-        neg += 1
-        rest = [i for i in active if i not in (i0, j0)]
-        for i in rest:
-            for j in rest:
-                a[i][j] -= (a[i][i0] * a[j0][j] + a[i][j0] * a[i0][j]) / b
-        active = rest
-    return pos - neg
+        if g > 1:
+            a = [[x // g for x in row] for row in a]
+    return sig

@@ -12,6 +12,7 @@ Diagrams are immutable values; every move returns a new diagram.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .abelian import AbelianGroup, cokernel, symmetric_signature
 
@@ -92,28 +93,30 @@ class KirbyDiagram:
     def ids(self) -> tuple[str, ...]:
         return tuple(c.id for c in self.components)
 
+    @cached_property
+    def _by_id(self) -> dict[str, Component]:
+        return {c.id: c for c in self.components}
+
+    @cached_property
+    def _linkmap(self) -> dict[tuple[str, str], tuple[int, int]]:
+        """Shared by every query on this value: read it, never mutate it."""
+        return {p: (a, g) for p, a, g in self.links}
+
     def component(self, cid: str) -> Component:
-        for c in self.components:
-            if c.id == cid:
-                return c
-        raise KeyError(cid)
+        return self._by_id[cid]
 
     def has(self, cid: str) -> bool:
-        return any(c.id == cid for c in self.components)
-
-    def _linkmap(self) -> dict[tuple[str, str], tuple[int, int]]:
-        return {p: (a, g) for p, a, g in self.links}
+        return cid in self._by_id
 
     def alg(self, i: str, j: str) -> int:
         if i == j:
-            c = self.component(i)
-            return c.framing or 0
-        return self._linkmap().get(_pair(i, j), (0, 0))[0]
+            return self._by_id[i].framing or 0
+        return self._linkmap.get(_pair(i, j), (0, 0))[0]
 
     def geom(self, i: str, j: str) -> int:
         if i == j:
             return 0
-        return self._linkmap().get(_pair(i, j), (0, 0))[1]
+        return self._linkmap.get(_pair(i, j), (0, 0))[1]
 
     def framing(self, cid: str) -> int:
         return self.component(cid).framing or 0
@@ -143,7 +146,7 @@ class KirbyDiagram:
         return replace(self, components=comps, links=tuple(entries), **changes)
 
     def _mutable(self) -> dict[tuple[str, str], tuple[int, int]]:
-        return dict(self._linkmap())
+        return dict(self._linkmap)
 
 
 def empty_diagram(name: str = "empty") -> KirbyDiagram:
@@ -300,7 +303,7 @@ def blow_down(d: KirbyDiagram, e: str) -> KirbyDiagram:
         if k != e and d.geom(e, k) != 0:
             raise MoveError(f"{e} is geometrically linked with {k}")
     comps = tuple(x for x in d.components if x.id != e)
-    links = {p: v for p, v in d._linkmap().items() if e not in p}
+    links = {p: v for p, v in d._linkmap.items() if e not in p}
     return d.with_links(links, components=comps)
 
 
@@ -410,7 +413,7 @@ def cancel_pair(d: KirbyDiagram, a: str | None, b: str) -> KirbyDiagram:
         if d.three_handles < 1:
             raise MoveError("no 3-handle available to cancel against")
         comps = tuple(x for x in d.components if x.id != b)
-        links = {p: v for p, v in d._linkmap().items() if b not in p}
+        links = {p: v for p, v in d._linkmap.items() if b not in p}
         out = d.with_links(links, components=comps)
         return replace(out, three_handles=out.three_handles - 1)
     ca = d.component(a)
@@ -427,7 +430,7 @@ def cancel_pair(d: KirbyDiagram, a: str | None, b: str) -> KirbyDiagram:
             if d.geom(x, k) != 0:
                 raise MoveError(f"{x} is geometrically linked with {k}")
     comps = tuple(x for x in d.components if x.id not in (a, b))
-    links = {p: v for p, v in d._linkmap().items()
+    links = {p: v for p, v in d._linkmap.items()
              if a not in p and b not in p}
     return d.with_links(links, components=comps)
 
@@ -449,7 +452,7 @@ def dualize(d: KirbyDiagram) -> KirbyDiagram:
             comps.append(Component(c.id, PAREN, 0, c.label))
         else:
             comps.append(Component(c.id, PAREN, -(c.framing or 0), c.label))
-    links = {p: (-a, g) for p, (a, g) in d._linkmap().items()}
+    links = {p: (-a, g) for p, (a, g) in d._linkmap.items()}
     meridians = []
     for c in d.components:
         if c.kind == FRAMED:

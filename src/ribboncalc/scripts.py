@@ -8,7 +8,7 @@ resulting diagram so invariant drift is visible in traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .abelian import AbelianGroup
 from .diagram import (KirbyDiagram, MoveError, add_cancelling_pair,
@@ -77,27 +77,30 @@ def apply_command(d: KirbyDiagram, cmd: Command) -> KirbyDiagram:
     raise MoveError(f"unknown command {op!r}")
 
 
-def _check_assertion(d: KirbyDiagram, cmd: Command) -> str | None:
-    """None on success, else a failure description."""
+def _check_assertion(state: StepReport, cmd: Command) -> str | None:
+    """None on success, else a failure description.
+
+    ``state`` is the snapshot of the diagram the assertion is made about.
+    """
     op, args = cmd.op, cmd.args
     if op == "assert-homology":
         side, rank, torsion = args
-        got, _ = boundary_homology(d, side)
+        if side not in ("plus", "minus"):
+            return f"unknown side {side!r}"
+        got = state.plus if side == "plus" else state.minus
+        if got is None:
+            return "minus boundary requires a dual decomposition"
         want = AbelianGroup(rank, torsion)
         if got != want:
             return f"H1(boundary {side}) = {got}, expected {want}"
         return None
     if op == "assert-euler":
-        got = euler_char(d)
-        if got != args[0]:
-            return f"euler characteristic = {got}, expected {args[0]}"
+        if state.euler != args[0]:
+            return f"euler characteristic = {state.euler}, expected {args[0]}"
         return None
-    if op == "assert-signature":
-        got = signature(d)
-        if got != args[0]:
-            return f"signature = {got}, expected {args[0]}"
-        return None
-    raise MoveError(f"unknown assertion {op!r}")
+    if state.sig != args[0]:
+        return f"signature = {state.sig}, expected {args[0]}"
+    return None
 
 
 ASSERTIONS = frozenset(
@@ -105,21 +108,30 @@ ASSERTIONS = frozenset(
 
 
 def run_script(d: KirbyDiagram, script: MoveScript) -> ScriptResult:
-    steps = [_snapshot(0, None, True, "initial", d)]
+    """Replay ``script`` on ``d``; never raises for a bad command.
+
+    The invariants of each diagram are computed once: an assertion, or a
+    move that fails, reports the snapshot of the diagram it left unchanged.
+    """
+    state = _snapshot(0, None, True, "initial", d)
+    steps = [state]
     for idx, cmd in enumerate(script.commands, start=1):
         if cmd.op in ASSERTIONS:
-            problem = _check_assertion(d, cmd)
+            problem = _check_assertion(state, cmd)
+            steps.append(replace(state, index=idx, command=cmd,
+                                 ok=problem is None,
+                                 detail=problem or "assertion holds"))
             if problem is not None:
-                steps.append(_snapshot(idx, cmd, False, problem, d))
                 return ScriptResult(script.name, False, tuple(steps), d)
-            steps.append(_snapshot(idx, cmd, True, "assertion holds", d))
             continue
         try:
             d = apply_command(d, cmd)
         except MoveError as exc:
-            steps.append(_snapshot(idx, cmd, False, str(exc), d))
+            steps.append(replace(state, index=idx, command=cmd, ok=False,
+                                 detail=str(exc)))
             return ScriptResult(script.name, False, tuple(steps), d)
-        steps.append(_snapshot(idx, cmd, True, "applied", d))
+        state = _snapshot(idx, cmd, True, "applied", d)
+        steps.append(state)
     return ScriptResult(script.name, True, tuple(steps), d)
 
 

@@ -244,9 +244,12 @@ def parse_middle(text: str) -> MiddleLevelData:
     return m
 
 
-def _parse_middle_block(lines, trees_by_name):
+def _parse_middle_block(lines, caps_by_tree):
+    """Middle data and caps; ``caps_by_tree`` holds one Cap per tree name,
+    so caps naming one tree share it."""
     pairs = None
     fingers: dict[str, Finger] = {}
+    finger_of_whitney: dict[str, str] = {}
     loops: dict[str, AccessoryLoop] = {}
     caps: dict[str, Cap] = {}
     started = False
@@ -268,6 +271,10 @@ def _parse_middle_block(lines, trees_by_name):
                 raise ParseError(n, "finger needs: finger ID FROM THRU WID")
             if toks[1] in fingers:
                 raise ParseError(n, f"duplicate finger id {toks[1]}")
+            if toks[4] in finger_of_whitney:
+                raise ParseError(n, f"duplicate whitney id {toks[4]} (finger "
+                                    f"{finger_of_whitney[toks[4]]} has it)")
+            finger_of_whitney[toks[4]] = toks[1]
             fingers[toks[1]] = Finger(toks[1], _int(toks[2], n, "sphere index"),
                                       _int(toks[3], n, "sphere index"), toks[4])
         elif kw == "loop":
@@ -285,9 +292,9 @@ def _parse_middle_block(lines, trees_by_name):
             if toks[2] == "standard" and len(toks) == 3:
                 caps[cid] = STANDARD_CAP
             elif toks[2] == "tree" and len(toks) == 4:
-                if toks[3] not in trees_by_name:
+                if toks[3] not in caps_by_tree:
                     raise ParseError(n, f"cap references unknown tree {toks[3]}")
-                caps[cid] = Cap(trees_by_name[toks[3]])
+                caps[cid] = caps_by_tree[toks[3]]
             else:
                 raise ParseError(n, f"malformed cap line")
         else:
@@ -304,7 +311,8 @@ def parse_ribbon(text: str) -> RibbonDescriptor:
     trees, rest = _parse_tree_blocks(text, stop_at="middle")
     if not rest:
         raise ParseError(1, "ribbon document has no middle block")
-    m, caps = _parse_middle_block(rest, trees)
+    m, caps = _parse_middle_block(
+        rest, {name: Cap(t) for name, t in trees.items()})
     needed = m.cap_ids()
     missing = [cid for cid in needed if cid not in caps]
     if missing:

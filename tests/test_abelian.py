@@ -1,12 +1,14 @@
 """Exact integer linear algebra, checked against sympy's Smith form."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import Matrix
-from sympy.matrices.normalforms import smith_normal_form
+from sympy import Matrix, QQ, ZZ
+from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
+from sympy.polys.matrices import DomainMatrix
 
 from ribboncalc import (AbelianGroup, cokernel, smith_invariants,
                         symmetric_signature)
@@ -16,6 +18,88 @@ def sympy_invariants(m):
     sm = smith_normal_form(Matrix(m))
     return sorted(abs(sm[i, j]) for i in range(sm.rows)
                   for j in range(sm.cols) if sm[i, j] != 0)
+
+
+def sympy_invariants_nonsingular(m):
+    """sympy's Smith form of a nonsingular square matrix, sized for n = 60.
+
+    sympy's Smith form of a dense n = 60 matrix runs for minutes, while its
+    Hermite form modulo the determinant takes well under a second.  A unit
+    pivot of that Hermite form heads an otherwise zero row, so it splits
+    off as an invariant factor 1; sympy's Smith form is taken of the rest.
+    """
+    n = len(m)
+    det = DomainMatrix.from_list(m, ZZ).det()
+    assert det != 0
+    h = hermite_normal_form(Matrix(m), D=abs(det))
+    units = [i for i in range(n) if h[i, i] == 1]
+    assert all(h[i, j] == 0 for i in units for j in range(n) if j != i)
+    core = [i for i in range(n) if h[i, i] != 1]
+    if not core:
+        return [1] * n
+    return [1] * len(units) + sympy_invariants(
+        [[h[i, j] for j in core] for i in core])
+
+
+def fraction_signature(matrix):
+    """Reference oracle: symmetric Gaussian reduction over the rationals."""
+    n = len(matrix)
+    a = [[Fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
+    active = list(range(n))
+    pos = neg = 0
+    while active:
+        piv = next((i for i in active if a[i][i] != 0), None)
+        if piv is not None:
+            p = a[piv][piv]
+            if p > 0:
+                pos += 1
+            else:
+                neg += 1
+            rest = [i for i in active if i != piv]
+            for i in rest:
+                for j in rest:
+                    a[i][j] -= a[i][piv] * a[piv][j] / p
+            active = rest
+            continue
+        pair = next(((i, j) for i in active for j in active
+                     if i != j and a[i][j] != 0), None)
+        if pair is None:
+            break  # remaining block is zero
+        i0, j0 = pair
+        b = a[i0][j0]
+        pos += 1
+        neg += 1
+        rest = [i for i in active if i not in (i0, j0)]
+        for i in rest:
+            for j in rest:
+                a[i][j] -= (a[i][i0] * a[j0][j] + a[i][j0] * a[i0][j]) / b
+        active = rest
+    return pos - neg
+
+
+def random_symmetric(rng, n, bound, density=1.0, zero_diagonal=False):
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if (i != j or not zero_diagonal) and rng.random() < density:
+                m[i][j] = m[j][i] = rng.randint(-bound, bound)
+    return m
+
+
+def eigenvalue_signature(m):
+    """Float eigenvalue signs, with the zero count pinned by the exact
+    rational rank so borderline signs cannot flip the answer."""
+    import numpy
+    eigs = sorted(numpy.linalg.eigvalsh(numpy.array(m, dtype=float)), key=abs)
+    zeros = len(m) - DomainMatrix.from_list(m, ZZ).convert_to(QQ).rank()
+    nonzero = eigs[zeros:]
+    return sum(1 for v in nonzero if v > 0) - sum(1 for v in nonzero if v < 0)
+
+
+def elapsed(fn, *args):
+    start = time.perf_counter()
+    result = fn(*args)
+    return result, time.perf_counter() - start
 
 
 matrices = st.integers(1, 5).flatmap(
@@ -66,6 +150,47 @@ class TestSmithInvariants:
         keep = [row[:] for row in m]
         smith_invariants(m)
         assert m == keep
+
+    def test_dense_n60_against_sympy(self):
+        # A first-nonzero pivot blows up on these: over 80 s at n = 56.
+        rng = random.Random(60)
+        for m in (random_symmetric(rng, 60, 3),
+                  [[rng.randint(-3, 3) for _ in range(60)]
+                   for _ in range(60)]):
+            diag, seconds = elapsed(smith_invariants, m)
+            assert seconds < 1.0
+            assert sorted(diag) == sympy_invariants_nonsingular(m)
+
+    def test_n60_with_torsion_against_sympy(self):
+        # U * diag * V with unimodular U, V has a long divisibility chain.
+        rng = random.Random(61)
+        n = 60
+        m = [[0] * n for _ in range(n)]
+        for i, d in enumerate([1] * 48 + [2, 2, 4, 4, 12, 12, 24, 24, 72,
+                                          144, 144, 720]):
+            m[i][i] = d
+        for _ in range(2 * n):
+            i, j = rng.sample(range(n), 2)
+            c = rng.choice((-1, 1))
+            m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+            i, j = rng.sample(range(n), 2)
+            for row in m:
+                row[i] += c * row[j]
+        diag, seconds = elapsed(smith_invariants, m)
+        assert seconds < 1.0
+        assert diag == [1] * 48 + [2, 2, 4, 4, 12, 12, 24, 24, 72, 144, 144,
+                                   720]
+        assert sorted(diag) == sympy_invariants_nonsingular(m)
+
+    def test_rank_deficient_n60(self):
+        rng = random.Random(62)
+        b = [[rng.randint(-2, 2) for _ in range(40)] for _ in range(60)]
+        m = [[sum(x * y for x, y in zip(r, s)) for s in b] for r in b]
+        diag, seconds = elapsed(smith_invariants, m)
+        assert seconds < 1.0
+        rank = DomainMatrix.from_list(m, ZZ).convert_to(QQ).rank()
+        assert diag.count(0) == 60 - rank and diag[rank:] == [0] * (60 - rank)
+        assert all(y % x == 0 for x, y in zip(diag[:rank], diag[1:rank]))
 
 
 class TestAbelianGroup:
@@ -152,3 +277,43 @@ class TestSymmetricSignature:
         m = [[big, big - 1], [big - 1, big - 2]]
         # det = -1 < 0, trace > 0: signature must be 0.
         assert symmetric_signature(m) == 0
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError):
+            symmetric_signature([[1, 0], [0]])
+
+    def test_agrees_with_rational_reduction(self):
+        rng = random.Random(4)
+        for k in range(1500):
+            n = rng.randint(1, 9)
+            m = random_symmetric(rng, n, rng.choice((1, 3, 50, 10 ** 9)),
+                                 density=rng.choice((0.3, 0.7, 1.0)),
+                                 zero_diagonal=k % 3 == 0)
+            assert symmetric_signature(m) == fraction_signature(m), m
+
+    def test_hyperbolic_steps_against_rational_reduction(self):
+        # Zero diagonals throughout, so every step takes a hyperbolic pair;
+        # a zero-diagonal block after a diagonal pivot does the same midway.
+        rng = random.Random(5)
+        for n in range(2, 12):
+            for _ in range(20):
+                m = random_symmetric(rng, n, 4, density=0.6,
+                                     zero_diagonal=True)
+                assert symmetric_signature(m) == fraction_signature(m)
+        m = [[1, 1, 1], [1, 1, 1], [1, 1, 0]]
+        assert symmetric_signature(m) == fraction_signature(m) == 0
+
+    def test_n60_against_eigenvalues(self):
+        rng = random.Random(63)
+        b = [[rng.randint(-2, 2) for _ in range(45)] for _ in range(60)]
+        cases = [random_symmetric(rng, 60, 3),
+                 random_symmetric(rng, 60, 3, zero_diagonal=True),
+                 random_symmetric(rng, 60, 5, density=0.1),
+                 # rank 45 with both signs: B diag(+-1) B^T
+                 [[sum(x * y * (1 if k % 3 else -1)
+                       for k, (x, y) in enumerate(zip(r, s)))
+                   for s in b] for r in b]]
+        for m in cases:
+            sig, seconds = elapsed(symmetric_signature, m)
+            assert seconds < 1.0
+            assert sig == eigenvalue_signature(m)

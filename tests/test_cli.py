@@ -152,6 +152,15 @@ class TestRibbon:
         assert code == 0  # deciding is a success even when the answer is no
         assert "positive: false" in out and "refusal" in out
 
+    def test_plan_rejects_shared_whitney_id(self, files, capsys):
+        text = ("middle\npairs 2\nfinger f1 1 2 w\nfinger f2 1 2 w\n"
+                "loop l1 f1\nloop l2 f2\n"
+                "cap w standard\ncap l1 standard\ncap l2 standard\n")
+        code, out, err = run(capsys, "ribbon", "plan", "--verify",
+                             files("r.ribbon", text))
+        assert code == 2 and out == ""
+        assert "line 4: duplicate whitney id w" in err
+
     def test_plan_on_positive_descriptor(self, files, capsys):
         code, out, _ = run(capsys, "ribbon", "plan", "--verify",
                            files("r.ribbon", RIBBON_POSITIVE))

@@ -1,6 +1,7 @@
 """Kirby diagrams: validation, invariants and the move set."""
 
 import random
+import time
 
 import pytest
 
@@ -101,6 +102,26 @@ class TestInvariants:
     def test_minus_side_needs_dual(self):
         with pytest.raises(MoveError):
             boundary_homology(empty_diagram(), "minus")
+
+    def test_linking_matrices_at_n80(self):
+        rng = random.Random(80)
+        comps = tuple(Component(f"c{k}", "dotted") if k % 5 == 0 else
+                      Component(f"c{k}", "framed", rng.randint(-3, 3))
+                      for k in range(80))
+        links, alg = {}, {}
+        for x, cx in enumerate(comps):
+            alg[cx.id, cx.id] = cx.framing or 0
+            for cy in comps[x + 1:]:
+                a = 0 if cx.kind == cy.kind == "dotted" else rng.randint(-3, 3)
+                links[(cx.id, cy.id)] = (a, abs(a) + 2 * rng.randint(0, 1))
+                alg[cx.id, cy.id] = alg[cy.id, cx.id] = a
+        d = KirbyDiagram("big", comps).with_links(links)
+        start = time.perf_counter()
+        full, framed = d.linking_matrix(), d.framed_submatrix()
+        assert time.perf_counter() - start < 0.5
+        framed_ids = [c.id for c in comps if c.kind == "framed"]
+        assert full == [[alg[i.id, j.id] for j in comps] for i in comps]
+        assert framed == [[alg[i, j] for j in framed_ids] for i in framed_ids]
 
 
 class TestHandleSlide:

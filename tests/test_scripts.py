@@ -2,6 +2,7 @@
 
 import pytest
 
+import ribboncalc.scripts
 from ribboncalc import (AbelianGroup, Command, Component, KirbyDiagram,
                         MoveError, MoveScript, apply_command, run_script,
                         trace_lines)
@@ -104,6 +105,28 @@ class TestRunScript:
         result = run_script(d, s)
         assert result.ok
         assert result.final == d
+
+    def test_minus_assertion_on_non_dual_diagram_fails_the_step(self):
+        s = script(("assert-homology", "minus", 0, ()), ("blowup", 1, "e"))
+        result = run_script(HOPF(), s)
+        assert not result.ok and result.failure.index == 1
+        assert "requires a dual decomposition" in result.failure.detail
+        assert result.failure.minus is None and len(result.steps) == 2
+
+    def test_invariants_computed_once_per_diagram(self, monkeypatch):
+        calls = []
+        real = ribboncalc.scripts.signature
+        monkeypatch.setattr(ribboncalc.scripts, "signature",
+                            lambda d: calls.append(d) or real(d))
+        s = script(("assert-signature", 0), ("assert-euler", 3),
+                   ("blowup", 1, "e"), ("assert-signature", 1),
+                   ("assert-homology", "plus", 0, ()), ("blowdown", "a"))
+        result = run_script(HOPF(), s)
+        # the initial diagram and the blow-up; the failed blow-down left
+        # the diagram unchanged
+        assert len(calls) == 2
+        assert [st.sig for st in result.steps] == [0, 0, 0, 1, 1, 1, 1]
+        assert result.failure.index == 6
 
     def test_dual_side_reported_only_after_dualize(self):
         d = diagram(("a", "framed", 0), three_handles=0)

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from ribboncalc import (Command, MoveScript, ParseError, parse_diagram,
-                        parse_middle, parse_ribbon, parse_script, parse_tree,
+from ribboncalc import (STANDARD_CAP, Cap, Command, MoveScript, ParseError,
+                        make_descriptor, parse_diagram, parse_middle,
+                        parse_ribbon, parse_script, parse_tree,
                         serialize_diagram, serialize_middle, serialize_ribbon,
                         serialize_script, serialize_tree)
 
@@ -175,6 +176,30 @@ class TestMiddleAndRibbon:
     def test_duplicate_finger_id(self):
         with pytest.raises(ParseError, match="duplicate finger"):
             parse_middle("middle\npairs 2\nfinger f1 1 2 w1\nfinger f1 2 1 w2\n")
+
+    def test_shared_whitney_id(self):
+        text = ("middle\npairs 2\nfinger f1 1 2 w\nfinger f2 1 2 w\n"
+                "loop l1 f1\nloop l2 f2\n"
+                "cap w standard\ncap l1 standard\ncap l2 standard\n")
+        with pytest.raises(ParseError) as e:
+            parse_ribbon(text)
+        assert e.value.line == 4
+        assert "duplicate whitney id w" in e.value.message
+        assert "f1" in e.value.message
+
+    def test_caps_naming_one_tree_share_a_cap(self):
+        text = ("tree t\nnode a\nroot a\nedge a a +\n"
+                "middle\npairs 2\nfinger f1 1 2 w1\nfinger f2 2 1 w2\n"
+                "loop l1 f1 f2\n"
+                "cap w1 tree t\ncap w2 tree t\ncap l1 standard\n")
+        r = parse_ribbon(text)
+        assert r.cap("w1") is r.cap("w2")
+        apart = make_descriptor(r.middle, {"w1": Cap(r.cap("w1").tree),
+                                           "w2": Cap(r.cap("w2").tree),
+                                           "l1": STANDARD_CAP})
+        assert apart == r
+        assert serialize_ribbon(apart) == serialize_ribbon(r)
+        assert parse_ribbon(serialize_ribbon(r)) == r
 
 
 class TestScriptRoundTrip:
