@@ -25,8 +25,8 @@ from .trees import (PositiveWitness, SignedTree, SizeLimit, TreeEdge,
                     TreeError, chplus, is_positive, is_strictly_positive,
                     kuga_blowup_cost, positive_witness, prune_depth,
                     tower_has_positive_branch, truncate, validate_tree)
-from .textio import (Command, MoveScript, ParseError, parse_diagram,
-                     parse_middle, parse_ribbon, parse_script, parse_tree,
+from .textio import (Command, MoveScript, ParseError, parse_any,
+                     parse_diagram, parse_middle, parse_ribbon, parse_script, parse_tree,
                      serialize_diagram, serialize_middle, serialize_ribbon,
                      serialize_script, serialize_tree)
 from .scripts import ScriptResult, StepReport, apply_command, run_script, trace_lines
@@ -54,7 +54,8 @@ __all__ = [
     "chplus", "is_positive", "is_strictly_positive", "kuga_blowup_cost",
     "positive_witness", "prune_depth", "tower_has_positive_branch",
     "truncate", "validate_tree",
-    "Command", "MoveScript", "ParseError", "parse_diagram", "parse_middle",
+    "Command", "MoveScript", "ParseError", "parse_any", "parse_diagram",
+    "parse_middle",
     "parse_ribbon", "parse_script", "parse_tree", "serialize_diagram",
     "serialize_middle", "serialize_ribbon", "serialize_script",
     "serialize_tree",

@@ -17,42 +17,17 @@ from .middle import MiddleError, is_positive_ribbon, validate_middle
 from .render import diagram_dot, finger_dot, tree_dot
 from .scripts import run_script, trace_lines
 from .simplify import StabilizationError, stabilization_plan, verify_plan
-from .textio import (ParseError, parse_diagram, parse_middle, parse_ribbon,
-                     parse_script, parse_tree, serialize_diagram)
+from .textio import (ParseError, parse_any, parse_diagram, parse_ribbon,
+                     parse_script, parse_tree, serialize_diagram,
+                     serialize_tree)
 from .trees import (TreeError, is_positive, is_strictly_positive,
                     kuga_blowup_cost, prune_depth, truncate, validate_tree)
-from .textio import serialize_tree
 
 OK, FAIL, PARSE_FAIL = 0, 1, 2
-
-_KEYWORD_PARSERS = {"diagram": ("diagram", parse_diagram),
-                    "tree": ("tree", parse_tree),
-                    "middle": ("middle", parse_middle),
-                    "script": ("script", parse_script)}
 
 
 def _read(path: str) -> str:
     return Path(path).read_text("utf-8")
-
-
-def _detect(text: str):
-    """(kind, value) for a document, chosen by its first keyword."""
-    first = ""
-    for line in text.splitlines():
-        stripped = line.split("#", 1)[0].strip()
-        if stripped:
-            first = stripped.split()[0]
-            break
-    if first == "tree":
-        # A tree header may open a ribbon document.
-        if any(l.split("#", 1)[0].strip().startswith("middle")
-               for l in text.splitlines()):
-            return "ribbon", parse_ribbon(text)
-        return "tree", parse_tree(text)
-    if first in _KEYWORD_PARSERS:
-        kind, parser = _KEYWORD_PARSERS[first]
-        return kind, parser(text)
-    raise ParseError(1, f"cannot determine document type from {first!r}")
 
 
 class _Out:
@@ -71,7 +46,7 @@ class _Out:
 
 
 def _cmd_check(args, out: _Out) -> int:
-    kind, value = _detect(_read(args.file))
+    kind, value = parse_any(_read(args.file))
     out.kv("type", kind)
     if kind == "diagram":
         problems = [v.message for v in validate(value)]
@@ -106,6 +81,7 @@ def _cmd_apply(args, out: _Out) -> int:
         f = result.failure
         out.kv("failed_step", f.index)
         out.kv("reason", f.detail)
+        print(f"error: step {f.index}: {f.detail}", file=sys.stderr)
         return FAIL
     out.line(serialize_diagram(result.final).rstrip("\n"))
     return OK
@@ -191,7 +167,7 @@ def _cmd_corpus(args, out: _Out) -> int:
 
 
 def _cmd_render(args, out: _Out) -> int:
-    kind, value = _detect(_read(args.file))
+    kind, value = parse_any(_read(args.file))
     if kind == "tree":
         print(tree_dot(value), end="")
     elif kind in ("middle", "ribbon"):

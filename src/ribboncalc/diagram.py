@@ -103,7 +103,12 @@ class KirbyDiagram:
         return {p: (a, g) for p, a, g in self.links}
 
     def component(self, cid: str) -> Component:
-        return self._by_id[cid]
+        """The component with id ``cid``; MoveError if there is none, so a
+        move naming an unknown component fails its precondition."""
+        try:
+            return self._by_id[cid]
+        except KeyError:
+            raise MoveError(f"unknown component {cid!r}") from None
 
     def has(self, cid: str) -> bool:
         return cid in self._by_id

@@ -500,3 +500,20 @@ def _format_command(cmd: Command) -> str:
     if op == "assert-geom":
         return f"assert-geom {args[0]} {args[1]} {args[2]}"
     raise ValueError(f"unknown command {op!r}")
+
+
+# -- any document --------------------------------------------------------
+
+def parse_any(text: str):
+    """``(kind, value)`` for a document, its kind chosen by the first
+    keyword: ``diagram``, ``tree``, ``middle`` or ``script``, or
+    ``ribbon`` for tree blocks followed by a ``middle`` line."""
+    lines = [line for _, line in _lines(text)]
+    first = lines[0].split()[0] if lines else ""
+    if first == "tree" and any(l.startswith("middle") for l in lines):
+        return "ribbon", parse_ribbon(text)
+    parser = {"diagram": parse_diagram, "tree": parse_tree,
+              "middle": parse_middle, "script": parse_script}.get(first)
+    if parser is None:
+        raise ParseError(1, f"cannot determine document type from {first!r}")
+    return first, parser(text)

@@ -9,6 +9,7 @@ back-edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class TreeError(Exception):
@@ -50,22 +51,17 @@ class SignedTree:
         for v in validate_tree(self):
             raise TreeError(v)
 
-    def out_edges(self, node: str) -> tuple[TreeEdge, ...]:
-        return tuple(e for e in self.edges if e.parent == node)
-
-    def tree_edges(self) -> tuple[TreeEdge, ...]:
-        """The first edge into each non-root node, in edge order."""
-        seen: set[str] = set()
-        out = []
+    @cached_property
+    def _out_index(self) -> dict[str, tuple[TreeEdge, ...]]:
+        """Out-edges by parent, in edge order; shared by every query on
+        this value: read it, never mutate it."""
+        out: dict[str, list[TreeEdge]] = {}
         for e in self.edges:
-            if e.child != self.root and e.child not in seen:
-                seen.add(e.child)
-                out.append(e)
-        return tuple(out)
+            out.setdefault(e.parent, []).append(e)
+        return {n: tuple(es) for n, es in out.items()}
 
-    def back_edges(self) -> tuple[TreeEdge, ...]:
-        tree = set(self.tree_edges())
-        return tuple(e for e in self.edges if e not in tree)
+    def out_edges(self, node: str) -> tuple[TreeEdge, ...]:
+        return self._out_index.get(node, ())
 
 
 def validate_tree(t: SignedTree) -> list[str]:
@@ -85,25 +81,23 @@ def validate_tree(t: SignedTree) -> list[str]:
     reach = {t.root}
     frontier = [t.root]
     while frontier:
-        v = frontier.pop()
-        for e in t.edges:
-            if e.parent == v and e.child not in reach:
+        for e in t.out_edges(frontier.pop()):
+            if e.child not in reach:
                 reach.add(e.child)
                 frontier.append(e.child)
     for n in t.nodes:
         if n not in reach:
             out.append(f"tree {t.name}: node {n} unreachable from root")
-    # Each non-root node has exactly one incoming tree edge.
-    covered = {e.child for e in t.tree_edges()}
+    # Each non-root node has an incoming edge.
+    children = [e.child for e in t.edges]
+    covered = set(children)
     for n in t.nodes:
         if n != t.root and n not in covered:
             out.append(f"tree {t.name}: node {n} has no incoming edge")
-    if t.finite:
-        children = [e.child for e in t.edges]
-        if (any(c == t.root for c in children)
-                or len(set(children)) != len(children)
-                or len(t.edges) != len(t.nodes) - 1):
-            out.append(f"tree {t.name}: tower contains back-edges")
+    if t.finite and (t.root in covered
+                     or len(covered) != len(children)
+                     or len(t.edges) != len(t.nodes) - 1):
+        out.append(f"tree {t.name}: tower contains back-edges")
     return out
 
 
@@ -114,18 +108,39 @@ def chplus(name: str = "chplus") -> SignedTree:
 
 # -- positivity ----------------------------------------------------------
 
-def _positive_reachable(t: SignedTree) -> dict[str, list[TreeEdge]]:
-    """Positive out-edge lists for nodes positively reachable from root."""
-    pos = {n: [e for e in t.out_edges(n) if e.sign == 1] for n in t.nodes}
-    reach = {t.root}
-    frontier = [t.root]
-    while frontier:
-        v = frontier.pop()
-        for e in pos[v]:
-            if e.child not in reach:
-                reach.add(e.child)
-                frontier.append(e.child)
-    return {n: pos[n] for n in reach}
+def _positive_dfs(t: SignedTree) -> tuple[tuple[str, ...] | None, list[str]]:
+    """Depth-first search from the root along positive edges.
+
+    Returns ``(cycle, order)``.  ``cycle`` is the first positive cycle met,
+    as the search path from its entry node, or None.  ``order`` lists the
+    finished nodes in post-order (every node after all its positive
+    children); it covers the whole positive subgraph reachable from the
+    root when no cycle was found.  Children are visited in edge order.
+    """
+    done: set[str] = set()
+    path = [t.root]
+    on_path = {t.root}
+    todo = [iter(t.out_edges(t.root))]
+    order: list[str] = []
+    while todo:
+        for e in todo[-1]:
+            if e.sign == -1:
+                continue
+            w = e.child
+            if w in on_path:
+                return tuple(path[path.index(w):]), order
+            if w not in done:
+                path.append(w)
+                on_path.add(w)
+                todo.append(iter(t.out_edges(w)))
+                break
+        else:
+            v = path.pop()
+            on_path.discard(v)
+            done.add(v)
+            order.append(v)
+            todo.pop()
+    return None, order
 
 
 def positive_witness(t: SignedTree) -> PositiveWitness | None:
@@ -137,52 +152,24 @@ def positive_witness(t: SignedTree) -> PositiveWitness | None:
     if t.finite:
         raise TreeError(
             f"tree {t.name} is a tower; use tower_has_positive_branch")
-    pos = _positive_reachable(t)
-    # DFS for a cycle inside the positive reachable subgraph.
-    state: dict[str, int] = {}  # 1 = on stack, 2 = done
-    stack: list[str] = []
-
-    def dfs(v: str) -> tuple[str, ...] | None:
-        state[v] = 1
-        stack.append(v)
-        for e in pos[v]:
-            w = e.child
-            if state.get(w) == 1:
-                return tuple(stack[stack.index(w):])
-            if w not in state:
-                found = dfs(w)
-                if found:
-                    return found
-        state[v] = 2
-        stack.pop()
-        return None
-
-    cycle = dfs(t.root)
+    cycle, _ = _positive_dfs(t)
     if cycle is None:
         return None
-    # Positive path from root to the cycle entry.
+    # Shortest positive path from root to the cycle entry.
     target = cycle[0]
-    prefix = _positive_path(t, pos, target)
-    return PositiveWitness(prefix=prefix, cycle=cycle)
-
-
-def _positive_path(t: SignedTree, pos, target: str) -> tuple[str, ...]:
-    parent: dict[str, str] = {}
-    frontier = [t.root]
-    seen = {t.root}
-    while frontier:
-        v = frontier.pop(0)
+    parent = {t.root: t.root}
+    queue = [t.root]
+    for v in queue:  # breadth-first: the loop sees nodes appended below
         if v == target:
             break
-        for e in pos[v]:
-            if e.child not in seen:
-                seen.add(e.child)
+        for e in t.out_edges(v):
+            if e.sign == 1 and e.child not in parent:
                 parent[e.child] = v
-                frontier.append(e.child)
+                queue.append(e.child)
     path = [target]
     while path[-1] != t.root:
         path.append(parent[path[-1]])
-    return tuple(reversed(path))
+    return PositiveWitness(prefix=tuple(reversed(path)), cycle=cycle)
 
 
 def is_positive(t: SignedTree) -> bool:
@@ -194,14 +181,11 @@ def tower_has_positive_branch(t: SignedTree) -> bool:
     """Whether a tower has an all-positive root-to-leaf (maximal) path."""
     if not t.finite:
         raise TreeError(f"tree {t.name} is a handle, not a tower")
+    return _has_positive_leaf(t, _positive_dfs(t)[1])
 
-    def dfs(v: str) -> bool:
-        outs = t.out_edges(v)
-        if not outs:
-            return True
-        return any(e.sign == 1 and dfs(e.child) for e in outs)
 
-    return dfs(t.root)
+def _has_positive_leaf(t: SignedTree, order: list[str]) -> bool:
+    return any(not t.out_edges(v) for v in order)
 
 
 def is_strictly_positive(t: SignedTree) -> bool:
@@ -209,25 +193,23 @@ def is_strictly_positive(t: SignedTree) -> bool:
 
     Tower leaves at maximal depth are exempt (nothing emanates from them).
     """
-    depth = _tree_depths(t)
-    maxdepth = max(depth.values()) if depth else 0
+    exempt = set(_deepest_level(t)) if t.finite else set()
     for n in t.nodes:
         outs = t.out_edges(n)
         pos = sum(1 for e in outs if e.sign == 1)
-        neg = len(outs) - pos
-        if pos > neg:
-            continue
-        if t.finite and not outs and depth[n] == maxdepth:
-            continue
-        return False
+        if 2 * pos <= len(outs) and n not in exempt:
+            return False
     return True
 
 
-def _tree_depths(t: SignedTree) -> dict[str, int]:
-    depth = {t.root: 0}
-    for e in t.tree_edges():
-        depth[e.child] = depth[e.parent] + 1
-    return depth
+def _deepest_level(t: SignedTree) -> list[str]:
+    """The nodes of a tower at maximal depth."""
+    level = [t.root]
+    while True:
+        below = [e.child for v in level for e in t.out_edges(v)]
+        if not below:
+            return level
+        level = below
 
 
 # -- truncation ----------------------------------------------------------
@@ -241,24 +223,34 @@ def truncate(t: SignedTree, n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> S
         raise TreeError("truncation depth must be >= 1")
     nodes = [t.root]
     edges: list[TreeEdge] = []
-    frontier = [(t.root, t.root, 0)]  # (unrolled id, presentation node, depth)
-    while frontier:
-        uid, node, depth = frontier.pop(0)
-        if depth == n:
-            continue
-        for k, e in enumerate(t.out_edges(node)):
-            child_uid = f"{uid}.{k}"
-            nodes.append(child_uid)
-            if len(nodes) > node_budget:
-                raise SizeLimit(
-                    f"unrolling {t.name} to depth {n} exceeds {node_budget} nodes")
-            edges.append(TreeEdge(uid, child_uid, e.sign))
-            frontier.append((child_uid, e.child, depth + 1))
+    level = [(t.root, t.root)]  # (unrolled id, presentation node)
+    for _ in range(n):
+        below = []
+        for uid, node in level:
+            for k, e in enumerate(t.out_edges(node)):
+                child_uid = f"{uid}.{k}"
+                nodes.append(child_uid)
+                if len(nodes) > node_budget:
+                    raise SizeLimit(
+                        f"unrolling {t.name} to depth {n} exceeds {node_budget} nodes")
+                edges.append(TreeEdge(uid, child_uid, e.sign))
+                below.append((child_uid, e.child))
+        level = below
     return SignedTree(f"{t.name}^{n}", tuple(nodes), t.root, tuple(edges),
                       finite=True)
 
 
 # -- Kuga pruning quantities --------------------------------------------
+
+def _prunable_order(t: SignedTree) -> list[str] | None:
+    """Post-order of the positive subgraph reachable from the root, or None
+    when the tree cannot be pruned: a handle with a positive cycle, or a
+    tower with an all-positive maximal path."""
+    cycle, order = _positive_dfs(t)
+    if cycle is not None or (t.finite and _has_positive_leaf(t, order)):
+        return None
+    return order
+
 
 def prune_depth(t: SignedTree) -> int | None:
     """Minimal k such that every rooted path of length k has a negative edge.
@@ -266,26 +258,15 @@ def prune_depth(t: SignedTree) -> int | None:
     Returns None for "infinite": a positive handle, or a tower with an
     all-positive maximal path, cannot be pruned.
     """
-    if t.finite:
-        if tower_has_positive_branch(t):
-            return None
-        return 1 + _longest_positive_path(t)
-    if is_positive(t):
+    order = _prunable_order(t)
+    if order is None:
         return None
-    return 1 + _longest_positive_path(t)
-
-
-def _longest_positive_path(t: SignedTree) -> int:
-    """Longest all-positive rooted path length; positive subgraph is acyclic."""
-    pos = _positive_reachable(t)
-    memo: dict[str, int] = {}
-
-    def longest(v: str) -> int:
-        if v not in memo:
-            memo[v] = max((1 + longest(e.child) for e in pos[v]), default=0)
-        return memo[v]
-
-    return longest(t.root)
+    # Longest all-positive path down from each node, children first.
+    longest: dict[str, int] = {}
+    for v in order:
+        longest[v] = max((1 + longest[e.child] for e in t.out_edges(v)
+                          if e.sign == 1), default=0)
+    return 1 + longest[t.root]
 
 
 def kuga_blowup_cost(t: SignedTree) -> int:
@@ -294,23 +275,24 @@ def kuga_blowup_cost(t: SignedTree) -> int:
     A frontier negative edge is a negative edge all of whose root-path
     predecessors are positive; one blow-up prunes each.  Defined only for
     non-positive trees (the all-positive prefix is then finite).
+
+    The positive subgraph is then acyclic, so the cost is the sum over its
+    nodes v of (number of positive root paths to v) x (number of negative
+    out-edges of v), with path counts pushed down in topological order.
     """
-    if t.finite:
-        if tower_has_positive_branch(t):
+    order = _prunable_order(t)
+    if order is None:
+        if t.finite:
             raise TreeError(
                 f"tower {t.name} has an all-positive maximal path; cost undefined")
-    elif is_positive(t):
         raise TreeError(f"handle {t.name} is positive; cost undefined")
-    # Walk every all-positive rooted path of the unrolled tree; at each
-    # unrolled node count the negative out-edges.
+    paths = dict.fromkeys(order, 0)
+    paths[t.root] = 1
     total = 0
-    frontier = [t.root]
-    while frontier:
-        v = frontier.pop()
+    for v in reversed(order):
         for e in t.out_edges(v):
-            if e.sign == -1:
-                total += 1
+            if e.sign == 1:
+                paths[e.child] += paths[v]
             else:
-                frontier.append(e.child)
+                total += paths[v]
     return total
-

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from ribboncalc.cli import main
-from ribboncalc.corpus import corpus_text
+from ribboncalc.corpus import corpus_names, corpus_text
 
 DIAGRAM = corpus_text("x1.diagram")
 RIBBON_POSITIVE = corpus_text("r1.ribbon")
@@ -57,6 +57,27 @@ class TestCheck:
         code, out, _ = run(capsys, "check", files("r.ribbon", RIBBON_POSITIVE))
         assert code == 0 and "type: ribbon" in out
 
+    @pytest.mark.parametrize("name", corpus_names())
+    def test_corpus_kind_is_the_suffix(self, files, capsys, name):
+        kind = name.rsplit(".", 1)[1]
+        code, out, _ = run(capsys, "--porcelain", "check",
+                           files(name, corpus_text(name)))
+        assert code == 0 and out.splitlines()[0] == f"type={kind}"
+
+    @pytest.mark.parametrize("kind, text", [
+        ("tree", TREE),
+        ("middle", "middle\npairs 1\n"),
+        ("script", SCRIPT),
+        ("diagram", "# a comment first\n\ndiagram d\n")])
+    def test_kind_from_first_keyword(self, files, capsys, kind, text):
+        code, out, _ = run(capsys, "--porcelain", "check", files("doc", text))
+        assert code == 0 and out.splitlines()[0] == f"type={kind}"
+
+    def test_unknown_document_kind(self, files, capsys):
+        code, _, err = run(capsys, "check", files("doc", "pairs 2\n"))
+        assert code == 2
+        assert "cannot determine document type from 'pairs'" in err
+
 
 class TestPorcelain:
     def test_global_flag(self, files, capsys):
@@ -87,6 +108,16 @@ class TestApply:
                            files("s.script", bad))
         assert code == 1
         assert "failed_step: 1" in out and "expected 99" in out
+
+    def test_unknown_component_is_a_failed_step(self, files, capsys):
+        code, out, err = run(capsys, "apply",
+                             files("d.diagram",
+                                   "diagram d\ncomponent a framed 0\n"),
+                             files("s.script", "script s\nslide zz a +\n"))
+        assert code == 1
+        assert "failed_step: 1" in out
+        assert "error: step 1: unknown component 'zz'" in err
+        assert "Traceback" not in err
 
     def test_trace(self, files, capsys):
         code, out, _ = run(capsys, "apply", "--trace-invariants",
@@ -130,6 +161,14 @@ class TestTree:
     def test_cost_on_positive_tree_fails(self, files, capsys):
         code, _, err = run(capsys, "tree", "--cost", files("t.tree", TREE))
         assert code == 1 and "error" in err
+
+    def test_prune_depth_of_a_long_cycle(self, files, capsys):
+        lines = [f"tree t\nnode {' '.join(f'c{i}' for i in range(3000))}",
+                 "root c0"]
+        lines += [f"edge c{i} c{(i + 1) % 3000} +" for i in range(3000)]
+        code, out, _ = run(capsys, "tree", "--prune-depth",
+                           files("c.tree", "\n".join(lines) + "\n"))
+        assert code == 0 and "prune_depth: infinite" in out
 
     def test_truncate_emits_tower(self, files, capsys):
         code, out, _ = run(capsys, "tree", "--truncate", "2",

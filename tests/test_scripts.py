@@ -128,6 +128,17 @@ class TestRunScript:
         assert [st.sig for st in result.steps] == [0, 0, 0, 1, 1, 1, 1]
         assert result.failure.index == 6
 
+    @pytest.mark.parametrize("command", [
+        ("slide", "zz", "a", 1), ("slide", "a", "zz", 1),
+        ("blowdown", "zz"), ("swap", "zz"), ("cancel", "zz", "a"),
+        ("cancel", None, "zz"), ("assert-geom", "a", "zz", 0),
+        ("twistblowup", 1, "e", (("zz", 1),))])
+    def test_unknown_component_fails_the_step(self, command):
+        result = run_script(HOPF(), script(command, ("blowup", 1, "e")))
+        assert not result.ok and result.failure.index == 1
+        assert result.failure.detail == "unknown component 'zz'"
+        assert result.final == HOPF() and len(result.steps) == 2
+
     def test_dual_side_reported_only_after_dualize(self):
         d = diagram(("a", "framed", 0), three_handles=0)
         s = script(("dualize",))

@@ -1,6 +1,8 @@
 """Signed trees: positivity, pruning quantities and truncation."""
 
 import random
+import time
+from dataclasses import fields
 
 import pytest
 
@@ -17,6 +19,37 @@ from genlib import (oracle_frontier_negatives, oracle_is_positive,
 def tree(nodes, root, edges, finite=False, name="t"):
     return SignedTree(name, tuple(nodes), root,
                       tuple(TreeEdge(p, c, s) for p, c, s in edges), finite)
+
+
+def unvalidated(nodes, root, edges, finite=False, name="t"):
+    """A SignedTree built without running validation, to see every
+    message ``validate_tree`` reports instead of the first one."""
+    t = object.__new__(SignedTree)
+    values = (name, tuple(nodes), root,
+              tuple(TreeEdge(p, c, s) for p, c, s in edges), finite)
+    for f, v in zip(fields(SignedTree), values):
+        object.__setattr__(t, f.name, v)
+    return t
+
+
+def cycle(n, last_sign=1):
+    """Nodes c0..c(n-1) on one cycle; every edge positive but the last."""
+    nodes = [f"c{i}" for i in range(n)]
+    edges = [(nodes[i], nodes[i + 1], 1) for i in range(n - 1)]
+    return tree(nodes, "c0", edges + [(nodes[-1], "c0", last_sign)])
+
+
+def diamond_chain(d):
+    """v_i -> a_i, b_i -> v_(i+1), all positive, and a negative edge from
+    v_d back to the root: 2^d positive paths meet that edge."""
+    v = [f"v{i}" for i in range(d + 1)]
+    a = [f"a{i}" for i in range(d)]
+    b = [f"b{i}" for i in range(d)]
+    edges = []
+    for i in range(d):
+        edges += [(v[i], a[i], 1), (v[i], b[i], 1),
+                  (a[i], v[i + 1], 1), (b[i], v[i + 1], 1)]
+    return tree(v + a + b, "v0", edges + [(v[d], "v0", -1)])
 
 
 # Single negative self-kink at every level.
@@ -46,6 +79,23 @@ class TestValidation:
     def test_tower_rejects_duplicate_parallel_edges(self):
         with pytest.raises(TreeError, match="back-edges"):
             tree(["a", "b"], "a", [("a", "b", 1), ("a", "b", 1)], finite=True)
+
+    def test_every_message_in_order(self):
+        t = unvalidated(["a", "b", "c", "c", "d"], "a",
+                        [("a", "b", 1), ("b", "a", 1), ("c", "c", -1)],
+                        finite=True)
+        assert validate_tree(t) == [
+            "tree t: duplicate node ids",
+            "tree t: node c unreachable from root",
+            "tree t: node c unreachable from root",
+            "tree t: node d unreachable from root",
+            "tree t: node d has no incoming edge",
+            "tree t: tower contains back-edges"]
+        t = unvalidated(["a", "b"], "a", [("a", "b", 1), ("b", "z", 1)])
+        assert validate_tree(t) == [
+            "tree t: edge b->z references an undeclared node"]
+        assert validate_tree(unvalidated(["a"], "r", [])) == [
+            "tree t: root r not declared"]
 
     def test_random_trees_validate(self):
         rng = random.Random(3)
@@ -109,6 +159,15 @@ class TestStrictPositivity:
     def test_tower_max_depth_leaves_exempt(self):
         t = tree(["a", "b"], "a", [("a", "b", 1)], finite=True)
         assert is_strictly_positive(t)
+
+    def test_edges_in_any_order(self):
+        # The child edge is listed before the edge that reaches its parent.
+        tower = tree(["a", "b", "c"], "a", [("b", "c", 1), ("a", "b", 1)],
+                     finite=True)
+        assert is_strictly_positive(tower)
+        handle = tree(["a", "b", "c"], "a",
+                      [("b", "c", 1), ("a", "b", 1), ("c", "c", -1)])
+        assert not is_strictly_positive(handle)
 
     def test_tower_short_leaf_not_exempt(self):
         t = tree(["a", "b", "c", "d"], "a",
@@ -210,3 +269,42 @@ class TestKugaBlowupCost:
             t = random_nonpositive_tree(rng)
             assert kuga_blowup_cost(t) == oracle_frontier_negatives(t)
 
+
+class TestDeepInputs:
+    """Inputs far past the interpreter's recursion limit."""
+
+    def test_long_positive_cycle(self):
+        t = cycle(3000)
+        assert is_positive(t)
+        assert prune_depth(t) is None
+        w = positive_witness(t)
+        assert w.prefix == ("c0",) and len(w.cycle) == 3000
+
+    def test_deep_tower(self):
+        tower = truncate(chplus(), 1500)
+        assert len(tower.nodes) == 1501
+        assert tower_has_positive_branch(tower)
+        assert prune_depth(tower) is None
+
+    def test_long_cycle_closed_by_a_negative_edge(self):
+        t = cycle(3000, last_sign=-1)
+        assert not is_positive(t)
+        assert prune_depth(t) == 3000
+        assert kuga_blowup_cost(t) == 1
+
+    def test_diamond_chain_counts_paths(self):
+        t = diamond_chain(22)
+        assert len(t.nodes) == 67
+        start = time.perf_counter()
+        assert kuga_blowup_cost(t) == 2 ** 22
+        assert time.perf_counter() - start < 1.0
+        assert prune_depth(t) == 1 + 2 * 22
+
+    def test_linear_growth(self):
+        binary = tree(["r"], "r", [("r", "r", 1), ("r", "r", -1)])
+        start = time.perf_counter()
+        tower = truncate(binary, 15)
+        assert tower_has_positive_branch(tower)
+        assert not is_strictly_positive(tower)
+        assert time.perf_counter() - start < 10.0
+        assert len(tower.nodes) == 2 ** 16 - 1
