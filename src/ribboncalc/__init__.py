@@ -15,7 +15,7 @@ from .diagram import (Component, DOTTED, FRAMED, ForbiddenMove, KirbyDiagram,
                       zero_dot_swap)
 from .middle import (AccessoryLoop, Cap, Finger, FingerGraph, MiddleLevelData,
                      MiddleError, PositivityDecision, RibbonDescriptor,
-                     STANDARD_CAP, finger_graph, geometric_matrix,
+                     STANDARD_CAP, excess_rows, finger_graph,
                      is_positive_ribbon, make_descriptor, validate_middle,
                      whitney_set)
 from .simplify import (NormanResult, Outcome, StabilizationError,
@@ -34,34 +34,8 @@ from .render import diagram_dot, finger_dot, tree_dot
 from .corpus import (CorpusItem, CorpusReport, corpus_names, corpus_run,
                      corpus_text, summary_table)
 
-__all__ = [
-    "AbelianGroup", "cokernel", "smith_invariants", "symmetric_signature",
-    "Component", "DOTTED", "FRAMED", "ForbiddenMove", "KirbyDiagram",
-    "MoveError", "PAREN", "Violation", "add_cancelling_pair",
-    "assert_geometric", "blow_down", "blow_up", "boundary_homology",
-    "cancel_pair", "dualize", "empty_diagram", "euler_char",
-    "handle_slide", "signature", "twist_blow_up", "validate",
-    "zero_dot_swap",
-    "AccessoryLoop", "Cap", "Finger", "FingerGraph", "MiddleLevelData",
-    "MiddleError", "PositivityDecision", "RibbonDescriptor",
-    "STANDARD_CAP", "finger_graph", "geometric_matrix",
-    "is_positive_ribbon", "make_descriptor", "validate_middle",
-    "whitney_set",
-    "NormanResult", "Outcome", "StabilizationError", "StabilizationPlan",
-    "VerifyResult", "norman_eliminate", "norman_trick_step",
-    "stabilization_plan", "verify_plan",
-    "PositiveWitness", "SignedTree", "SizeLimit", "TreeEdge", "TreeError",
-    "chplus", "is_positive", "is_strictly_positive", "kuga_blowup_cost",
-    "positive_witness", "prune_depth", "tower_has_positive_branch",
-    "truncate", "validate_tree",
-    "Command", "MoveScript", "ParseError", "parse_any", "parse_diagram",
-    "parse_middle",
-    "parse_ribbon", "parse_script", "parse_tree", "serialize_diagram",
-    "serialize_middle", "serialize_ribbon", "serialize_script",
-    "serialize_tree",
-    "ScriptResult", "StepReport", "apply_command", "run_script",
-    "trace_lines",
-    "diagram_dot", "finger_dot", "tree_dot",
-    "CorpusItem", "CorpusReport", "corpus_names", "corpus_run",
-    "corpus_text", "summary_table",
-]
+from types import ModuleType as _ModuleType
+
+# Every name imported above except the submodules, in import order.
+__all__ = [name for name, value in list(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -102,12 +102,15 @@ def validate_middle(m: MiddleLevelData) -> list[str]:
     return out
 
 
-def geometric_matrix(m: MiddleLevelData) -> list[list[int]]:
-    """G[i][j] = delta_ij + 2 * (number of fingers from A_i through B_j)."""
-    g = [[1 if i == j else 0 for j in range(m.pairs)] for i in range(m.pairs)]
+def excess_rows(m: MiddleLevelData) -> dict[int, dict[int, int]]:
+    """G minus the identity, as sparse rows: ``rows[i][j]`` = 2 * (number
+    of fingers from A_i through B_j).  Zeros are not stored, so row i is
+    clean (the identity's) exactly when ``i not in rows``."""
+    rows: dict[int, dict[int, int]] = {}
     for f in m.fingers:
-        g[f.from_a - 1][f.through_b - 1] += 2
-    return g
+        row = rows.setdefault(f.from_a, {})
+        row[f.through_b] = row.get(f.through_b, 0) + 2
+    return rows
 
 
 def whitney_set(m: MiddleLevelData, loop_id: str) -> set[str]:
@@ -184,7 +187,7 @@ class Cap:
     def standard(self) -> bool:
         return self.tree is None
 
-    @cached_property
+    @property
     def positive(self) -> bool:
         return self.tree is not None and is_positive(self.tree)
 

@@ -14,8 +14,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .middle import (Finger, MiddleLevelData, RibbonDescriptor, STANDARD_CAP,
-                     finger_graph, geometric_matrix, is_positive_ribbon,
-                     make_descriptor)
+                     excess_rows, finger_graph, is_positive_ribbon,
+                     make_descriptor, validate_middle)
 from .trees import kuga_blowup_cost, prune_depth
 
 
@@ -48,7 +48,10 @@ class BreakLoop:
 
 @dataclass(frozen=True)
 class NormanTrick:
-    """Remove a finger by tubing its target sphere into its source."""
+    """Remove a finger by tubing its target sphere into its source.
+
+    A planned ``delta`` is always ``()``: the sinks-first order only tubes
+    into clean rows.  The verifier still recomputes and compares it."""
 
     finger: str
     delta: tuple[tuple[int, int], ...]  # (target sphere, added intersections)
@@ -97,18 +100,15 @@ def replace_nonpositive_caps(
     and the tower level bound k (max prune depth over replaced caps).
     """
     steps: list[Step] = []
-    blowups = 0
-    k = 0
+    blowups = k = 0
     caps = dict(r.caps)
     for cid, cap in r.caps:
         if cap.standard or cap.positive:
             continue
-        cost = kuga_blowup_cost(cap.tree)
-        depth = prune_depth(cap.tree)
-        assert depth is not None
+        cost = kuga_blowup_cost(cap.tree)  # raises if the tree is positive
         steps.append(ReplaceCap(cid, cost))
         blowups += cost
-        k = max(k, depth)
+        k = max(k, prune_depth(cap.tree))
         caps[cid] = STANDARD_CAP
     out = RibbonDescriptor(r.middle, tuple((cid, caps[cid]) for cid, _ in r.caps))
     return out, steps, blowups, k
@@ -161,32 +161,40 @@ def _break_loops_through(f: Finger, loops: dict, on_loops: dict) -> list[Step]:
             if loops.pop(lid, None) is not None]
 
 
-def norman_trick_step(g: list[list[int]], from_a: int, through_b: int) -> dict[int, int]:
-    """Apply one Norman trick to G in place, removing a finger pair.
+def norman_trick_step(rows: dict[int, dict[int, int]], from_a: int,
+                      through_b: int) -> dict[int, int]:
+    """Apply one Norman trick to G's excess rows in place, removing a
+    finger pair.
 
     Two parallel copies of A_j (j = through_b) are tubed into A_i; each
     copy carries A_j's extra intersections, so row i gains twice row j's
-    excess and the finger's own pair G[i][j] drops by 2.  Returns the
-    per-column delta (excluding the -2 on the finger entry).
+    excess and the finger's own pair G[i][j] drops by 2.  Only rows i and
+    j are touched.  Returns the per-column delta (excluding the -2 on the
+    finger entry).
     """
-    i, j = from_a - 1, through_b - 1
-    if g[i][j] < 2:
+    if rows.get(from_a, {}).get(through_b, 0) < 2:
         raise StabilizationError(
             f"no finger pair left between A_{from_a} and B_{through_b}")
-    delta: dict[int, int] = {}
-    excess = [g[j][t] - (1 if t == j else 0) for t in range(len(g))]
-    for t, x in enumerate(excess):
-        if x:
-            g[i][t] += 2 * x
-            delta[t + 1] = 2 * x
-    g[i][j] -= 2
+    delta = {t: 2 * x for t, x in rows.get(through_b, {}).items()}
+    for t, d in delta.items():
+        _add(rows, from_a, t, d)
+    _add(rows, from_a, through_b, -2)
     return delta
+
+
+def _add(rows: dict[int, dict[int, int]], i: int, j: int, x: int) -> None:
+    """``rows[i][j] += x``, storing no zero entry and no empty row."""
+    row = rows.setdefault(i, {})
+    row[j] = row.get(j, 0) + x
+    if not row[j]:
+        del row[j]
+        if not row:
+            del rows[i]
 
 
 @dataclass(frozen=True)
 class NormanResult:
     steps: tuple[NormanTrick, ...]
-    final: tuple[tuple[int, ...], ...]
     cycle: tuple[int, ...] | None = None
 
     @property
@@ -199,31 +207,25 @@ def norman_eliminate(m: MiddleLevelData) -> NormanResult:
 
     Fingers are processed grouped by source sphere, sources taken sinks
     first in the finger graph, so each processed finger sees a clean target
-    row and contributes no cascade intersections.
+    row and contributes no cascade intersections.  With G as sparse excess
+    rows (:func:`excess_rows`) the clean-row check is one lookup.
     """
     graph = finger_graph(m)
     if graph.cycles:
-        return NormanResult((), _freeze(geometric_matrix(m)),
-                            cycle=graph.cycles[0])
-    g = geometric_matrix(m)
+        return NormanResult((), cycle=graph.cycles[0])
+    rows = excess_rows(m)
     by_source: dict[int, list[Finger]] = {}
     for f in m.fingers:
         by_source.setdefault(f.from_a, []).append(f)
     steps: list[NormanTrick] = []
     for source in graph.order:
         for f in by_source.get(source, ()):
-            j = f.through_b - 1
-            row = g[j]
-            if any(row[t] != (1 if t == j else 0) for t in range(m.pairs)):
+            if f.through_b in rows:
                 raise StabilizationError(
                     f"target row B_{f.through_b} not clean at finger {f.id}")
-            delta = norman_trick_step(g, f.from_a, f.through_b)
+            delta = norman_trick_step(rows, f.from_a, f.through_b)
             steps.append(NormanTrick(f.id, tuple(sorted(delta.items()))))
-    return NormanResult(tuple(steps), _freeze(g))
-
-
-def _freeze(g: list[list[int]]) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(row) for row in g)
+    return NormanResult(tuple(steps))
 
 
 # -- end-to-end planning -------------------------------------------------
@@ -276,7 +278,10 @@ class VerifyResult:
 def verify_plan(r: RibbonDescriptor, p: StabilizationPlan) -> VerifyResult:
     """Replay every step against the descriptor, checking preconditions,
     recorded deltas, the blow-up total and the terminal product state.
-    Any plan gets a verdict; a malformed step is a failing step."""
+    Any plan gets a verdict; a malformed step is a failing step, and so is
+    invalid middle data (:func:`validate_middle`) under a product plan.
+    G is replayed as sparse excess rows (:func:`excess_rows`) beside a
+    live-finger count per sphere, so every precondition is O(1)."""
     if p.outcome.kind == "positive-obstruction":
         decision = is_positive_ribbon(r)
         if not decision.positive:
@@ -286,21 +291,26 @@ def verify_plan(r: RibbonDescriptor, p: StabilizationPlan) -> VerifyResult:
         return VerifyResult(True)
 
     m = r.middle
+    problems = validate_middle(m)
+    if problems:
+        return VerifyResult(False, None, f"invalid middle data: {problems[0]}")
     # Live state of the replay, keyed by id.
     fingers = dict(m.fingers_by_id)
-    by_whitney = {f.whitney: f for f in reversed(fingers.values())}
+    by_whitney = {f.whitney: f for f in fingers.values()}
     loops = dict(m.loops_by_id)
     loop_count = Counter(fid for l in loops.values()
                          for fid in set(l.fingers))
     capmap = dict(r.caps)
-    g = geometric_matrix(m)
+    rows = excess_rows(m)
+    on_sphere = Counter(s for f in fingers.values()  # live fingers per pair
+                        for s in (f.from_a, f.through_b))
     blowups = 0
     spheres = set(range(1, m.pairs + 1))
 
     def remove(f: Finger) -> None:
         del fingers[f.id]
-        if by_whitney.get(f.whitney) is f:
-            del by_whitney[f.whitney]
+        on_sphere.subtract((f.from_a, f.through_b))
+        del by_whitney[f.whitney]
         capmap.pop(f.whitney, None)
 
     for idx, step in enumerate(p.steps):
@@ -328,7 +338,7 @@ def verify_plan(r: RibbonDescriptor, p: StabilizationPlan) -> VerifyResult:
                     return VerifyResult(
                         False, idx,
                         f"whitney {step.via_whitney} is not standard-capped")
-                g[finger.from_a - 1][finger.through_b - 1] -= 2
+                _add(rows, finger.from_a, finger.through_b, -2)
                 remove(finger)
             # finger already removed: the loop is simply broken.
             del loops[step.loop]
@@ -339,12 +349,11 @@ def verify_plan(r: RibbonDescriptor, p: StabilizationPlan) -> VerifyResult:
             if f is None:
                 return VerifyResult(False, idx,
                                     f"finger {step.finger} not present")
-            j = f.through_b - 1
-            if any(g[j][t] != (1 if t == j else 0) for t in range(m.pairs)):
+            if f.through_b in rows:
                 return VerifyResult(
                     False, idx,
                     f"target row B_{f.through_b} not clean at {step.finger}")
-            delta = norman_trick_step(g, f.from_a, f.through_b)
+            delta = norman_trick_step(rows, f.from_a, f.through_b)
             if tuple(sorted(delta.items())) != step.delta:
                 return VerifyResult(False, idx, "recorded delta rows mismatch")
             remove(f)
@@ -361,7 +370,7 @@ def verify_plan(r: RibbonDescriptor, p: StabilizationPlan) -> VerifyResult:
             if loop_count[f.id] > 0:
                 return VerifyResult(
                     False, idx, f"finger {step.finger} is still on a loop")
-            g[f.from_a - 1][f.through_b - 1] -= 2
+            _add(rows, f.from_a, f.through_b, -2)
             remove(f)
         elif isinstance(step, CancelPair):
             a, b = step.ids if len(step.ids) == 2 else ("", "")
@@ -372,12 +381,10 @@ def verify_plan(r: RibbonDescriptor, p: StabilizationPlan) -> VerifyResult:
             i = int(a[1:])
             if i not in spheres:
                 return VerifyResult(False, idx, f"sphere pair {i} missing")
-            if any(f.from_a == i or f.through_b == i
-                   for f in fingers.values()):
+            if on_sphere[i] > 0:
                 return VerifyResult(
                     False, idx, f"sphere pair {i} still carries fingers")
-            if any(g[i - 1][t] != (1 if t == i - 1 else 0)
-                   for t in range(m.pairs)):
+            if i in rows:
                 return VerifyResult(
                     False, idx, f"row A_{i} carries extra intersections")
             spheres.discard(i)

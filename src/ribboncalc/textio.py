@@ -12,8 +12,9 @@ Grammar summary ('#' starts a comment, blank lines ignored):
     note TEXT
 
 A ribbon-descriptor document is a sequence of tree blocks followed by one
-middle block with its cap lines.  Scripts are a ``script NAME`` header
-followed by one command per line; see :data:`COMMAND_ARITY`.
+middle block with its cap lines; K >= 1 and every finger's FROM and THRU
+lie in 1..K.  Scripts are a ``script NAME`` header followed by one command
+per line; see :data:`COMMAND_ARITY`.
 
 Round-trip law: ``parse(serialize(v)) == v`` and ``serialize(parse(text))``
 is canonical.
@@ -250,6 +251,7 @@ def _parse_middle_block(lines, caps_by_tree):
     pairs = None
     fingers: dict[str, Finger] = {}
     finger_of_whitney: dict[str, str] = {}
+    finger_line: dict[str, int] = {}
     loops: dict[str, AccessoryLoop] = {}
     caps: dict[str, Cap] = {}
     started = False
@@ -266,6 +268,8 @@ def _parse_middle_block(lines, caps_by_tree):
             if len(toks) != 2 or pairs is not None:
                 raise ParseError(n, "malformed or duplicate pairs line")
             pairs = _int(toks[1], n, "pair count")
+            if pairs < 1:
+                raise ParseError(n, f"pair count {pairs} must be positive")
         elif kw == "finger":
             if len(toks) != 5:
                 raise ParseError(n, "finger needs: finger ID FROM THRU WID")
@@ -275,6 +279,7 @@ def _parse_middle_block(lines, caps_by_tree):
                 raise ParseError(n, f"duplicate whitney id {toks[4]} (finger "
                                     f"{finger_of_whitney[toks[4]]} has it)")
             finger_of_whitney[toks[4]] = toks[1]
+            finger_line[toks[1]] = n
             fingers[toks[1]] = Finger(toks[1], _int(toks[2], n, "sphere index"),
                                       _int(toks[3], n, "sphere index"), toks[4])
         elif kw == "loop":
@@ -303,8 +308,12 @@ def _parse_middle_block(lines, caps_by_tree):
         raise ParseError(1, "missing 'middle' header")
     if pairs is None:
         raise ParseError(1, "middle block has no pairs line")
-    m = MiddleLevelData(pairs, tuple(fingers.values()), tuple(loops.values()))
-    return m, caps
+    for f in fingers.values():
+        if not (1 <= f.from_a <= pairs and 1 <= f.through_b <= pairs):
+            raise ParseError(finger_line[f.id], f"finger {f.id} references "
+                                                f"sphere outside 1..{pairs}")
+    return MiddleLevelData(pairs, tuple(fingers.values()),
+                           tuple(loops.values())), caps
 
 
 def parse_ribbon(text: str) -> RibbonDescriptor:

@@ -63,6 +63,44 @@ class SignedTree:
     def out_edges(self, node: str) -> tuple[TreeEdge, ...]:
         return self._out_index.get(node, ())
 
+    @cached_property
+    def _positive_search(self) -> tuple[tuple[str, ...] | None,
+                                        tuple[str, ...]]:
+        """One depth-first search from the root along positive edges,
+        shared by every positivity query on this value.
+
+        Returns ``(cycle, order)``.  ``cycle`` is the first positive cycle
+        met, as the search path from its entry node, or None.  ``order``
+        lists the finished nodes in post-order (every node after all its
+        positive children); it covers the whole positive subgraph reachable
+        from the root when no cycle was found.  Children are visited in
+        edge order.
+        """
+        done: set[str] = set()
+        path = [self.root]
+        on_path = {self.root}
+        todo = [iter(self.out_edges(self.root))]
+        order: list[str] = []
+        while todo:
+            for e in todo[-1]:
+                if e.sign == -1:
+                    continue
+                w = e.child
+                if w in on_path:
+                    return tuple(path[path.index(w):]), tuple(order)
+                if w not in done:
+                    path.append(w)
+                    on_path.add(w)
+                    todo.append(iter(self.out_edges(w)))
+                    break
+            else:
+                v = path.pop()
+                on_path.discard(v)
+                done.add(v)
+                order.append(v)
+                todo.pop()
+        return None, tuple(order)
+
 
 def validate_tree(t: SignedTree) -> list[str]:
     out = []
@@ -108,55 +146,16 @@ def chplus(name: str = "chplus") -> SignedTree:
 
 # -- positivity ----------------------------------------------------------
 
-def _positive_dfs(t: SignedTree) -> tuple[tuple[str, ...] | None, list[str]]:
-    """Depth-first search from the root along positive edges.
-
-    Returns ``(cycle, order)``.  ``cycle`` is the first positive cycle met,
-    as the search path from its entry node, or None.  ``order`` lists the
-    finished nodes in post-order (every node after all its positive
-    children); it covers the whole positive subgraph reachable from the
-    root when no cycle was found.  Children are visited in edge order.
-    """
-    done: set[str] = set()
-    path = [t.root]
-    on_path = {t.root}
-    todo = [iter(t.out_edges(t.root))]
-    order: list[str] = []
-    while todo:
-        for e in todo[-1]:
-            if e.sign == -1:
-                continue
-            w = e.child
-            if w in on_path:
-                return tuple(path[path.index(w):]), order
-            if w not in done:
-                path.append(w)
-                on_path.add(w)
-                todo.append(iter(t.out_edges(w)))
-                break
-        else:
-            v = path.pop()
-            on_path.discard(v)
-            done.add(v)
-            order.append(v)
-            todo.pop()
-    return None, order
-
-
 def positive_witness(t: SignedTree) -> PositiveWitness | None:
     """A positive branch of an infinite handle, if one exists.
 
     The unrolled tree has an infinite all-positive rooted path iff the
     positive subgraph reachable from the root contains a cycle.
     """
-    if t.finite:
-        raise TreeError(
-            f"tree {t.name} is a tower; use tower_has_positive_branch")
-    cycle, _ = _positive_dfs(t)
-    if cycle is None:
+    if not is_positive(t):
         return None
-    # Shortest positive path from root to the cycle entry.
-    target = cycle[0]
+    cycle = t._positive_search[0]
+    target = cycle[0]  # reached from the root by a shortest positive path
     parent = {t.root: t.root}
     queue = [t.root]
     for v in queue:  # breadth-first: the loop sees nodes appended below
@@ -174,17 +173,20 @@ def positive_witness(t: SignedTree) -> PositiveWitness | None:
 
 def is_positive(t: SignedTree) -> bool:
     """Whether the unrolled handle contains an infinite all-positive branch."""
-    return positive_witness(t) is not None
+    if t.finite:
+        raise TreeError(
+            f"tree {t.name} is a tower; use tower_has_positive_branch")
+    return t._positive_search[0] is not None
 
 
 def tower_has_positive_branch(t: SignedTree) -> bool:
     """Whether a tower has an all-positive root-to-leaf (maximal) path."""
     if not t.finite:
         raise TreeError(f"tree {t.name} is a handle, not a tower")
-    return _has_positive_leaf(t, _positive_dfs(t)[1])
+    return _has_positive_leaf(t, t._positive_search[1])
 
 
-def _has_positive_leaf(t: SignedTree, order: list[str]) -> bool:
+def _has_positive_leaf(t: SignedTree, order: tuple[str, ...]) -> bool:
     return any(not t.out_edges(v) for v in order)
 
 
@@ -218,7 +220,11 @@ DEFAULT_NODE_BUDGET = 100_000
 
 
 def truncate(t: SignedTree, n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> SignedTree:
-    """The depth-n unrolling of a handle, as a finite tower."""
+    """The depth-n unrolling of a handle, as a finite tower.
+
+    The root keeps its id; the node created i-th (breadth first, children
+    in edge order) is ``f"{t.root}.{i}"``, so ids stay short at any depth.
+    """
     if n < 1:
         raise TreeError("truncation depth must be >= 1")
     nodes = [t.root]
@@ -227,8 +233,8 @@ def truncate(t: SignedTree, n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> S
     for _ in range(n):
         below = []
         for uid, node in level:
-            for k, e in enumerate(t.out_edges(node)):
-                child_uid = f"{uid}.{k}"
+            for e in t.out_edges(node):
+                child_uid = f"{t.root}.{len(nodes)}"
                 nodes.append(child_uid)
                 if len(nodes) > node_budget:
                     raise SizeLimit(
@@ -242,11 +248,11 @@ def truncate(t: SignedTree, n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> S
 
 # -- Kuga pruning quantities --------------------------------------------
 
-def _prunable_order(t: SignedTree) -> list[str] | None:
+def _prunable_order(t: SignedTree) -> tuple[str, ...] | None:
     """Post-order of the positive subgraph reachable from the root, or None
     when the tree cannot be pruned: a handle with a positive cycle, or a
     tower with an all-positive maximal path."""
-    cycle, order = _positive_dfs(t)
+    cycle, order = t._positive_search
     if cycle is not None or (t.finite and _has_positive_leaf(t, order)):
         return None
     return order

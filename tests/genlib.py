@@ -248,6 +248,57 @@ def random_script(rng: random.Random, max_commands: int = 20):
     return MoveScript(f"s{rng.randrange(10**6)}", cmds)
 
 
+def dense_geometric_matrix(m: MiddleLevelData) -> list[list[int]]:
+    """G[i][j] = delta_ij + 2 * (number of fingers from A_i through B_j)."""
+    g = [[1 if i == j else 0 for j in range(m.pairs)] for i in range(m.pairs)]
+    for f in m.fingers:
+        g[f.from_a - 1][f.through_b - 1] += 2
+    return g
+
+
+def dense_norman_trick_step(g: list[list[int]], from_a: int,
+                            through_b: int) -> dict[int, int]:
+    """The Norman trick on the full matrix, in place: row i gains twice
+    row j's excess over the identity and G[i][j] drops by 2.  Returns the
+    per-column delta (excluding the -2 on the finger entry)."""
+    i, j = from_a - 1, through_b - 1
+    if g[i][j] < 2:
+        raise ValueError(f"no finger pair between A_{from_a} and B_{through_b}")
+    delta: dict[int, int] = {}
+    excess = [g[j][t] - (1 if t == j else 0) for t in range(len(g))]
+    for t, x in enumerate(excess):
+        if x:
+            g[i][t] += 2 * x
+            delta[t + 1] = 2 * x
+    g[i][j] -= 2
+    return delta
+
+
+def dense_identity(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def dense_excess_rows(g: list[list[int]]) -> dict[int, dict[int, int]]:
+    """The nonzero entries of G minus the identity, as 1-based sparse rows."""
+    rows: dict[int, dict[int, int]] = {}
+    for i, row in enumerate(g, 1):
+        for j, x in enumerate(row, 1):
+            if x != (i == j):
+                rows.setdefault(i, {})[j] = x - (i == j)
+    return rows
+
+
+def dense_norman_replay(m: MiddleLevelData, steps) -> list[list[int]]:
+    """Replay Norman-trick steps on the full matrix of ``m``, asserting that
+    each recorded delta equals the dense one; returns the final matrix."""
+    g = dense_geometric_matrix(m)
+    for s in steps:
+        f = m.finger(s.finger)
+        delta = dense_norman_trick_step(g, f.from_a, f.through_b)
+        assert s.delta == tuple(sorted(delta.items())), (s, delta)
+    return g
+
+
 def oracle_cycle_exists(m: MiddleLevelData) -> bool:
     """Plain DFS cycle oracle on the finger multigraph."""
     succ: dict[int, list[int]] = {}

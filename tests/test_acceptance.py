@@ -17,7 +17,7 @@ from ribboncalc import (AbelianGroup, Cap, Finger, MiddleLevelData,
                         MoveError, STANDARD_CAP, add_cancelling_pair,
                         blow_down, blow_up, boundary_homology, cancel_pair,
                         chplus, corpus_run, corpus_names, corpus_text,
-                        dualize, euler_char, geometric_matrix, handle_slide,
+                        dualize, euler_char, excess_rows, handle_slide,
                         is_positive, is_positive_ribbon, is_strictly_positive,
                         kuga_blowup_cost, make_descriptor, norman_eliminate,
                         norman_trick_step, parse_diagram, parse_middle,
@@ -29,7 +29,9 @@ from ribboncalc import (AbelianGroup, Cap, Finger, MiddleLevelData,
 from ribboncalc.simplify import (BreakLoop, CancelFinger, CancelPair,
                                  NormanTrick, ReplaceCap)
 
-from genlib import (dotted_ids, framed_ids, oracle_cycle_exists,
+from genlib import (dense_geometric_matrix, dense_identity,
+                    dense_norman_replay, dense_norman_trick_step,
+                    dotted_ids, framed_ids, oracle_cycle_exists,
                     oracle_frontier_negatives, oracle_is_positive,
                     random_acyclic_middle, random_cyclic_middle,
                     random_diagram, random_nonpositive_descriptor,
@@ -221,19 +223,19 @@ def test_norman_arithmetic():
         # carries both extra intersections, so exactly 4 new ones appear.
         m = MiddleLevelData(3, (Finger("f1", 1, 2, "w1"),
                                 Finger("f2", 2, 3, "w2")), ())
-        g = geometric_matrix(m)
-        delta = norman_trick_step(g, 1, 2)
-        assert delta == {3: 4}
+        assert norman_trick_step(excess_rows(m), 1, 2) == {3: 4}
+        assert dense_norman_trick_step(dense_geometric_matrix(m), 1, 2) \
+            == {3: 4}
         rng = random.Random(4)
         for _ in range(200):
             m = random_acyclic_middle(rng, with_loops=False)
             assert not oracle_cycle_exists(m)
             result = norman_eliminate(m)
             assert result.ok
-            n = m.pairs
-            identity = tuple(tuple(1 if i == j else 0 for j in range(n))
-                             for i in range(n))
-            assert result.final == identity
+            # every recorded delta is the dense oracle's, and the replay
+            # ends at the identity
+            assert (dense_norman_replay(m, result.steps)
+                    == dense_identity(m.pairs))
         for _ in range(200):
             m = random_cyclic_middle(rng)
             assert oracle_cycle_exists(m)

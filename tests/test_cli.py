@@ -1,10 +1,13 @@
 """Command-line interface: exit codes, output modes and subcommands."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ribboncalc
 from ribboncalc.cli import main
 from ribboncalc.corpus import corpus_names, corpus_text
 
@@ -200,6 +203,15 @@ class TestRibbon:
         assert code == 2 and out == ""
         assert "line 4: duplicate whitney id w" in err
 
+    @pytest.mark.parametrize("finger", ["f1 3 1 w1", "f1 0 1 w1",
+                                        "f1 -1 2 w1"])
+    def test_plan_rejects_sphere_outside_pairs(self, files, capsys, finger):
+        text = f"middle\npairs 2\nfinger {finger}\ncap w1 standard\n"
+        code, out, err = run(capsys, "ribbon", "plan", "--verify",
+                             files("r.ribbon", text))
+        assert code == 2 and out == ""
+        assert "line 3: finger f1 references sphere outside 1..2" in err
+
     def test_plan_on_positive_descriptor(self, files, capsys):
         code, out, _ = run(capsys, "ribbon", "plan", "--verify",
                            files("r.ribbon", RIBBON_POSITIVE))
@@ -233,9 +245,13 @@ class TestInstalledEntryPoint:
     def test_module_invocation(self, tmp_path):
         p = tmp_path / "t.tree"
         p.write_text(TREE)
+        # The child imports the same package, installed or not.
+        src = str(Path(ribboncalc.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
         proc = subprocess.run(
             [sys.executable, "-m", "ribboncalc.cli", "tree", "--positive",
              str(p)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "positive: true" in proc.stdout

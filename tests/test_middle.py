@@ -6,10 +6,12 @@ import pytest
 
 from ribboncalc import (AccessoryLoop, Cap, Finger, MiddleLevelData,
                         MiddleError, RibbonDescriptor, STANDARD_CAP, chplus,
-                        finger_graph, geometric_matrix, is_positive_ribbon,
+                        excess_rows, finger_graph, is_positive_ribbon,
                         make_descriptor, validate_middle, whitney_set)
 
-from genlib import oracle_cycle_exists, random_acyclic_middle, random_cyclic_middle
+from genlib import (dense_excess_rows, dense_geometric_matrix,
+                    oracle_cycle_exists, random_acyclic_middle,
+                    random_cyclic_middle)
 
 CHP = Cap(chplus())
 
@@ -47,13 +49,26 @@ class TestValidateMiddle:
 
 
 class TestGeometricMatrix:
+    """G as sparse excess rows, against the dense oracle."""
+
     def test_identity_without_fingers(self):
-        assert geometric_matrix(middle(3)) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert excess_rows(middle(3)) == {}
+        assert dense_geometric_matrix(middle(3)) == [[1, 0, 0], [0, 1, 0],
+                                                     [0, 0, 1]]
 
     def test_each_finger_adds_a_pair(self):
         m = middle(2, [("f1", 1, 2, "w1"), ("f2", 1, 2, "w2"),
                        ("f3", 2, 1, "w3")])
-        assert geometric_matrix(m) == [[1, 4], [2, 1]]
+        assert excess_rows(m) == {1: {2: 4}, 2: {1: 2}}
+        assert dense_geometric_matrix(m) == [[1, 4], [2, 1]]
+
+    def test_matches_dense_oracle(self):
+        rng = random.Random(47)
+        for _ in range(200):
+            m = (random_cyclic_middle(rng) if rng.random() < 0.5
+                 else random_acyclic_middle(rng))
+            assert excess_rows(m) == dense_excess_rows(
+                dense_geometric_matrix(m))
 
 
 class TestFingerGraph:

@@ -1,12 +1,13 @@
 """Stabilization: Norman tricks, loop breaking, planning and verification."""
 
 import random
+import time
 from dataclasses import replace
 
 import pytest
 
 from ribboncalc import (AccessoryLoop, Cap, Finger, MiddleLevelData,
-                        STANDARD_CAP, chplus, geometric_matrix,
+                        STANDARD_CAP, chplus, excess_rows,
                         is_positive_ribbon, make_descriptor, norman_eliminate,
                         norman_trick_step, stabilization_plan, verify_plan,
                         StabilizationError)
@@ -16,7 +17,9 @@ from ribboncalc.simplify import (BreakLoop, CancelFinger, CancelPair,
                                  replace_nonpositive_caps)
 from ribboncalc.trees import SignedTree, TreeEdge
 
-from genlib import (oracle_cycle_exists, random_acyclic_middle,
+from genlib import (dense_excess_rows, dense_geometric_matrix, dense_identity,
+                    dense_norman_replay, dense_norman_trick_step,
+                    oracle_cycle_exists, random_acyclic_middle,
                     random_cyclic_middle, random_nonpositive_descriptor,
                     random_nonpositive_tree)
 
@@ -38,35 +41,58 @@ class TestNormanTrickStep:
         # of A_2 each bring both, so A'_1 gains exactly 4 intersections
         # with B_3... i.e. with the sphere B_k the dirty row points at.
         m = middle(3, [("f1", 1, 2, "w1"), ("f2", 2, 3, "w2")])
-        g = geometric_matrix(m)
-        assert g == [[1, 2, 0], [0, 1, 2], [0, 0, 1]]
-        delta = norman_trick_step(g, 1, 2)
+        rows = excess_rows(m)
+        assert rows == {1: {2: 2}, 2: {3: 2}}
+        delta = norman_trick_step(rows, 1, 2)
         assert delta == {3: 4}
+        assert rows == {1: {3: 4}, 2: {3: 2}}
+        # the same instance on the dense oracle
+        g = dense_geometric_matrix(m)
+        assert g == [[1, 2, 0], [0, 1, 2], [0, 0, 1]]
+        assert dense_norman_trick_step(g, 1, 2) == {3: 4}
         assert g == [[1, 0, 4], [0, 1, 2], [0, 0, 1]]
 
     def test_clean_target_row_gives_empty_delta(self):
         m = middle(2, [("f1", 1, 2, "w1")])
-        g = geometric_matrix(m)
-        assert norman_trick_step(g, 1, 2) == {}
-        assert g == [[1, 0], [0, 1]]
+        rows = excess_rows(m)
+        assert norman_trick_step(rows, 1, 2) == {}
+        assert rows == {}
 
     def test_requires_a_finger_pair(self):
-        g = [[1, 0], [0, 1]]
         with pytest.raises(StabilizationError):
-            norman_trick_step(g, 1, 2)
+            norman_trick_step({}, 1, 2)
+        with pytest.raises(StabilizationError):
+            norman_trick_step({2: {1: 2}}, 1, 2)
+
+    def test_matches_dense_oracle_on_dirty_rows(self):
+        # Tricks in arbitrary order, so target rows are often dirty and
+        # self-loop fingers tube a row into itself.
+        rng = random.Random(29)
+        for _ in range(300):
+            m = random_cyclic_middle(rng)
+            rows, g = excess_rows(m), dense_geometric_matrix(m)
+            fingers = list(m.fingers)
+            rng.shuffle(fingers)
+            for f in fingers:
+                if g[f.from_a - 1][f.through_b - 1] < 2:
+                    continue
+                assert (norman_trick_step(rows, f.from_a, f.through_b)
+                        == dense_norman_trick_step(g, f.from_a, f.through_b))
+                assert rows == dense_excess_rows(g)
 
 
 class TestNormanEliminate:
     def test_empty(self):
-        result = norman_eliminate(middle(2))
+        m = middle(2)
+        result = norman_eliminate(m)
         assert result.ok and result.steps == ()
-        assert result.final == ((1, 0), (0, 1))
+        assert dense_norman_replay(m, result.steps) == dense_identity(2)
 
     def test_chain_reaches_identity(self):
         m = middle(3, [("f1", 1, 2, "w1"), ("f2", 2, 3, "w2")])
         result = norman_eliminate(m)
         assert result.ok
-        assert result.final == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert dense_norman_replay(m, result.steps) == dense_identity(3)
         # sinks first: the finger out of A_2 is removed before A_1's.
         assert [s.finger for s in result.steps] == ["f2", "f1"]
         assert all(s.delta == () for s in result.steps)
@@ -83,9 +109,9 @@ class TestNormanEliminate:
             m = random_acyclic_middle(rng, with_loops=False)
             result = norman_eliminate(m)
             assert result.ok
-            n = m.pairs
-            assert result.final == tuple(
-                tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+            assert len(result.steps) == len(m.fingers)
+            assert (dense_norman_replay(m, result.steps)
+                    == dense_identity(m.pairs))
 
     def test_random_cyclic_matches_dfs_oracle(self):
         rng = random.Random(37)
@@ -201,6 +227,19 @@ class TestStabilizationPlan:
         assert [s.finger for s in plan.steps[:2]] == [f"f{n - 1}", f"f{n - 2}"]
         assert verify_plan(r, plan).ok
 
+    def test_8000_pair_chain_plans_and_verifies_in_a_second(self):
+        # Planning and replay are linear in fingers plus pairs; a dense
+        # matrix with per-row scans took about 49 s here.
+        n = 8000
+        m = middle(n, [(f"f{i}", i, i + 1, f"w{i}") for i in range(1, n)])
+        r = make_descriptor(m, {f"w{i}": CHP for i in range(1, n)})
+        start = time.perf_counter()
+        plan = stabilization_plan(r)
+        assert verify_plan(r, plan).ok
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0, f"{elapsed:.2f}s"
+        assert len(plan.steps) == 2 * n - 1
+
     def test_random_descriptors_produce_verified_products(self):
         rng = random.Random(41)
         for _ in range(100):
@@ -210,6 +249,28 @@ class TestStabilizationPlan:
             assert plan.outcome.kind == "product"
             check = verify_plan(r, plan)
             assert check.ok, (check, plan)
+
+
+class TestVerifyPlanInvalidMiddle:
+    """A product plan over middle data that validate_middle rejects fails
+    before its first step, whatever the planner made of the data."""
+
+    @pytest.mark.parametrize("pairs, finger", [
+        (2, ("f1", 3, 1, "w1")),   # past the last sphere
+        (2, ("f1", 0, 1, "w1")),   # a dense index would wrap around
+        (2, ("f1", -1, 2, "w1")),
+        (0, ("f1", 1, 1, "w1")),   # no sphere pairs at all
+    ])
+    def test_out_of_range_sphere(self, pairs, finger):
+        r = make_descriptor(middle(pairs, [finger]), {"w1": STANDARD_CAP})
+        plan = StabilizationPlan(
+            0, 0, (CancelFinger("f1", "w1"),) + tuple(
+                CancelPair((f"A{i}", f"B{i}")) for i in range(1, pairs + 1)),
+            Outcome("product"))
+        result = verify_plan(r, plan)
+        assert not result.ok and result.failing_step is None
+        assert "invalid middle data" in result.reason
+        assert not verify_plan(r, stabilization_plan(r)).ok
 
 
 class TestVerifyPlanTampering:
@@ -248,6 +309,14 @@ class TestVerifyPlanTampering:
         steps = (CancelPair(("A1", "B1")),) + self.plan.steps
         result = verify_plan(self.r, replace(self.plan, steps=steps))
         assert not result.ok
+
+    def test_premature_cancel_of_a_target_pair(self):
+        # Pair 3 only receives fingers, so row A_3 is clean and the count
+        # of live fingers alone must reject the cancellation.
+        steps = (CancelPair(("A3", "B3")),) + self.plan.steps
+        result = verify_plan(self.r, replace(self.plan, steps=steps))
+        assert not result.ok and result.failing_step == 0
+        assert "still carries fingers" in result.reason
 
     def test_wrong_witness_loop(self):
         m = middle(1, [("f1", 1, 1, "w1")], [("l1", ["f1"])])

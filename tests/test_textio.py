@@ -187,6 +187,30 @@ class TestMiddleAndRibbon:
         assert "duplicate whitney id w" in e.value.message
         assert "f1" in e.value.message
 
+    @pytest.mark.parametrize("line", [
+        "finger f1 3 1 w1", "finger f1 1 3 w1", "finger f1 0 1 w1",
+        "finger f1 -1 2 w1"])
+    def test_sphere_outside_pairs(self, line):
+        text = f"middle\npairs 2\nfinger f0 1 2 w0\n{line}\n"
+        with pytest.raises(ParseError) as e:
+            parse_middle(text)
+        assert e.value.line == 4
+        assert "finger f1 references sphere outside 1..2" in e.value.message
+
+    def test_sphere_checked_against_a_later_pairs_line(self):
+        with pytest.raises(ParseError) as e:
+            parse_middle("middle\nfinger f1 1 3 w1\npairs 2\n")
+        assert e.value.line == 2 and "outside 1..2" in e.value.message
+        m = parse_middle("middle\nfinger f1 1 2 w1\npairs 2\n")
+        assert m.fingers[0].through_b == 2
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_nonpositive_pair_count(self, count):
+        with pytest.raises(ParseError) as e:
+            parse_middle(f"middle\npairs {count}\n")
+        assert e.value.line == 2
+        assert f"pair count {count} must be positive" in e.value.message
+
     def test_caps_naming_one_tree_share_a_cap(self):
         text = ("tree t\nnode a\nroot a\nedge a a +\n"
                 "middle\npairs 2\nfinger f1 1 2 w1\nfinger f2 2 1 w2\n"

@@ -1,11 +1,17 @@
 """Signed trees: positivity, pruning quantities and truncation."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import time
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import ribboncalc
 from ribboncalc import (SignedTree, SizeLimit, TreeEdge, TreeError, chplus,
                         is_positive, is_strictly_positive, kuga_blowup_cost,
                         positive_witness, prune_depth,
@@ -190,6 +196,15 @@ class TestTruncate:
         assert len(t.nodes) == 5
         assert [e.sign for e in t.edges] == [1, -1, 1, -1]
 
+    def test_ids_in_creation_order(self):
+        binary = tree(["r"], "r", [("r", "r", 1), ("r", "r", -1)])
+        t = truncate(binary, 2)
+        assert t.nodes == ("r",) + tuple(f"r.{i}" for i in range(1, 7))
+        assert [(e.parent, e.child, e.sign) for e in t.edges] == [
+            ("r", "r.1", 1), ("r", "r.2", -1),
+            ("r.1", "r.3", 1), ("r.1", "r.4", -1),
+            ("r.2", "r.5", 1), ("r.2", "r.6", -1)]
+
     def test_depth_must_be_positive(self):
         with pytest.raises(TreeError):
             truncate(chplus(), 0)
@@ -270,6 +285,24 @@ class TestKugaBlowupCost:
             assert kuga_blowup_cost(t) == oracle_frontier_negatives(t)
 
 
+# Prints seconds taken, characters of text and peak RSS in KiB.
+HUNDRED_K_TOWER = textwrap.dedent("""
+    import resource, time
+    from ribboncalc import (chplus, is_strictly_positive, parse_tree,
+                            prune_depth, serialize_tree,
+                            tower_has_positive_branch, truncate)
+    start = time.perf_counter()
+    tower = truncate(chplus(), 99_999)
+    assert len(tower.nodes) == 100_000
+    assert tower_has_positive_branch(tower) and prune_depth(tower) is None
+    assert is_strictly_positive(tower)
+    text = serialize_tree(tower)
+    assert parse_tree(text) == tower
+    print(time.perf_counter() - start, len(text),
+          resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+""")
+
+
 class TestDeepInputs:
     """Inputs far past the interpreter's recursion limit."""
 
@@ -299,6 +332,22 @@ class TestDeepInputs:
         assert kuga_blowup_cost(t) == 2 ** 22
         assert time.perf_counter() - start < 1.0
         assert prune_depth(t) == 1 + 2 * 22
+
+    def test_hundred_thousand_node_tower(self):
+        # A 100k-node chain tower fits the default node budget.  Ids are
+        # short, so its text is linear in the depth; path-shaped ids would
+        # take about 10^10 characters.  Run apart, to read its peak RSS.
+        src = str(Path(ribboncalc.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", HUNDRED_K_TOWER],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        elapsed, chars, rss_kb = proc.stdout.split()
+        assert float(elapsed) < 10.0, f"{float(elapsed):.1f}s"
+        assert int(chars) < 8_000_000
+        assert int(rss_kb) < 300 * 1024, f"peak RSS {int(rss_kb) // 1024} MB"
 
     def test_linear_growth(self):
         binary = tree(["r"], "r", [("r", "r", 1), ("r", "r", -1)])
