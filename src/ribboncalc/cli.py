@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import corpus as corpus_mod
 from .diagram import MoveError, boundary_homology, dualize, validate
-from .middle import MiddleError, is_positive_ribbon, validate_middle
+from .middle import MiddleError, is_positive_ribbon
 from .render import diagram_dot, finger_dot, tree_dot
 from .scripts import run_script, trace_lines
 from .simplify import StabilizationError, stabilization_plan, verify_plan
@@ -21,7 +21,7 @@ from .textio import (ParseError, parse_any, parse_diagram, parse_ribbon,
                      parse_script, parse_tree, serialize_diagram,
                      serialize_tree)
 from .trees import (TreeError, is_positive, is_strictly_positive,
-                    kuga_blowup_cost, prune_depth, truncate, validate_tree)
+                    kuga_blowup_cost, prune_depth, truncate)
 
 OK, FAIL, PARSE_FAIL = 0, 1, 2
 
@@ -48,16 +48,8 @@ class _Out:
 def _cmd_check(args, out: _Out) -> int:
     kind, value = parse_any(_read(args.file))
     out.kv("type", kind)
-    if kind == "diagram":
-        problems = [v.message for v in validate(value)]
-    elif kind == "tree":
-        problems = validate_tree(value)
-    elif kind == "middle":
-        problems = validate_middle(value)
-    elif kind == "ribbon":
-        problems = validate_middle(value.middle)
-    else:  # script: parsing is the check
-        problems = []
+    # Parsing already enforces every rule of validate_tree and validate_middle.
+    problems = [v.message for v in validate(value)] if kind == "diagram" else []
     for p in problems:
         out.kv("violation", p)
     out.kv("ok", "true" if not problems else "false")
@@ -168,15 +160,12 @@ def _cmd_corpus(args, out: _Out) -> int:
 
 def _cmd_render(args, out: _Out) -> int:
     kind, value = parse_any(_read(args.file))
-    if kind == "tree":
-        print(tree_dot(value), end="")
-    elif kind in ("middle", "ribbon"):
-        print(finger_dot(value if kind == "middle" else value.middle), end="")
-    elif kind == "diagram":
-        print(diagram_dot(value), end="")
-    else:
+    dot = {"tree": tree_dot, "diagram": diagram_dot, "middle": finger_dot,
+           "ribbon": lambda r: finger_dot(r.middle)}.get(kind)
+    if dot is None:
         print(f"cannot render a {kind} document", file=sys.stderr)
         return FAIL
+    print(dot(value), end="")
     return OK
 
 

@@ -1,8 +1,8 @@
 """Bundled corpus of diagrams, ribbon descriptors and walkthrough scripts.
 
 ``corpus_run`` replays every bundled construction with its invariant
-assertions and returns a summary report; any failed assertion fails the
-run with the corpus item name.
+assertions and plan checks and returns a summary report; any failed
+assertion or check fails the run with the corpus item name.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from importlib import resources
 from .diagram import DOTTED, KirbyDiagram
 from .middle import is_positive_ribbon
 from .scripts import run_script
+from .simplify import stabilization_plan, verify_plan
 from .textio import (parse_diagram, parse_ribbon, parse_script,
                      serialize_diagram, serialize_ribbon, serialize_script)
 
@@ -81,6 +82,16 @@ def _positivity_items() -> list[CorpusItem]:
     return out
 
 
+def _plan_item(name: str) -> CorpusItem:
+    """A product plan for a non-positive descriptor, checked by replay."""
+    r = parse_ribbon(corpus_text(f"{name}.ribbon"))
+    plan = stabilization_plan(r)
+    verdict = verify_plan(r, plan)
+    ok = plan.outcome.kind == "product" and verdict.ok
+    return CorpusItem(f"plan:{name}", ok, f"{len(plan.steps)} steps, verified"
+                      if ok else f"{plan.outcome.kind}: {verdict.reason}")
+
+
 def _script_item(diagram_name: str, script_name: str,
                  check=None) -> CorpusItem:
     d = parse_diagram(corpus_text(f"{diagram_name}.diagram"))
@@ -125,7 +136,7 @@ def _swapped_to_dots(final: KirbyDiagram) -> str | None:
 
 
 def corpus_run() -> CorpusReport:
-    items = _roundtrip_items() + _positivity_items()
+    items = _roundtrip_items() + _positivity_items() + [_plan_item("r4")]
     items.append(_script_item("y2c1", "dual_walkthrough", _dual_bookkeeping))
     items.append(
         _script_item("y2c1", "cancellation_walkthrough", _all_pairs_cancelled))

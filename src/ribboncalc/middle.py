@@ -183,6 +183,10 @@ class Cap:
 
     tree: SignedTree | None = None
 
+    def __post_init__(self) -> None:
+        if self.tree is not None and self.tree.finite:
+            raise MiddleError(f"tree {self.tree.name} is a finite tower")
+
     @property
     def standard(self) -> bool:
         return self.tree is None

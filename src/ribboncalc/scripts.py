@@ -1,21 +1,34 @@
-"""Interpreter for move scripts over Kirby diagrams.
+"""Move scripts over Kirby diagrams: the command table and its interpreter.
 
-Each command is applied in order; the interpreter stops at the first failed
-precondition or assertion and reports where and why.  Every step records the
-Euler characteristic, signature and both boundary homology groups of the
-resulting diagram so invariant drift is visible in traces.
+:data:`COMMANDS` has one row per command form; :mod:`ribboncalc.textio`
+reads and writes scripts by its rows and :func:`run_script` applies them,
+stopping at the first failed move, failed assertion or command that fits
+no row.  Every step records the Euler characteristic, signature and both
+boundary homology groups of the resulting diagram.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from .abelian import AbelianGroup
 from .diagram import (KirbyDiagram, MoveError, add_cancelling_pair,
                       assert_geometric, blow_down, blow_up, cancel_pair,
                       dualize, handle_slide, twist_blow_up, zero_dot_swap,
                       boundary_homology, euler_char, signature)
-from .textio import Command, MoveScript
+
+
+@dataclass(frozen=True)
+class Command:
+    op: str
+    args: tuple = ()
+
+
+@dataclass(frozen=True)
+class MoveScript:
+    name: str
+    commands: tuple[Command, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -29,6 +42,95 @@ class StepReport:
     plus: AbelianGroup
     minus: AbelianGroup | None  # only dual decompositions expose this side
 
+
+# -- the command table ---------------------------------------------------
+
+# Argument kinds.  ID, SIGN and INT take one token of script text; STRANDS
+# (ID:MULT tokens, at least one) and INTS take the rest of the line; ABSENT
+# takes none and stands for an omitted id.  Any other kind is a literal:
+# one token out of its '|'-separated choices.
+ID, SIGN, INT, STRANDS, INTS, ABSENT = "ID", "SIGN", "INT", "ID:MULT", "INTS", ""
+_FITS = {
+    ID: lambda v: isinstance(v, str), SIGN: lambda v: v in (1, -1),
+    INT: lambda v: isinstance(v, int), ABSENT: lambda v: v is None,
+    INTS: lambda v: isinstance(v, tuple) and all(isinstance(x, int) for x in v),
+    STRANDS: lambda v: isinstance(v, tuple) and len(v) > 0 and all(
+        isinstance(s, tuple) and len(s) == 2 and isinstance(s[0], str)
+        and isinstance(s[1], int) for s in v)}
+
+
+@dataclass(frozen=True)
+class Form:
+    """One command form: a row of :data:`COMMANDS`."""
+    op: str
+    usage: str
+    kinds: tuple[str, ...]
+    move: Callable | None = None   # (d, *args) -> the new diagram
+    check: Callable | None = None  # (step, *args) -> (invariant, got, want)
+
+    def fits(self, args) -> bool:
+        return (isinstance(args, tuple) and len(args) == len(self.kinds)
+                and all(_FITS[k](v) if k in _FITS else v in k.split("|")
+                        for k, v in zip(self.kinds, args)))
+
+
+def _homology(step: StepReport, side: str, rank: int, torsion):
+    if getattr(step, side) is None:
+        raise MoveError("minus boundary requires a dual decomposition")
+    try:
+        want = AbelianGroup(rank, torsion)
+    except ValueError as exc:
+        raise MoveError(f"expected group: {exc}") from None
+    return f"H1(boundary {side})", getattr(step, side), want
+
+
+# Moves are called through their module-level names, so a rebound name
+# (a tracer or a test's monkeypatch) sees the call.
+COMMANDS = (
+    Form("slide", "slide MOVING OVER SIGN", (ID, ID, SIGN),
+         move=lambda d, a, b, sign: handle_slide(d, a, b, sign)),
+    Form("blowup", "blowup SIGN NEWID", (SIGN, ID),
+         move=lambda d, sign, e: blow_up(d, sign, e)),
+    Form("twistblowup", "twistblowup SIGN NEWID ID:MULT...",
+         (SIGN, ID, STRANDS),
+         move=lambda d, t, e, strands: twist_blow_up(d, t, dict(strands), e)),
+    Form("blowdown", "blowdown ID", (ID,), move=lambda d, e: blow_down(d, e)),
+    Form("swap", "swap ID", (ID,), move=lambda d, c: zero_dot_swap(d, c)),
+    Form("addpair", "addpair 12 D H", ("12", ID, ID),
+         move=lambda d, kind, a, b: add_cancelling_pair(d, kind, (a, b))),
+    Form("addpair", "addpair 23 H", ("23", ID),
+         move=lambda d, kind, b: add_cancelling_pair(d, kind, (b,))),
+    Form("cancel", "cancel DOTTED FRAMED", (ID, ID),
+         move=lambda d, a, b: cancel_pair(d, a, b)),
+    Form("cancel", "cancel FRAMED", (ABSENT, ID),
+         move=lambda d, a, b: cancel_pair(d, a, b)),
+    Form("dualize", "dualize", (), move=lambda d: dualize(d)),
+    Form("assert-geom", "assert-geom ID ID COUNT", (ID, ID, INT),
+         move=lambda d, i, j, g: assert_geometric(d, i, j, g)),
+    Form("assert-homology", "assert-homology plus|minus RANK [D...]",
+         ("plus|minus", INT, INTS), check=_homology),
+    Form("assert-euler", "assert-euler VALUE", (INT,),
+         check=lambda step, v: ("euler characteristic", step.euler, v)),
+    Form("assert-signature", "assert-signature VALUE", (INT,),
+         check=lambda step, v: ("signature", step.sig, v)),
+)
+
+
+def form_error(op: str) -> str:
+    """What is wrong with a command of this op that fits none of its rows."""
+    usages = " | ".join(f.usage for f in COMMANDS if f.op == op)
+    return f"{op} needs: {usages}" if usages else f"unknown command {op!r}"
+
+
+def form_of(cmd: Command) -> Form:
+    """The row ``cmd`` fits; raises MoveError when it fits none."""
+    for form in COMMANDS:
+        if form.op == cmd.op and form.fits(cmd.args):
+            return form
+    raise MoveError(form_error(cmd.op))
+
+
+# -- the interpreter -----------------------------------------------------
 
 @dataclass(frozen=True)
 class ScriptResult:
@@ -51,60 +153,12 @@ def _snapshot(idx: int, cmd: Command | None, ok: bool, detail: str,
 
 
 def apply_command(d: KirbyDiagram, cmd: Command) -> KirbyDiagram:
-    """One command applied to a diagram; raises MoveError on bad input."""
-    op, args = cmd.op, cmd.args
-    if op == "slide":
-        return handle_slide(d, moving=args[0], over=args[1], sign=args[2])
-    if op == "blowup":
-        return blow_up(d, sign=args[0], new_id=args[1])
-    if op == "twistblowup":
-        return twist_blow_up(d, t=args[0], strands=dict(args[2]),
-                             new_id=args[1])
-    if op == "blowdown":
-        return blow_down(d, args[0])
-    if op == "swap":
-        return zero_dot_swap(d, args[0])
-    if op == "addpair":
-        if args[0] == "12":
-            return add_cancelling_pair(d, "12", ids=(args[1], args[2]))
-        return add_cancelling_pair(d, "23", ids=(args[1],))
-    if op == "cancel":
-        return cancel_pair(d, args[0], args[1])
-    if op == "dualize":
-        return dualize(d)
-    if op == "assert-geom":
-        return assert_geometric(d, args[0], args[1], args[2])
-    raise MoveError(f"unknown command {op!r}")
-
-
-def _check_assertion(state: StepReport, cmd: Command) -> str | None:
-    """None on success, else a failure description.
-
-    ``state`` is the snapshot of the diagram the assertion is made about.
-    """
-    op, args = cmd.op, cmd.args
-    if op == "assert-homology":
-        side, rank, torsion = args
-        if side not in ("plus", "minus"):
-            return f"unknown side {side!r}"
-        got = state.plus if side == "plus" else state.minus
-        if got is None:
-            return "minus boundary requires a dual decomposition"
-        want = AbelianGroup(rank, torsion)
-        if got != want:
-            return f"H1(boundary {side}) = {got}, expected {want}"
-        return None
-    if op == "assert-euler":
-        if state.euler != args[0]:
-            return f"euler characteristic = {state.euler}, expected {args[0]}"
-        return None
-    if state.sig != args[0]:
-        return f"signature = {state.sig}, expected {args[0]}"
-    return None
-
-
-ASSERTIONS = frozenset(
-    {"assert-homology", "assert-euler", "assert-signature"})
+    """One move applied to a diagram; raises MoveError on bad input,
+    including an assertion, which is not a move."""
+    form = form_of(cmd)
+    if form.move is None:
+        raise MoveError(f"{cmd.op} is an assertion, not a move")
+    return form.move(d, *cmd.args)
 
 
 def run_script(d: KirbyDiagram, script: MoveScript) -> ScriptResult:
@@ -116,16 +170,16 @@ def run_script(d: KirbyDiagram, script: MoveScript) -> ScriptResult:
     state = _snapshot(0, None, True, "initial", d)
     steps = [state]
     for idx, cmd in enumerate(script.commands, start=1):
-        if cmd.op in ASSERTIONS:
-            problem = _check_assertion(state, cmd)
-            steps.append(replace(state, index=idx, command=cmd,
-                                 ok=problem is None,
-                                 detail=problem or "assertion holds"))
-            if problem is not None:
-                return ScriptResult(script.name, False, tuple(steps), d)
-            continue
         try:
-            d = apply_command(d, cmd)
+            form = form_of(cmd)
+            if form.check is not None:
+                what, got, want = form.check(state, *cmd.args)
+                if got != want:
+                    raise MoveError(f"{what} = {got}, expected {want}")
+                steps.append(replace(state, index=idx, command=cmd,
+                                     detail="assertion holds"))
+                continue
+            d = form.move(d, *cmd.args)
         except MoveError as exc:
             steps.append(replace(state, index=idx, command=cmd, ok=False,
                                  detail=str(exc)))

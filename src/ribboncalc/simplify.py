@@ -235,7 +235,11 @@ PRODUCT_NOTE = "product structure certified; hence the cobordism is not stably n
 
 def stabilization_plan(r: RibbonDescriptor) -> StabilizationPlan:
     """Full pipeline: obstruction gate, cap replacement, loop breaking,
-    Norman cascades, terminal pair cancellation."""
+    Norman cascades, terminal pair cancellation.  Invalid middle data
+    (:func:`validate_middle`) raises StabilizationError."""
+    problems = validate_middle(r.middle)
+    if problems:
+        raise StabilizationError(f"invalid middle data: {problems[0]}")
     decision = is_positive_ribbon(r)
     if decision.positive:
         return StabilizationPlan(

@@ -14,7 +14,7 @@ Grammar summary ('#' starts a comment, blank lines ignored):
 A ribbon-descriptor document is a sequence of tree blocks followed by one
 middle block with its cap lines; K >= 1 and every finger's FROM and THRU
 lie in 1..K.  Scripts are a ``script NAME`` header followed by one command
-per line; see :data:`COMMAND_ARITY`.
+per line, in one of the forms of :data:`ribboncalc.scripts.COMMANDS`.
 
 Round-trip law: ``parse(serialize(v)) == v`` and ``serialize(parse(text))``
 is canonical.
@@ -22,11 +22,11 @@ is canonical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .diagram import (Component, DOTTED, FRAMED, KirbyDiagram, PAREN)
 from .middle import (AccessoryLoop, Cap, Finger, MiddleLevelData,
                      RibbonDescriptor, STANDARD_CAP)
+from .scripts import (ABSENT, COMMANDS, ID, INT, INTS, SIGN, STRANDS,
+                      Command, Form, MoveScript, form_error, form_of)
 from .trees import SignedTree, TreeEdge
 
 
@@ -61,12 +61,16 @@ def _sign(tok: str, n: int) -> int:
 
 # -- diagrams ------------------------------------------------------------
 
+_COUNTS = {"threehandles": "three_handles", "fourhandles": "four_handles",
+           "hidden1": "hidden_one_handles"}  # count keyword -> diagram field
+
+
 def parse_diagram(text: str) -> KirbyDiagram:
     name = None
     comps: list[Component] = []
     ids: set[str] = set()
     links: dict[tuple[str, str], tuple[int, int]] = {}
-    counts = {"threehandles": 0, "fourhandles": 0, "hidden1": 0}
+    counts: dict[str, int] = {}
     dual = False
     notes: list[str] = []
     for n, line in _lines(text):
@@ -118,21 +122,18 @@ def parse_diagram(text: str) -> KirbyDiagram:
                 raise ParseError(n, f"duplicate link {a} {b}")
             links[key] = (_int(toks[3], n, "linking number"),
                           _int(toks[4], n, "geometric count"))
-        elif kw in counts:
+        elif kw in _COUNTS:
             if len(toks) != 2:
                 raise ParseError(n, f"{kw} needs a count")
-            counts[kw] = _int(toks[1], n, "count")
+            counts[_COUNTS[kw]] = _int(toks[1], n, "count")
         elif kw == "note":
             notes.append(" ".join(toks[1:]))
         else:
             raise ParseError(n, f"unknown keyword {kw!r}")
     if name is None:
         raise ParseError(1, "missing 'diagram NAME' header")
-    d = KirbyDiagram(name=name, components=tuple(comps),
-                     three_handles=counts["threehandles"],
-                     four_handles=counts["fourhandles"],
-                     hidden_one_handles=counts["hidden1"],
-                     dual_flag=dual, notes=tuple(notes))
+    d = KirbyDiagram(name=name, components=tuple(comps), dual_flag=dual,
+                     notes=tuple(notes), **counts)
     return d.with_links(links)
 
 
@@ -149,12 +150,8 @@ def serialize_diagram(d: KirbyDiagram) -> str:
         out.append(" ".join(parts))
     for (i, j), a, g in d.links:
         out.append(f"link {i} {j} {a} {g}")
-    if d.three_handles:
-        out.append(f"threehandles {d.three_handles}")
-    if d.four_handles:
-        out.append(f"fourhandles {d.four_handles}")
-    if d.hidden_one_handles:
-        out.append(f"hidden1 {d.hidden_one_handles}")
+    out.extend(f"{kw} {getattr(d, field)}" for kw, field in _COUNTS.items()
+               if getattr(d, field))
     for note in d.notes:
         out.append(f"note {note}")
     return "\n".join(out) + "\n"
@@ -245,14 +242,16 @@ def parse_middle(text: str) -> MiddleLevelData:
     return m
 
 
-def _parse_middle_block(lines, caps_by_tree):
-    """Middle data and caps; ``caps_by_tree`` holds one Cap per tree name,
-    so caps naming one tree share it."""
+def _parse_middle_block(lines, trees):
+    """Middle data and caps over the tree blocks ``trees``; caps naming one
+    tree share one Cap."""
+    caps_by_tree = {name: Cap(t) for name, t in trees.items() if not t.finite}
     pairs = None
     fingers: dict[str, Finger] = {}
     finger_of_whitney: dict[str, str] = {}
     finger_line: dict[str, int] = {}
     loops: dict[str, AccessoryLoop] = {}
+    loop_line: dict[str, int] = {}
     caps: dict[str, Cap] = {}
     started = False
     for n, line in lines:
@@ -288,6 +287,7 @@ def _parse_middle_block(lines, caps_by_tree):
             if toks[1] in loops:
                 raise ParseError(n, f"duplicate loop id {toks[1]}")
             loops[toks[1]] = AccessoryLoop(toks[1], tuple(toks[2:]))
+            loop_line[toks[1]] = n
         elif kw == "cap":
             if len(toks) < 3:
                 raise ParseError(n, "cap needs: cap ID standard|tree NAME")
@@ -297,8 +297,11 @@ def _parse_middle_block(lines, caps_by_tree):
             if toks[2] == "standard" and len(toks) == 3:
                 caps[cid] = STANDARD_CAP
             elif toks[2] == "tree" and len(toks) == 4:
-                if toks[3] not in caps_by_tree:
+                if toks[3] not in trees:
                     raise ParseError(n, f"cap references unknown tree {toks[3]}")
+                if toks[3] not in caps_by_tree:
+                    raise ParseError(n, f"cap names tree {toks[3]}, a finite "
+                                        "tower, not a Casson handle")
                 caps[cid] = caps_by_tree[toks[3]]
             else:
                 raise ParseError(n, f"malformed cap line")
@@ -312,6 +315,11 @@ def _parse_middle_block(lines, caps_by_tree):
         if not (1 <= f.from_a <= pairs and 1 <= f.through_b <= pairs):
             raise ParseError(finger_line[f.id], f"finger {f.id} references "
                                                 f"sphere outside 1..{pairs}")
+    for l in loops.values():
+        for fid in l.fingers:
+            if fid not in fingers:
+                raise ParseError(loop_line[l.id], f"loop {l.id} references "
+                                                  f"undeclared finger {fid}")
     return MiddleLevelData(pairs, tuple(fingers.values()),
                            tuple(loops.values())), caps
 
@@ -320,8 +328,7 @@ def parse_ribbon(text: str) -> RibbonDescriptor:
     trees, rest = _parse_tree_blocks(text, stop_at="middle")
     if not rest:
         raise ParseError(1, "ribbon document has no middle block")
-    m, caps = _parse_middle_block(
-        rest, {name: Cap(t) for name, t in trees.items()})
+    m, caps = _parse_middle_block(rest, trees)
     needed = m.cap_ids()
     missing = [cid for cid in needed if cid not in caps]
     if missing:
@@ -352,174 +359,101 @@ def serialize_ribbon(r: RibbonDescriptor) -> str:
                     f"distinct trees share the name {cap.tree.name}")
             trees[cap.tree.name] = cap.tree
     out = [serialize_tree(t) for t in trees.values()]
-    body = serialize_middle(r.middle)
-    caps = []
-    for cid, cap in r.caps:
-        if cap.standard:
-            caps.append(f"cap {cid} standard")
-        else:
-            caps.append(f"cap {cid} tree {cap.tree.name}")
-    out.append(body + "\n".join(caps) + ("\n" if caps else ""))
+    out.append(serialize_middle(r.middle))
+    out.extend(f"cap {cid} standard\n" if cap.standard
+               else f"cap {cid} tree {cap.tree.name}\n" for cid, cap in r.caps)
     return "".join(out)
 
 
 # -- move scripts --------------------------------------------------------
 
-@dataclass(frozen=True)
-class Command:
-    op: str
-    args: tuple = ()
+def _strands(toks: list[str], n: int) -> tuple[tuple[str, int], ...]:
+    strands: dict[str, int] = {}
+    for tok in toks:
+        cid, colon, mult = tok.rpartition(":")
+        if not colon:
+            raise ParseError(n, f"malformed strand token {tok!r}")
+        if cid in strands:
+            raise ParseError(n, f"strand {cid} named twice")
+        strands[cid] = _int(mult, n, "multiplicity")
+    return tuple(strands.items())
 
 
-@dataclass(frozen=True)
-class MoveScript:
-    name: str
-    commands: tuple[Command, ...] = ()
+# Script text of the argument kinds; a literal reads and writes as an id.
+_READ = {ID: lambda toks, n: toks[0], SIGN: lambda toks, n: _sign(toks[0], n),
+         INT: lambda toks, n: _int(toks[0], n, "integer"), STRANDS: _strands,
+         INTS: lambda toks, n: tuple(_int(t, n, "integer") for t in toks),
+         ABSENT: lambda toks, n: None}
+_WRITE = {ID: lambda v: [v], SIGN: lambda v: ["+" if v == 1 else "-"],
+          INT: lambda v: [str(v)], STRANDS: lambda v: [f"{c}:{m}" for c, m in v],
+          INTS: lambda v: [str(x) for x in v], ABSENT: lambda v: []}
+
+
+def _read_args(form: Form, toks: list[str], n: int) -> tuple | None:
+    """``form``'s args from the tokens after the op, or None when their
+    count or a literal differs; that is checked before any token is read."""
+    parts, at = [], 0
+    for kind in form.kinds:
+        least = 0 if kind in (INTS, ABSENT) else 1
+        part = toks[at:] if kind in (STRANDS, INTS) else toks[at:at + least]
+        if len(part) < least or (kind not in _READ
+                                 and part[0] not in kind.split("|")):
+            return None
+        parts.append(part)
+        at += len(part)
+    if at != len(toks):
+        return None
+    return tuple(_READ.get(kind, _READ[ID])(part, n)
+                 for kind, part in zip(form.kinds, parts))
 
 
 def parse_script(text: str) -> MoveScript:
     name = None
     commands: list[Command] = []
     for n, line in _lines(text):
-        toks = line.split()
-        kw = toks[0]
-        if kw == "script":
+        op, *toks = line.split()
+        if op == "script":
             if name is not None:
                 raise ParseError(n, "duplicate script header")
-            if len(toks) != 2:
+            if len(toks) != 1:
                 raise ParseError(n, "script header needs a name")
-            name = toks[1]
+            name = toks[0]
             continue
         if name is None:
             raise ParseError(n, "expected 'script NAME' header first")
-        if kw == "slide":
-            if len(toks) != 4:
-                raise ParseError(n, "slide needs: slide MOVING OVER SIGN")
-            commands.append(Command("slide", (toks[1], toks[2], _sign(toks[3], n))))
-        elif kw == "blowup":
-            if len(toks) != 3:
-                raise ParseError(n, "blowup needs: blowup SIGN NEWID")
-            commands.append(Command("blowup", (_sign(toks[1], n), toks[2])))
-        elif kw == "twistblowup":
-            if len(toks) < 4:
-                raise ParseError(
-                    n, "twistblowup needs: twistblowup SIGN NEWID ID:MULT...")
-            strands = []
-            for tok in toks[3:]:
-                if ":" not in tok:
-                    raise ParseError(n, f"malformed strand token {tok!r}")
-                cid, mult = tok.rsplit(":", 1)
-                strands.append((cid, _int(mult, n, "multiplicity")))
-            commands.append(Command(
-                "twistblowup", (_sign(toks[1], n), toks[2], tuple(strands))))
-        elif kw == "blowdown":
-            if len(toks) != 2:
-                raise ParseError(n, "blowdown needs a component id")
-            commands.append(Command("blowdown", (toks[1],)))
-        elif kw == "swap":
-            if len(toks) != 2:
-                raise ParseError(n, "swap needs a component id")
-            commands.append(Command("swap", (toks[1],)))
-        elif kw == "addpair":
-            if toks[1:2] == ["12"] and len(toks) == 4:
-                commands.append(Command("addpair", ("12", toks[2], toks[3])))
-            elif toks[1:2] == ["23"] and len(toks) == 3:
-                commands.append(Command("addpair", ("23", toks[2])))
-            else:
-                raise ParseError(n, "addpair needs: addpair 12 D H | addpair 23 H")
-        elif kw == "cancel":
-            if len(toks) == 3:
-                commands.append(Command("cancel", (toks[1], toks[2])))
-            elif len(toks) == 2:
-                commands.append(Command("cancel", (None, toks[1])))
-            else:
-                raise ParseError(n, "cancel needs: cancel DOTTED FRAMED | cancel FRAMED")
-        elif kw == "dualize":
-            if len(toks) != 1:
-                raise ParseError(n, "dualize takes no arguments")
-            commands.append(Command("dualize"))
-        elif kw == "assert-homology":
-            if len(toks) < 3 or toks[1] not in ("plus", "minus"):
-                raise ParseError(
-                    n, "assert-homology needs: assert-homology plus|minus RANK [D...]")
-            rank = _int(toks[2], n, "free rank")
-            torsion = tuple(_int(t, n, "invariant factor") for t in toks[3:])
-            commands.append(Command("assert-homology", (toks[1], rank, torsion)))
-        elif kw == "assert-euler":
-            if len(toks) != 2:
-                raise ParseError(n, "assert-euler needs a value")
-            commands.append(Command("assert-euler", (_int(toks[1], n, "value"),)))
-        elif kw == "assert-signature":
-            if len(toks) != 2:
-                raise ParseError(n, "assert-signature needs a value")
-            commands.append(Command("assert-signature",
-                                    (_int(toks[1], n, "value"),)))
-        elif kw == "assert-geom":
-            if len(toks) != 4:
-                raise ParseError(n, "assert-geom needs: assert-geom ID ID COUNT")
-            commands.append(Command(
-                "assert-geom", (toks[1], toks[2], _int(toks[3], n, "count"))))
+        for form in COMMANDS:
+            args = _read_args(form, toks, n) if form.op == op else None
+            if args is not None:
+                commands.append(Command(op, args))
+                break
         else:
-            raise ParseError(n, f"unknown command {kw!r}")
+            raise ParseError(n, form_error(op))
     if name is None:
         raise ParseError(1, "missing 'script NAME' header")
     return MoveScript(name, tuple(commands))
 
 
 def serialize_script(s: MoveScript) -> str:
+    """Canonical text; raises MoveError for a command that fits no row."""
     out = [f"script {s.name}"]
     for cmd in s.commands:
-        out.append(_format_command(cmd))
+        toks = [cmd.op]
+        for kind, value in zip(form_of(cmd).kinds, cmd.args):
+            toks += _WRITE.get(kind, _WRITE[ID])(value)
+        out.append(" ".join(toks))
     return "\n".join(out) + "\n"
-
-
-def _fmt_sign(v: int) -> str:
-    return "+" if v == 1 else "-"
-
-
-def _format_command(cmd: Command) -> str:
-    op, args = cmd.op, cmd.args
-    if op == "slide":
-        return f"slide {args[0]} {args[1]} {_fmt_sign(args[2])}"
-    if op == "blowup":
-        return f"blowup {_fmt_sign(args[0])} {args[1]}"
-    if op == "twistblowup":
-        strands = " ".join(f"{cid}:{m}" for cid, m in args[2])
-        return f"twistblowup {_fmt_sign(args[0])} {args[1]} {strands}"
-    if op == "blowdown":
-        return f"blowdown {args[0]}"
-    if op == "swap":
-        return f"swap {args[0]}"
-    if op == "addpair":
-        return "addpair " + " ".join(args)
-    if op == "cancel":
-        if args[0] is None:
-            return f"cancel {args[1]}"
-        return f"cancel {args[0]} {args[1]}"
-    if op == "dualize":
-        return "dualize"
-    if op == "assert-homology":
-        side, rank, torsion = args
-        tail = "".join(f" {d}" for d in torsion)
-        return f"assert-homology {side} {rank}{tail}"
-    if op == "assert-euler":
-        return f"assert-euler {args[0]}"
-    if op == "assert-signature":
-        return f"assert-signature {args[0]}"
-    if op == "assert-geom":
-        return f"assert-geom {args[0]} {args[1]} {args[2]}"
-    raise ValueError(f"unknown command {op!r}")
 
 
 # -- any document --------------------------------------------------------
 
 def parse_any(text: str):
     """``(kind, value)`` for a document, its kind chosen by the first
-    keyword: ``diagram``, ``tree``, ``middle`` or ``script``, or
-    ``ribbon`` for tree blocks followed by a ``middle`` line."""
-    lines = [line for _, line in _lines(text)]
-    first = lines[0].split()[0] if lines else ""
-    if first == "tree" and any(l.startswith("middle") for l in lines):
+    keyword: ``diagram``, ``tree``, ``middle`` or ``script``, or ``ribbon``
+    for tree blocks and a middle block, or a middle block with caps."""
+    keywords = [line.split()[0] for _, line in _lines(text)]
+    first = keywords[0] if keywords else ""
+    if (first == "tree" and "middle" in keywords
+            or first == "middle" and "cap" in keywords):
         return "ribbon", parse_ribbon(text)
     parser = {"diagram": parse_diagram, "tree": parse_tree,
               "middle": parse_middle, "script": parse_script}.get(first)

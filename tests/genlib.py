@@ -225,10 +225,12 @@ def random_script(rng: random.Random, max_commands: int = 20):
     makers = [
         lambda: Command("slide", (cid(), cid(), rng.choice((1, -1)))),
         lambda: Command("blowup", (rng.choice((1, -1)), cid())),
+        # Distinct strand ids, as script text requires; the dict draws
+        # from rng exactly as a tuple of pairs would.
         lambda: Command("twistblowup",
                         (rng.choice((1, -1)), cid(),
-                         tuple((cid(), rng.randint(-3, 3))
-                               for _ in range(rng.randint(1, 3))))),
+                         tuple({cid(): rng.randint(-3, 3)
+                                for _ in range(rng.randint(1, 3))}.items()))),
         lambda: Command("blowdown", (cid(),)),
         lambda: Command("swap", (cid(),)),
         lambda: Command("addpair", ("12", cid(), cid())),

@@ -342,6 +342,7 @@ def test_corpus():
         names = {i.name for i in report.items}
         for r in ("r0", "r1", "r2", "r3"):
             assert f"positivity:{r}" in names
+        assert "plan:r4" in names
         assert "script:dual_walkthrough" in names
         assert "script:cancellation_walkthrough" in names
         elapsed = time.monotonic() - start

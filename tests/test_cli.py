@@ -76,6 +76,17 @@ class TestCheck:
         code, out, _ = run(capsys, "--porcelain", "check", files("doc", text))
         assert code == 0 and out.splitlines()[0] == f"type={kind}"
 
+    def test_serialized_ribbon_without_tree_blocks(self, files, capsys):
+        from ribboncalc import (STANDARD_CAP, Finger, MiddleLevelData,
+                                make_descriptor, serialize_ribbon)
+        r = make_descriptor(MiddleLevelData(1, (Finger("f1", 1, 1, "w1"),)),
+                            {"w1": STANDARD_CAP})
+        path = files("r.ribbon", serialize_ribbon(r))
+        code, out, _ = run(capsys, "--porcelain", "check", path)
+        assert code == 0 and out.splitlines() == ["type=ribbon", "ok=true"]
+        code, out, _ = run(capsys, "render", path)
+        assert code == 0 and out.startswith("digraph fingers")
+
     def test_unknown_document_kind(self, files, capsys):
         code, _, err = run(capsys, "check", files("doc", "pairs 2\n"))
         assert code == 2
@@ -211,6 +222,23 @@ class TestRibbon:
                              files("r.ribbon", text))
         assert code == 2 and out == ""
         assert "line 3: finger f1 references sphere outside 1..2" in err
+
+    @pytest.mark.parametrize("action", [["positivity"], ["plan", "--verify"]])
+    def test_loop_naming_an_undeclared_finger(self, files, capsys, action):
+        text = "middle\npairs 1\nfinger f1 1 1 w1\nloop l1 fX\n"
+        code, out, err = run(capsys, "ribbon", *action,
+                             files("r.ribbon", text))
+        assert code == 2 and out == ""
+        assert "line 4: loop l1 references undeclared finger fX" in err
+        assert "Traceback" not in err
+
+    def test_cap_on_a_finite_tower(self, files, capsys):
+        text = ("tree t\nfinite\nnode r s\nroot r\nedge r s +\n"
+                "middle\npairs 1\nfinger f1 1 1 w1\ncap w1 tree t\n")
+        code, out, err = run(capsys, "ribbon", "plan", "--verify",
+                             files("r.ribbon", text))
+        assert code == 2 and out == ""
+        assert "line 9: " in err and "finite tower" in err
 
     def test_plan_on_positive_descriptor(self, files, capsys):
         code, out, _ = run(capsys, "ribbon", "plan", "--verify",

@@ -2,7 +2,8 @@
 
 from ribboncalc import (corpus_names, corpus_run, corpus_text,
                         is_positive_ribbon, parse_diagram, parse_ribbon,
-                        parse_script, run_script, whitney_set)
+                        parse_script, run_script, stabilization_plan,
+                        verify_plan, whitney_set)
 from ribboncalc.corpus import summary_table
 
 
@@ -16,6 +17,12 @@ class TestRunner:
         covered = {i.name.split(":", 1)[1] for i in report.items
                    if i.name.startswith("roundtrip:")}
         assert covered == set(corpus_names())
+
+    def test_item_count(self):
+        # a round trip per file, four positivity claims, one plan and
+        # three walkthrough scripts
+        report = corpus_run()
+        assert len(report.items) == len(corpus_names()) + 4 + 1 + 3
 
     def test_summary_table_shape(self):
         report = corpus_run()
@@ -48,6 +55,21 @@ class TestPositivityClaims:
             assert r.cap(wl).positive or len(whitney_set(r.middle, wl)) > 1
             for wid in whitney_set(r.middle, wl):
                 assert r.cap(wid).positive
+
+
+class TestPlanClaims:
+    def test_r4_plan_replaces_tricks_and_cancels(self):
+        # r4's only loop crosses w2, whose tree has no all-positive
+        # branch, so it is refused and the plan must replace that cap.
+        r = parse_ribbon(corpus_text("r4.ribbon"))
+        assert not r.cap("w2").positive and not r.cap("w2").standard
+        assert not is_positive_ribbon(r).positive
+        plan = stabilization_plan(r)
+        assert plan.outcome.kind == "product"
+        assert [type(s).__name__ for s in plan.steps] == [
+            "ReplaceCap", "BreakLoop", "NormanTrick",
+            "CancelPair", "CancelPair", "CancelPair"]
+        assert verify_plan(r, plan).ok
 
 
 class TestDualWalkthrough:

@@ -7,7 +7,8 @@ import pytest
 from ribboncalc import (AccessoryLoop, Cap, Finger, MiddleLevelData,
                         MiddleError, RibbonDescriptor, STANDARD_CAP, chplus,
                         excess_rows, finger_graph, is_positive_ribbon,
-                        make_descriptor, validate_middle, whitney_set)
+                        make_descriptor, truncate, validate_middle,
+                        whitney_set)
 
 from genlib import (dense_excess_rows, dense_geometric_matrix,
                     oracle_cycle_exists, random_acyclic_middle,
@@ -112,6 +113,12 @@ class TestCapsAndDescriptors:
 
     def test_chplus_cap_positive(self):
         assert CHP.positive and not CHP.standard
+
+    def test_finite_tower_is_not_a_cap(self):
+        tower = truncate(chplus(), 1)
+        assert tower.finite
+        with pytest.raises(MiddleError, match="finite tower"):
+            Cap(tower)
 
     def test_total_cap_assignment_enforced(self):
         m = middle(2, [("f1", 1, 2, "w1")], [("l1", ["f1"])])

@@ -3,6 +3,7 @@
 import pytest
 
 import ribboncalc.scripts
+from ribboncalc.scripts import COMMANDS
 from ribboncalc import (AbelianGroup, Command, Component, KirbyDiagram,
                         MoveError, MoveScript, apply_command, run_script,
                         trace_lines)
@@ -23,6 +24,18 @@ HOPF = lambda: diagram(("a", "framed", 0), ("b", "framed", 0),
                        links={("a", "b"): (1, 1)})
 
 
+class TestCommandTable:
+    def test_one_row_per_form(self):
+        assert len({(f.op, f.kinds) for f in COMMANDS}) == len(COMMANDS) == 14
+        for f in COMMANDS:
+            assert f.usage.split()[0] == f.op
+            assert (f.move is None) != (f.check is None)
+
+    def test_assertions_read_the_snapshot(self):
+        assert {f.op for f in COMMANDS if f.check is not None} == {
+            "assert-homology", "assert-euler", "assert-signature"}
+
+
 class TestApplyCommand:
     def test_slide(self):
         d = apply_command(HOPF(), Command("slide", ("a", "b", 1)))
@@ -31,6 +44,10 @@ class TestApplyCommand:
     def test_unknown_op(self):
         with pytest.raises(MoveError, match="unknown command"):
             apply_command(HOPF(), Command("wiggle", ()))
+
+    def test_wrong_arity_is_a_move_error(self):
+        with pytest.raises(MoveError, match="slide needs"):
+            apply_command(HOPF(), Command("slide", ("a",)))
 
     def test_assertions_are_not_moves(self):
         with pytest.raises(MoveError):
@@ -137,6 +154,22 @@ class TestRunScript:
         result = run_script(HOPF(), script(command, ("blowup", 1, "e")))
         assert not result.ok and result.failure.index == 1
         assert result.failure.detail == "unknown component 'zz'"
+        assert result.final == HOPF() and len(result.steps) == 2
+
+    @pytest.mark.parametrize("command, detail", [
+        (("slide", "a"), "slide needs: slide MOVING OVER SIGN"),
+        (("slide", "a", "b", 2), "slide needs: "),
+        (("assert-euler",), "assert-euler needs: assert-euler VALUE"),
+        (("assert-homology", "sideways", 1, ()), "plus|minus"),
+        (("cancel", "a"), "cancel needs: cancel DOTTED FRAMED | cancel FRAMED"),
+        (("addpair", "13", "a", "b"), "addpair needs: addpair 12 D H"),
+        (("twistblowup", 1, "e", "a:1"), "twistblowup needs: "),
+        (("wiggle", "a"), "unknown command 'wiggle'"),
+        (("assert-homology", "plus", 1, (4, 6)), "divisibility chain")])
+    def test_malformed_command_fails_the_step(self, command, detail):
+        result = run_script(HOPF(), script(command, ("blowup", 1, "e")))
+        assert not result.ok and result.failure.index == 1
+        assert detail in result.failure.detail
         assert result.final == HOPF() and len(result.steps) == 2
 
     def test_dual_side_reported_only_after_dualize(self):

@@ -251,6 +251,20 @@ class TestStabilizationPlan:
             assert check.ok, (check, plan)
 
 
+class TestPlanInvalidMiddle:
+    def test_finger_past_the_last_sphere_is_refused(self):
+        # finger_graph roots only spheres 1..pairs: without the check the
+        # finger was dropped and the plan was two bare pair cancellations.
+        r = make_descriptor(MiddleLevelData(2, (Finger("f1", 5, 1, "w1"),)),
+                            {"w1": CHP})
+        with pytest.raises(StabilizationError) as e:
+            stabilization_plan(r)
+        assert str(e.value) == ("invalid middle data: finger f1 references "
+                                "sphere outside 1..2")
+        assert str(e.value) == verify_plan(
+            r, StabilizationPlan(0, 0, (), Outcome("product"))).reason
+
+
 class TestVerifyPlanInvalidMiddle:
     """A product plan over middle data that validate_middle rejects fails
     before its first step, whatever the planner made of the data."""
@@ -270,7 +284,10 @@ class TestVerifyPlanInvalidMiddle:
         result = verify_plan(r, plan)
         assert not result.ok and result.failing_step is None
         assert "invalid middle data" in result.reason
-        assert not verify_plan(r, stabilization_plan(r)).ok
+        # The planner refuses the same data with the same reason.
+        with pytest.raises(StabilizationError) as e:
+            stabilization_plan(r)
+        assert str(e.value) == result.reason
 
 
 class TestVerifyPlanTampering:

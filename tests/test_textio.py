@@ -211,6 +211,30 @@ class TestMiddleAndRibbon:
         assert e.value.line == 2
         assert f"pair count {count} must be positive" in e.value.message
 
+    @pytest.mark.parametrize("text, line", [
+        ("middle\npairs 1\nfinger f1 1 1 w1\nloop l1 fX\n", 4),
+        # the finger lines may come later, as the pairs line may
+        ("middle\npairs 1\nloop l1 f1 fX\nfinger f1 1 1 w1\n", 3)])
+    def test_loop_naming_an_undeclared_finger(self, text, line):
+        for parse, tail in ((parse_middle, ""),
+                            (parse_ribbon, "cap w1 standard\n"
+                                           "cap l1 standard\n")):
+            with pytest.raises(ParseError) as e:
+                parse(text + tail)
+            assert e.value.line == line
+            assert "loop l1 references undeclared finger fX" in e.value.message
+
+    def test_cap_on_a_finite_tower(self):
+        text = ("tree t\nfinite\nnode r s\nroot r\nedge r s +\n"
+                "middle\npairs 1\nfinger f1 1 1 w1\nloop l1 f1\n"
+                "cap l1 standard\ncap w1 tree t\n")
+        with pytest.raises(ParseError) as e:
+            parse_ribbon(text)
+        assert e.value.line == 11 and "finite tower" in e.value.message
+        # a finite tree block that no cap names is not an error
+        unused = text.replace("cap w1 tree t", "cap w1 standard")
+        assert parse_ribbon(unused).cap("w1").standard
+
     def test_caps_naming_one_tree_share_a_cap(self):
         text = ("tree t\nnode a\nroot a\nedge a a +\n"
                 "middle\npairs 2\nfinger f1 1 2 w1\nfinger f2 2 1 w2\n"
@@ -284,3 +308,16 @@ class TestScriptErrors:
 
     def test_bad_addpair(self):
         assert "addpair" in self.error("script s\naddpair 13 a b\n").message
+
+    def test_strand_named_twice(self):
+        e = self.error("script s\nblowup + e\ntwistblowup + f a:1 a:2\n")
+        assert e.line == 3 and "strand a named twice" in e.message
+
+    @pytest.mark.parametrize("line", [
+        "slide a b", "slide a b + c", "blowdown", "swap a b", "addpair 12 a",
+        "addpair 23 a b", "cancel", "cancel a b c", "dualize now",
+        "twistblowup + e", "assert-homology plus", "assert-euler",
+        "assert-signature 1 2", "assert-geom a b"])
+    def test_wrong_token_count_names_the_usage(self, line):
+        e = self.error(f"script s\n\n{line}\n")
+        assert e.line == 3 and e.message.startswith(f"{line.split()[0]} needs: ")
