@@ -267,6 +267,8 @@ def handle_slide(d: KirbyDiagram, moving: str, over: str, sign: int) -> KirbyDia
 def assert_geometric(d: KirbyDiagram, i: str, j: str, g: int) -> KirbyDiagram:
     """Record an externally justified isotopy lowering geometric linking."""
     d.component(i), d.component(j)
+    if i == j:
+        raise MoveError(f"geom[{i}][{j}] names one component twice")
     cur = d.geom(i, j)
     a = d.alg(i, j)
     if g > cur:

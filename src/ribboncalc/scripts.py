@@ -46,9 +46,9 @@ class StepReport:
 # -- the command table ---------------------------------------------------
 
 # Argument kinds.  ID, SIGN and INT take one token of script text; STRANDS
-# (ID:MULT tokens, at least one) and INTS take the rest of the line; ABSENT
-# takes none and stands for an omitted id.  Any other kind is a literal:
-# one token out of its '|'-separated choices.
+# (ID:MULT tokens, at least one, no id twice) and INTS take the rest of the
+# line; ABSENT takes none and stands for an omitted id.  Any other kind is a
+# literal: one token out of its '|'-separated choices.
 ID, SIGN, INT, STRANDS, INTS, ABSENT = "ID", "SIGN", "INT", "ID:MULT", "INTS", ""
 _FITS = {
     ID: lambda v: isinstance(v, str), SIGN: lambda v: v in (1, -1),
@@ -56,7 +56,7 @@ _FITS = {
     INTS: lambda v: isinstance(v, tuple) and all(isinstance(x, int) for x in v),
     STRANDS: lambda v: isinstance(v, tuple) and len(v) > 0 and all(
         isinstance(s, tuple) and len(s) == 2 and isinstance(s[0], str)
-        and isinstance(s[1], int) for s in v)}
+        and isinstance(s[1], int) for s in v) and len(dict(v)) == len(v)}
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,11 @@
 verified product certificate, or report the positivity obstruction.
 
 The pipeline mirrors the handle-by-handle argument: non-positive caps are
-replaced by standard 2-handles at a blow-up cost, accessory loops through a
-standard-capped finger are broken, remaining fingers are removed by Norman
+replaced by standard 2-handles at a blow-up cost, standard-capped fingers
+are removed by Whitney tricks, the remaining fingers are removed by Norman
 tricks in reverse topological order, and the leftover complementary sphere
-pairs are cancelled.
+pairs are cancelled.  An accessory loop breaks when any finger it crosses
+is removed, and its cap leaves with it.
 """
 
 from __future__ import annotations
@@ -15,16 +16,16 @@ from dataclasses import dataclass
 
 from .middle import (Finger, MiddleLevelData, RibbonDescriptor, STANDARD_CAP,
                      excess_rows, finger_graph, is_positive_ribbon,
-                     make_descriptor, validate_middle)
+                     validate_middle)
 from .trees import kuga_blowup_cost, prune_depth
 
 
 class StabilizationError(Exception):
     """The descriptor falls outside the geometric hypotheses.
 
-    Raised when a cycle of positively-capped fingers survives loop
-    breaking; the argument excludes this for non-positive descriptors, so
-    an encodable instance hitting it is flagged rather than planned around.
+    Raised when the fingers left after the Whitney tricks form a cycle;
+    the argument excludes this for non-positive descriptors, so an
+    encodable instance hitting it is flagged rather than planned around.
     """
 
 
@@ -39,16 +40,9 @@ class ReplaceCap:
 
 
 @dataclass(frozen=True)
-class BreakLoop:
-    """Break a loop across a standard-capped finger, removing the finger."""
-
-    loop: str
-    via_whitney: str
-
-
-@dataclass(frozen=True)
 class NormanTrick:
-    """Remove a finger by tubing its target sphere into its source.
+    """Remove a finger by tubing its target sphere into its source; every
+    accessory loop through the finger breaks with it.
 
     A planned ``delta`` is always ``()``: the sinks-first order only tubes
     into clean rows.  The verifier still recomputes and compares it."""
@@ -59,7 +53,8 @@ class NormanTrick:
 
 @dataclass(frozen=True)
 class CancelFinger:
-    """Remove a standard-capped finger on no loop by a Whitney trick."""
+    """Remove a standard-capped finger by a Whitney trick; every accessory
+    loop through the finger breaks with it."""
 
     finger: str
     whitney: str
@@ -72,7 +67,7 @@ class CancelPair:
     ids: tuple[str, ...]
 
 
-Step = ReplaceCap | BreakLoop | NormanTrick | CancelFinger | CancelPair
+Step = ReplaceCap | NormanTrick | CancelFinger | CancelPair
 
 
 @dataclass(frozen=True)
@@ -112,53 +107,6 @@ def replace_nonpositive_caps(
         caps[cid] = STANDARD_CAP
     out = RibbonDescriptor(r.middle, tuple((cid, caps[cid]) for cid, _ in r.caps))
     return out, steps, blowups, k
-
-
-def break_loops(r: RibbonDescriptor) -> tuple[RibbonDescriptor, list[Step]]:
-    """Whitney-trick removal of standard-capped fingers and their loops.
-
-    Every loop whose Whitney set contains a standard-capped Whitney loop is
-    broken by removing that finger; standard-capped fingers left
-    unreferenced are then cancelled outright.
-    """
-    steps: list[Step] = []
-    m = r.middle
-    fingers = dict(m.fingers_by_id)
-    loops = dict(m.loops_by_id)
-    on_loops = _loops_by_finger(m)
-    # A loop passed over here never becomes breakable later: fingers only
-    # leave together with every loop through them.
-    for loop in list(loops.values()):
-        if loop.id not in loops:
-            continue
-        f = next((fingers[fid] for fid in loop.fingers
-                  if r.cap(fingers[fid].whitney).standard), None)
-        if f is not None:
-            steps += _break_loops_through(f, loops, on_loops)
-            del fingers[f.id]
-    referenced = {fid for l in loops.values() for fid in l.fingers}
-    for f in list(fingers.values()):
-        if f.id not in referenced and r.cap(f.whitney).standard:
-            steps.append(CancelFinger(f.id, f.whitney))
-            del fingers[f.id]
-    m = MiddleLevelData(m.pairs, tuple(fingers.values()),
-                        tuple(loops.values()))
-    return make_descriptor(m, r.caps_by_id), steps
-
-
-def _loops_by_finger(m: MiddleLevelData) -> dict[str, list[str]]:
-    """Finger id -> ids of the loops through it, in loop order."""
-    out: dict[str, list[str]] = {}
-    for l in m.loops_by_id.values():
-        for fid in l.fingers:
-            out.setdefault(fid, []).append(l.id)
-    return out
-
-
-def _break_loops_through(f: Finger, loops: dict, on_loops: dict) -> list[Step]:
-    """Take the live loops through ``f`` out of ``loops``, one step each."""
-    return [BreakLoop(lid, f.whitney) for lid in on_loops.get(f.id, ())
-            if loops.pop(lid, None) is not None]
 
 
 def norman_trick_step(rows: dict[int, dict[int, int]], from_a: int,
@@ -234,10 +182,12 @@ PRODUCT_NOTE = "product structure certified; hence the cobordism is not stably n
 
 
 def stabilization_plan(r: RibbonDescriptor) -> StabilizationPlan:
-    """Full pipeline: obstruction gate, cap replacement, loop breaking,
-    Norman cascades, terminal pair cancellation.  Invalid middle data
-    (:func:`validate_middle`) raises StabilizationError."""
-    problems = validate_middle(r.middle)
+    """Full pipeline: obstruction gate, cap replacement, Whitney tricks on
+    the standard-capped fingers, Norman cascades on the rest, terminal pair
+    cancellation.  Invalid middle data (:func:`validate_middle`) raises
+    StabilizationError."""
+    m = r.middle
+    problems = validate_middle(m)
     if problems:
         raise StabilizationError(f"invalid middle data: {problems[0]}")
     decision = is_positive_ribbon(r)
@@ -246,23 +196,24 @@ def stabilization_plan(r: RibbonDescriptor) -> StabilizationPlan:
             k=0, blowups=0, steps=(),
             outcome=Outcome("positive-obstruction",
                             witness_loop=decision.witness_loop))
-    r1, steps, blowups, k = replace_nonpositive_caps(r)
-    r2, break_steps = break_loops(r1)
-    steps = steps + break_steps
-    result = norman_eliminate(r2.middle)
+    capped, steps, blowups, k = replace_nonpositive_caps(r)
+    rest = []
+    for f in m.fingers:
+        if capped.cap(f.whitney).standard:
+            steps.append(CancelFinger(f.id, f.whitney))
+        else:
+            rest.append(f)
+    result = norman_eliminate(MiddleLevelData(m.pairs, tuple(rest)))
     if not result.ok:
-        loops = [l.id for l in r2.middle.accessory_loops
-                 if any(r2.middle.finger(fid).from_a in result.cycle
-                        for fid in l.fingers)]
+        live = {f.id for f in rest}
+        loops = [l.id for l in m.accessory_loops
+                 if live.issuperset(l.fingers)
+                 and any(m.finger(fid).from_a in result.cycle
+                         for fid in l.fingers)]
         raise StabilizationError(
                 f"finger cycle {result.cycle} survives loop breaking"
                 + (f" (loops {loops})" if loops else ""))
-    m = r2.middle
-    live = dict(m.loops_by_id)
-    on_loops = _loops_by_finger(m)
-    for trick in result.steps:
-        steps.append(trick)
-        steps += _break_loops_through(m.finger(trick.finger), live, on_loops)
+    steps += result.steps
     for i in range(1, m.pairs + 1):
         steps.append(CancelPair((f"A{i}", f"B{i}")))
     return StabilizationPlan(
@@ -282,28 +233,37 @@ class VerifyResult:
 def verify_plan(r: RibbonDescriptor, p: StabilizationPlan) -> VerifyResult:
     """Replay every step against the descriptor, checking preconditions,
     recorded deltas, the blow-up total and the terminal product state.
-    Any plan gets a verdict; a malformed step is a failing step, and so is
-    invalid middle data (:func:`validate_middle`) under a product plan.
-    G is replayed as sparse excess rows (:func:`excess_rows`) beside a
-    live-finger count per sphere, so every precondition is O(1)."""
+    Any plan gets a verdict: invalid middle data (:func:`validate_middle`)
+    fails before the outcome is read, an unknown outcome fails, and an
+    obstruction plan carries no steps, no k and no blow-ups.  A malformed
+    step is a failing step.  Removing a finger breaks every accessory loop
+    through it, and the loop's cap leaves with it.  G is replayed as sparse
+    excess rows (:func:`excess_rows`) beside a live-finger count per
+    sphere, so every precondition is O(1)."""
+    m = r.middle
+    problems = validate_middle(m)
+    if problems:
+        return VerifyResult(False, None, f"invalid middle data: {problems[0]}")
     if p.outcome.kind == "positive-obstruction":
+        if p.steps or p.k or p.blowups:
+            return VerifyResult(False, None, "an obstruction plan carries "
+                                             "steps, k or blow-ups")
         decision = is_positive_ribbon(r)
         if not decision.positive:
             return VerifyResult(False, None, "descriptor is not positive")
         if p.outcome.witness_loop != decision.witness_loop:
             return VerifyResult(False, None, "witness loop mismatch")
         return VerifyResult(True)
+    if p.outcome.kind != "product":
+        return VerifyResult(False, None,
+                            f"unknown outcome {p.outcome.kind!r}")
 
-    m = r.middle
-    problems = validate_middle(m)
-    if problems:
-        return VerifyResult(False, None, f"invalid middle data: {problems[0]}")
     # Live state of the replay, keyed by id.
     fingers = dict(m.fingers_by_id)
-    by_whitney = {f.whitney: f for f in fingers.values()}
-    loops = dict(m.loops_by_id)
-    loop_count = Counter(fid for l in loops.values()
-                         for fid in set(l.fingers))
+    on_loops: dict[str, list[str]] = {}  # finger id -> loops through it
+    for l in m.accessory_loops:
+        for fid in l.fingers:
+            on_loops.setdefault(fid, []).append(l.id)
     capmap = dict(r.caps)
     rows = excess_rows(m)
     on_sphere = Counter(s for f in fingers.values()  # live fingers per pair
@@ -314,8 +274,9 @@ def verify_plan(r: RibbonDescriptor, p: StabilizationPlan) -> VerifyResult:
     def remove(f: Finger) -> None:
         del fingers[f.id]
         on_sphere.subtract((f.from_a, f.through_b))
-        del by_whitney[f.whitney]
         capmap.pop(f.whitney, None)
+        for lid in on_loops.get(f.id, ()):  # the loop breaks: its cap goes
+            capmap.pop(lid, None)
 
     for idx, step in enumerate(p.steps):
         if isinstance(step, ReplaceCap):
@@ -328,26 +289,6 @@ def verify_plan(r: RibbonDescriptor, p: StabilizationPlan) -> VerifyResult:
                                     f"recorded cost {step.cost} is wrong")
             capmap[step.target] = STANDARD_CAP
             blowups += step.cost
-        elif isinstance(step, BreakLoop):
-            loop = loops.get(step.loop)
-            if loop is None:
-                return VerifyResult(False, idx, f"loop {step.loop} not present")
-            finger = by_whitney.get(step.via_whitney)
-            if finger is not None:
-                if finger.id not in loop.fingers:
-                    return VerifyResult(False, idx,
-                                        f"loop {step.loop} does not cross "
-                                        f"whitney {step.via_whitney}")
-                if capmap.get(step.via_whitney) != STANDARD_CAP:
-                    return VerifyResult(
-                        False, idx,
-                        f"whitney {step.via_whitney} is not standard-capped")
-                _add(rows, finger.from_a, finger.through_b, -2)
-                remove(finger)
-            # finger already removed: the loop is simply broken.
-            del loops[step.loop]
-            loop_count.subtract(set(loop.fingers))
-            capmap.pop(step.loop, None)
         elif isinstance(step, NormanTrick):
             f = fingers.get(step.finger)
             if f is None:
@@ -371,9 +312,6 @@ def verify_plan(r: RibbonDescriptor, p: StabilizationPlan) -> VerifyResult:
                 return VerifyResult(
                     False, idx, f"{step.finger}/{step.whitney} is not a "
                                 "standard-capped pair")
-            if loop_count[f.id] > 0:
-                return VerifyResult(
-                    False, idx, f"finger {step.finger} is still on a loop")
             _add(rows, f.from_a, f.through_b, -2)
             remove(f)
         elif isinstance(step, CancelPair):
@@ -401,11 +339,8 @@ def verify_plan(r: RibbonDescriptor, p: StabilizationPlan) -> VerifyResult:
         return VerifyResult(False, None,
                             f"sphere pairs {sorted(spheres)} were never "
                             "cancelled")
+    # Every loop crosses a finger and every cap is a finger's or a loop's,
+    # so once the fingers are gone no loop and no cap is left.
     if fingers:
         return VerifyResult(False, None, "fingers remain at the end")
-    if loops:
-        return VerifyResult(False, None, "accessory loops remain at the end")
-    if any(not cap.standard for cap in capmap.values()):
-        return VerifyResult(False, None, "non-standard caps remain at the end")
     return VerifyResult(True)
-

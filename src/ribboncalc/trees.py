@@ -101,6 +101,37 @@ class SignedTree:
                 todo.pop()
         return None, tuple(order)
 
+    @cached_property
+    def _prune_depth(self) -> int | None:
+        """:func:`prune_depth` of this value, computed once."""
+        order = _prunable_order(self)
+        if order is None:
+            return None
+        # Longest all-positive path down from each node, children first.
+        longest: dict[str, int] = {}
+        for v in order:
+            longest[v] = max((1 + longest[e.child] for e in self.out_edges(v)
+                              if e.sign == 1), default=0)
+        return 1 + longest[self.root]
+
+    @cached_property
+    def _kuga_cost(self) -> int | None:
+        """:func:`kuga_blowup_cost` of this value, computed once; None
+        where the cost is undefined."""
+        order = _prunable_order(self)
+        if order is None:
+            return None
+        paths = dict.fromkeys(order, 0)
+        paths[self.root] = 1
+        total = 0
+        for v in reversed(order):
+            for e in self.out_edges(v):
+                if e.sign == 1:
+                    paths[e.child] += paths[v]
+                else:
+                    total += paths[v]
+        return total
+
 
 def validate_tree(t: SignedTree) -> list[str]:
     out = []
@@ -262,17 +293,9 @@ def prune_depth(t: SignedTree) -> int | None:
     """Minimal k such that every rooted path of length k has a negative edge.
 
     Returns None for "infinite": a positive handle, or a tower with an
-    all-positive maximal path, cannot be pruned.
+    all-positive maximal path, cannot be pruned.  Computed once per value.
     """
-    order = _prunable_order(t)
-    if order is None:
-        return None
-    # Longest all-positive path down from each node, children first.
-    longest: dict[str, int] = {}
-    for v in order:
-        longest[v] = max((1 + longest[e.child] for e in t.out_edges(v)
-                          if e.sign == 1), default=0)
-    return 1 + longest[t.root]
+    return t._prune_depth
 
 
 def kuga_blowup_cost(t: SignedTree) -> int:
@@ -284,21 +307,13 @@ def kuga_blowup_cost(t: SignedTree) -> int:
 
     The positive subgraph is then acyclic, so the cost is the sum over its
     nodes v of (number of positive root paths to v) x (number of negative
-    out-edges of v), with path counts pushed down in topological order.
+    out-edges of v), with path counts pushed down in topological order
+    once per value.
     """
-    order = _prunable_order(t)
-    if order is None:
+    cost = t._kuga_cost
+    if cost is None:
         if t.finite:
             raise TreeError(
                 f"tower {t.name} has an all-positive maximal path; cost undefined")
         raise TreeError(f"handle {t.name} is positive; cost undefined")
-    paths = dict.fromkeys(order, 0)
-    paths[t.root] = 1
-    total = 0
-    for v in reversed(order):
-        for e in t.out_edges(v):
-            if e.sign == 1:
-                paths[e.child] += paths[v]
-            else:
-                total += paths[v]
-    return total
+    return cost

@@ -67,7 +67,7 @@ class TestPlanClaims:
         plan = stabilization_plan(r)
         assert plan.outcome.kind == "product"
         assert [type(s).__name__ for s in plan.steps] == [
-            "ReplaceCap", "BreakLoop", "NormanTrick",
+            "ReplaceCap", "CancelFinger", "NormanTrick",
             "CancelPair", "CancelPair", "CancelPair"]
         assert verify_plan(r, plan).ok
 

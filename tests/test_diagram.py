@@ -338,6 +338,15 @@ class TestAssertGeometric:
         with pytest.raises(MoveError):
             assert_geometric(self.d, "a", "b", 2)
 
+    @pytest.mark.parametrize("framing", [0, 2])
+    def test_self_pair_refused(self, framing):
+        # A 0-framed self-pair used to come back unchanged, as if applied.
+        d = KirbyDiagram(name="x", components=(
+            Component("a", "framed", framing),)).with_links({})
+        with pytest.raises(MoveError,
+                           match=r"geom\[a\]\[a\] names one component twice"):
+            assert_geometric(d, "a", "a", 0)
+
 
 class TestDualize:
     def test_single_framed_unknot(self):

@@ -165,7 +165,10 @@ class TestRunScript:
         (("addpair", "13", "a", "b"), "addpair needs: addpair 12 D H"),
         (("twistblowup", 1, "e", "a:1"), "twistblowup needs: "),
         (("wiggle", "a"), "unknown command 'wiggle'"),
-        (("assert-homology", "plus", 1, (4, 6)), "divisibility chain")])
+        (("assert-homology", "plus", 1, (4, 6)), "divisibility chain"),
+        # a strand named twice used to twist with the last multiplicity
+        (("twistblowup", 1, "e", (("a", 1), ("a", 2))), "twistblowup needs: "),
+        (("assert-geom", "a", "a", 0), "geom[a][a] names one component twice")])
     def test_malformed_command_fails_the_step(self, command, detail):
         result = run_script(HOPF(), script(command, ("blowup", 1, "e")))
         assert not result.ok and result.failure.index == 1

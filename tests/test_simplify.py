@@ -1,4 +1,4 @@
-"""Stabilization: Norman tricks, loop breaking, planning and verification."""
+"""Stabilization: Norman tricks, Whitney tricks, planning and verification."""
 
 import random
 import time
@@ -11,10 +11,9 @@ from ribboncalc import (AccessoryLoop, Cap, Finger, MiddleLevelData,
                         is_positive_ribbon, make_descriptor, norman_eliminate,
                         norman_trick_step, stabilization_plan, verify_plan,
                         StabilizationError)
-from ribboncalc.simplify import (BreakLoop, CancelFinger, CancelPair,
-                                 NormanTrick, Outcome, ReplaceCap,
-                                 StabilizationPlan, VerifyResult, break_loops,
-                                 replace_nonpositive_caps)
+from ribboncalc.simplify import (CancelFinger, CancelPair, NormanTrick,
+                                 Outcome, ReplaceCap, StabilizationPlan,
+                                 VerifyResult, replace_nonpositive_caps)
 from ribboncalc.trees import SignedTree, TreeEdge
 
 from genlib import (dense_excess_rows, dense_geometric_matrix, dense_identity,
@@ -140,30 +139,50 @@ class TestReplaceCaps:
 
 
 class TestBreakLoops:
+    """A loop breaks when a finger it crosses is removed."""
+
     def test_breaks_via_standard_capped_finger(self):
+        # l1 dies with f1; f2 keeps its positive cap and goes by a trick.
         m = middle(2, [("f1", 1, 2, "w1"), ("f2", 1, 2, "w2")],
                    [("l1", ["f1", "f2"])])
         r = make_descriptor(m, {"w1": STANDARD_CAP, "w2": CHP,
                                 "l1": STANDARD_CAP})
-        out, steps = break_loops(r)
-        assert BreakLoop("l1", "w1") in steps
-        assert not out.middle.accessory_loops
-        # the other finger survives with its positive cap
-        assert [f.id for f in out.middle.fingers] == ["f2"]
+        plan = stabilization_plan(r)
+        assert plan.steps == (CancelFinger("f1", "w1"), NormanTrick("f2", ()),
+                              CancelPair(("A1", "B1")),
+                              CancelPair(("A2", "B2")))
+        assert verify_plan(r, plan).ok
 
     def test_unreferenced_standard_fingers_cancel(self):
         m = middle(2, [("f1", 1, 2, "w1")])
         r = make_descriptor(m, {"w1": STANDARD_CAP})
-        out, steps = break_loops(r)
-        assert steps == [CancelFinger("f1", "w1")]
-        assert not out.middle.fingers
+        plan = stabilization_plan(r)
+        assert plan.steps == (CancelFinger("f1", "w1"),
+                              CancelPair(("A1", "B1")),
+                              CancelPair(("A2", "B2")))
+        assert verify_plan(r, plan).ok
 
     def test_positive_capped_loop_survives(self):
+        # l1 outlives the Whitney tricks and breaks with the Norman trick.
         m = middle(2, [("f1", 1, 2, "w1")], [("l1", ["f1"])])
         r = make_descriptor(m, {"w1": CHP, "l1": STANDARD_CAP})
-        out, steps = break_loops(r)
-        assert steps == []
-        assert out.middle.accessory_loops
+        plan = stabilization_plan(r)
+        assert plan.steps == (NormanTrick("f1", ()),
+                              CancelPair(("A1", "B1")),
+                              CancelPair(("A2", "B2")))
+        assert verify_plan(r, plan).ok
+
+    def test_a_dead_loop_has_no_cap_to_replace(self):
+        # Once f1 is gone, l1 and its cap are gone too.
+        m = middle(2, [("f1", 1, 2, "w1")], [("l1", ["f1"])])
+        r = make_descriptor(m, {"w1": STANDARD_CAP, "l1": CHMINUS})
+        plan = stabilization_plan(r)
+        assert plan.steps[0] == ReplaceCap("l1", 1)
+        late = replace(plan, steps=plan.steps[1:2] + plan.steps[:1]
+                       + plan.steps[2:])
+        result = verify_plan(r, late)
+        assert not result.ok and result.failing_step == 1
+        assert "l1 has no non-positive tree cap" == result.reason
 
 
 class TestStabilizationPlan:
@@ -194,7 +213,7 @@ class TestStabilizationPlan:
         assert plan.outcome.kind == "product"
         assert "not stably non-product" in plan.outcome.note
         kinds = [type(s).__name__ for s in plan.steps]
-        assert "ReplaceCap" in kinds and "BreakLoop" in kinds
+        assert "ReplaceCap" in kinds and "CancelFinger" in kinds
         assert "NormanTrick" in kinds
         assert kinds.count("CancelPair") >= r.middle.pairs
         assert plan.blowups == 2  # one per chminus cap replaced
@@ -290,6 +309,47 @@ class TestVerifyPlanInvalidMiddle:
         assert str(e.value) == result.reason
 
 
+class TestVerifyPlanOutcome:
+    def positive_descriptor(self):
+        m = middle(1, [("f1", 1, 1, "w1")], [("l1", ["f1"])])
+        return make_descriptor(m, {"w1": CHP, "l1": CHP})
+
+    def test_obstruction_plan_over_invalid_middle(self):
+        # is_positive_ribbon used to run first and raised KeyError: 'fX'.
+        m = MiddleLevelData(1, (Finger("f1", 1, 1, "w1"),),
+                            (AccessoryLoop("l1", ("fX",)),))
+        r = make_descriptor(m, {"w1": CHP, "l1": CHP})
+        plan = StabilizationPlan(0, 0, (),
+                                 Outcome("positive-obstruction", "l1"))
+        assert verify_plan(r, plan) == VerifyResult(
+            False, None, "invalid middle data: loop l1 references missing "
+                         "finger fX")
+
+    def test_unknown_outcome_is_rejected(self):
+        r = make_descriptor(middle(2, [("f1", 1, 2, "w1")]),
+                            {"w1": STANDARD_CAP})
+        plan = stabilization_plan(r)
+        assert verify_plan(r, plan).ok
+        result = verify_plan(r, replace(plan, outcome=Outcome("garbage")))
+        assert not result.ok and result.failing_step is None
+        assert result.reason == "unknown outcome 'garbage'"
+
+    @pytest.mark.parametrize("k, blowups, steps", [
+        (5, 7, (ReplaceCap("w1", 3), CancelPair(("A1", "B1")))),
+        (0, 0, (CancelPair(("A1", "B1")),)),
+        (1, 0, ()),
+        (0, 1, ()),
+    ])
+    def test_obstruction_plan_carries_nothing(self, k, blowups, steps):
+        r = self.positive_descriptor()
+        good = stabilization_plan(r)
+        assert good == StabilizationPlan(
+            0, 0, (), Outcome("positive-obstruction", "l1"))
+        result = verify_plan(r, replace(good, k=k, blowups=blowups,
+                                        steps=steps))
+        assert not result.ok and "obstruction plan" in result.reason
+
+
 class TestVerifyPlanTampering:
     def setup_method(self):
         m = middle(3, [("f1", 1, 2, "w1"), ("f2", 2, 3, "w2"),
@@ -360,7 +420,7 @@ def _random_step(rng, pool):
     if kind == 0:
         return ReplaceCap(ident(), rng.randint(-1, 6))
     if kind == 1:
-        return BreakLoop(ident(), ident())
+        return (ident(), ident())  # not a step
     if kind == 2:
         return NormanTrick(ident(), tuple((rng.randint(0, 7), rng.randint(-2, 6))
                                           for _ in range(rng.randint(0, 2))))
@@ -406,17 +466,21 @@ class TestVerifyPlanIsTotal:
         rng = random.Random(43)
         odd = ["", "x", "A", "B", "A1", "B1", "A0", "B0", "A01", "B01",
                "A\u00b2", "B\u00b2", "A-1", "B-1", "A1 B1"]
-        verdicts = 0
+        verdicts = others = 0
         for _ in range(250):
             r = random_nonpositive_descriptor(rng)
             plan = stabilization_plan(r)
             pool = odd + list(r.middle.cap_ids()) + [
                 f.id for f in r.middle.fingers]
             for _ in range(5):
-                result = verify_plan(r, _mutate(rng, plan, pool))
+                mutant = _mutate(rng, plan, pool)
+                result = verify_plan(r, mutant)
                 assert isinstance(result, VerifyResult)
+                if mutant.outcome.kind == "other":
+                    assert not result.ok, mutant
+                    others += 1
                 verdicts += 1
-        assert verdicts >= 1000
+        assert verdicts >= 1000 and others > 0
 
     def test_cancel_pair_of_any_arity(self):
         r = make_descriptor(middle(2, [("f1", 1, 2, "w1")]),
@@ -433,7 +497,7 @@ class TestVerifyPlanIsTotal:
                    [("l1", ["f2"])])
         r = make_descriptor(m, {"w": STANDARD_CAP, "l1": STANDARD_CAP})
         trick = NormanTrick("f1", ())
-        for tail in ((BreakLoop("l1", "w"),), (CancelFinger("f2", "w"),),
-                     (BreakLoop("l1", "w"), CancelFinger("f2", "w"))):
+        for tail in ((NormanTrick("f2", ()),), (CancelFinger("f2", "w"),),
+                     (CancelFinger("f2", "w"), NormanTrick("f2", ()))):
             plan = StabilizationPlan(0, 0, (trick,) + tail, Outcome("product"))
             assert not verify_plan(r, plan).ok

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from ribboncalc import (STANDARD_CAP, Cap, Command, MoveScript, ParseError,
-                        make_descriptor, parse_diagram, parse_middle,
-                        parse_ribbon, parse_script, parse_tree,
+from ribboncalc import (STANDARD_CAP, Cap, Command, MoveError, MoveScript,
+                        ParseError, make_descriptor, parse_diagram,
+                        parse_middle, parse_ribbon, parse_script, parse_tree,
                         serialize_diagram, serialize_middle, serialize_ribbon,
                         serialize_script, serialize_tree)
 
@@ -283,6 +283,14 @@ class TestScriptRoundTrip:
             Command("assert-geom", ("a", "b", 0)),
         ))
         assert parse_script(serialize_script(s)) == s
+
+
+    def test_strand_named_twice_is_not_serialized(self):
+        # The parser refuses `a:1 a:2`, so the serializer may not write it.
+        s = MoveScript("s", (
+            Command("twistblowup", (1, "e", (("a", 1), ("a", 2)))),))
+        with pytest.raises(MoveError, match="twistblowup needs: "):
+            serialize_script(s)
 
 
 class TestScriptErrors:

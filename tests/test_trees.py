@@ -285,6 +285,30 @@ class TestKugaBlowupCost:
             assert kuga_blowup_cost(t) == oracle_frontier_negatives(t)
 
 
+class TestPruningQuantitiesCached:
+    def test_second_call_reads_the_cached_value(self, monkeypatch):
+        t = random_nonpositive_tree(random.Random(23))
+        handle = chplus()
+        tower = tree(["a", "b"], "a", [("a", "b", 1)], finite=True)
+
+        def observe():
+            out = [prune_depth(x) for x in (t, handle, tower)]
+            out.append(kuga_blowup_cost(t))
+            for x in (handle, tower):
+                with pytest.raises(TreeError) as e:
+                    kuga_blowup_cost(x)
+                out.append(str(e.value))
+            return out
+
+        def walk(self, node):
+            raise AssertionError("the tree was walked again")
+
+        first = observe()
+        assert first[1] is None and first[2] is None
+        monkeypatch.setattr(SignedTree, "out_edges", walk)
+        assert observe() == first
+
+
 # Prints seconds taken, characters of text and peak RSS in KiB.
 HUNDRED_K_TOWER = textwrap.dedent("""
     import resource, time
