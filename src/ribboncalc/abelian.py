@@ -145,6 +145,19 @@ def cokernel(matrix: list[list[int]], generators: int | None = None) -> AbelianG
     return AbelianGroup(free_rank=generators - rank, torsion=torsion)
 
 
+def _torsion_sum(chains) -> tuple[int, ...]:
+    """Invariant factors of the direct sum of groups with these torsion
+    chains.  Z/a + Z/b is Z/gcd + Z/lcm, so one pass of such exchanges over
+    all pairs i < j leaves each entry dividing every later one; the 1s it
+    makes are dropped.  Integer-only, no factoring."""
+    t = [x for chain in chains for x in chain]
+    for i in range(len(t)):
+        for j in range(i + 1, len(t)):
+            g = gcd(t[i], t[j])
+            t[i], t[j] = g, t[i] // g * t[j]
+    return tuple(x for x in t if x > 1)
+
+
 def symmetric_signature(matrix: list[list[int]]) -> int:
     """Signature of a symmetric integer matrix, computed exactly.
 

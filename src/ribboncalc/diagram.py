@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .abelian import AbelianGroup, cokernel, symmetric_signature
+from .abelian import (AbelianGroup, _torsion_sum, cokernel,
+                      symmetric_signature)
 
 DOTTED = "dotted"
 FRAMED = "framed"
@@ -82,11 +83,20 @@ class KirbyDiagram:
             if c.id in seen:
                 raise ValueError(f"duplicate component id {c.id}")
             seen.add(c.id)
+        pairs = set()
         for (i, j), _, _ in self.links:
             if i == j:
                 raise ValueError(f"self-linking entry for {i}")
             if i not in seen or j not in seen:
                 raise ValueError(f"link references unknown component {i}/{j}")
+            # alg and geom read a pair in (min, max) order, and the text
+            # format writes one line per entry.
+            if i > j:
+                raise ValueError(f"link pair ({i}, {j}) is not in "
+                                 f"(min, max) order")
+            if (i, j) in pairs:
+                raise ValueError(f"repeated link pair ({i}, {j})")
+            pairs.add((i, j))
 
     # -- queries ---------------------------------------------------------
 
@@ -128,12 +138,54 @@ class KirbyDiagram:
 
     def linking_matrix(self) -> list[list[int]]:
         """Full symmetric matrix, dotted diagonal entries as 0."""
-        ids = self.ids()
-        return [[self.alg(i, j) for j in ids] for i in ids]
+        return self._link_blocks(self.ids(), split=False)[0]
 
     def framed_submatrix(self) -> list[list[int]]:
-        ids = [c.id for c in self.components if c.kind != DOTTED]
-        return [[self.alg(i, j) for j in ids] for i in ids]
+        return self._link_blocks(self._ids_of(FRAMED, PAREN), split=False)[0]
+
+    def _ids_of(self, *kinds: str) -> list[str]:
+        return [c.id for c in self.components if c.kind in kinds]
+
+    def _link_blocks(self, ids, split: bool = True) -> list[list[list[int]]]:
+        """Linking matrices of the linked blocks of ``ids``.
+
+        Two ids share a block when a chain of nonzero algebraic links among
+        ``ids`` joins them, so the matrix of ``ids`` is the block sum of the
+        returned matrices up to a permutation.  Blocks come in the order of
+        their first id, and a block keeps the order of ``ids``.  With
+        ``split=False`` all of ``ids`` is one block; no ids give one empty
+        block.  Filling reads each link once: O(len(ids) + links) besides
+        the zeros of the blocks.
+        """
+        pos = {cid: k for k, cid in enumerate(ids)}
+        root = list(range(len(ids))) if split else [0] * len(ids)
+
+        def find(k: int) -> int:
+            while root[k] != k:
+                root[k] = root[root[k]]
+                k = root[k]
+            return k
+
+        entries = []
+        for (i, j), (a, _) in self._linkmap.items():
+            if a and i in pos and j in pos:
+                x, y = pos[i], pos[j]
+                entries.append((x, y, a))
+                root[find(x)] = find(y)
+        groups: dict[int, list[int]] = {}
+        for k in range(len(ids)):
+            groups.setdefault(find(k), []).append(k)
+        blocks = []
+        where = [(0, 0)] * len(ids)  # (block, row within it) of each id
+        for b, members in enumerate(groups.values()):
+            blocks.append([[0] * len(members) for _ in members])
+            for r, k in enumerate(members):
+                where[k] = (b, r)
+                blocks[b][r][r] = self._by_id[ids[k]].framing or 0
+        for x, y, a in entries:
+            (b, r), (_, c) = where[x], where[y]
+            blocks[b][r][c] = blocks[b][c][r] = a
+        return blocks or [[]]
 
     # -- construction helpers -------------------------------------------
 
@@ -200,7 +252,10 @@ def euler_char(d: KirbyDiagram) -> int:
 
 
 def signature(d: KirbyDiagram) -> int:
-    return symmetric_signature(d.framed_submatrix())
+    """Signature of the framed and paren-framed linking matrix, summed over
+    its linked blocks."""
+    return sum(symmetric_signature(m)
+               for m in d._link_blocks(d._ids_of(FRAMED, PAREN)))
 
 
 def boundary_homology(d: KirbyDiagram, side: str = "plus") -> tuple[AbelianGroup, bool]:
@@ -208,23 +263,23 @@ def boundary_homology(d: KirbyDiagram, side: str = "plus") -> tuple[AbelianGroup
 
     ``plus``: cokernel of the full linking matrix (dotted diagonals 0).
     ``minus``: cokernel of the paren-framed submatrix; requires a dual
-    diagram.  Both sides gain a free Z summand per hidden 1-handle.  The
-    caveat flag is set when 3-handles exist: the reported group is the
-    pre-3-handle boundary.
+    diagram.  The cokernel is the direct sum of the cokernels of the
+    matrix's linked blocks.  Both sides gain a free Z summand per hidden
+    1-handle.  The caveat flag is set when 3-handles exist: the reported
+    group is the pre-3-handle boundary.
     """
     if side == "plus":
-        matrix = d.linking_matrix()
-        gens = len(d.components)
+        ids = d.ids()
     elif side == "minus":
         if not d.dual_flag:
             raise MoveError("minus boundary requires a dual decomposition")
-        ids = [c.id for c in d.components if c.kind == PAREN]
-        matrix = [[d.alg(i, j) for j in ids] for i in ids]
-        gens = len(ids)
+        ids = d._ids_of(PAREN)
     else:
         raise ValueError(f"unknown side {side!r}")
-    group = cokernel(matrix, generators=gens)
-    group = AbelianGroup(group.free_rank + d.hidden_one_handles, group.torsion)
+    groups = [cokernel(m) for m in d._link_blocks(ids)]
+    group = AbelianGroup(
+        sum(g.free_rank for g in groups) + d.hidden_one_handles,
+        _torsion_sum(g.torsion for g in groups))
     return group, d.three_handles > 0
 
 

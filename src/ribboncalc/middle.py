@@ -85,8 +85,8 @@ def validate_middle(m: MiddleLevelData) -> list[str]:
     fids = [f.id for f in m.fingers]
     if len(set(fids)) != len(fids):
         out.append("duplicate finger ids")
-    wids = [f.whitney for f in m.fingers]
-    if len(set(wids)) != len(wids):
+    finger_of_whitney = {f.whitney: f.id for f in m.fingers}
+    if len(finger_of_whitney) != len(m.fingers):
         out.append("duplicate whitney ids")
     for f in m.fingers:
         if not (1 <= f.from_a <= m.pairs and 1 <= f.through_b <= m.pairs):
@@ -99,6 +99,10 @@ def validate_middle(m: MiddleLevelData) -> list[str]:
         for fid in l.fingers:
             if fid not in known:
                 out.append(f"loop {l.id} references missing finger {fid}")
+        if l.id in finger_of_whitney:
+            # A loop and a whitney circle keyed alike would share one cap.
+            out.append(f"loop id {l.id} is the whitney id of finger "
+                       f"{finger_of_whitney[l.id]}")
     return out
 
 

@@ -320,6 +320,10 @@ def _parse_middle_block(lines, trees):
             if fid not in fingers:
                 raise ParseError(loop_line[l.id], f"loop {l.id} references "
                                                   f"undeclared finger {fid}")
+        if l.id in finger_of_whitney:
+            raise ParseError(loop_line[l.id], f"loop id {l.id} is the whitney "
+                                              f"id of finger "
+                                              f"{finger_of_whitney[l.id]}")
     return MiddleLevelData(pairs, tuple(fingers.values()),
                            tuple(loops.values())), caps
 

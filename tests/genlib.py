@@ -49,6 +49,42 @@ def random_diagram(rng: random.Random, max_components: int = 8,
     return d.with_links(links)
 
 
+def dense_cluster(rng: random.Random, size: int = 10, dotted: int = 2,
+                  max_abs_alg: int = 3) -> KirbyDiagram:
+    """A diagram whose every pair links, but for pairs of dotted circles:
+    one linked block, however its components are ordered."""
+    comps = tuple(Component(f"c{k}", DOTTED) if k < dotted else
+                  Component(f"c{k}", FRAMED, rng.randint(-3, 3))
+                  for k in range(size))
+    links = {}
+    for x, cx in enumerate(comps):
+        for cy in comps[x + 1:]:
+            if cx.kind == cy.kind == DOTTED:
+                continue
+            a = rng.choice([v for v in range(-max_abs_alg, max_abs_alg + 1)
+                            if v])
+            links[(cx.id, cy.id)] = (a, abs(a))
+    return KirbyDiagram(f"cluster{size}", comps).with_links(links)
+
+
+def block_sum(rng: random.Random, parts) -> KirbyDiagram:
+    """The disjoint union of ``parts``, with every component order shuffled.
+
+    Part k's ids gain the suffix ``.k``; links never cross parts, and the
+    3-handle counts add up.
+    """
+    comps, links = [], {}
+    for k, d in enumerate(parts):
+        comps.extend(Component(f"{c.id}.{k}", c.kind, c.framing)
+                     for c in d.components)
+        for (i, j), a, g in d.links:
+            links[(f"{i}.{k}", f"{j}.{k}")] = (a, g)
+    rng.shuffle(comps)
+    d = KirbyDiagram(f"sum{len(parts)}", tuple(comps),
+                     three_handles=sum(p.three_handles for p in parts))
+    return d.with_links(links)
+
+
 def framed_ids(d: KirbyDiagram) -> list[str]:
     return [c.id for c in d.components if c.kind == FRAMED]
 

@@ -12,6 +12,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from ribboncalc import (AbelianGroup, cokernel, smith_invariants,
                         symmetric_signature)
+from ribboncalc.abelian import _torsion_sum
 
 
 def sympy_invariants(m):
@@ -210,6 +211,44 @@ class TestAbelianGroup:
     def test_equality_is_isomorphism(self):
         assert AbelianGroup(1, (2,)) == AbelianGroup(1, (2,))
         assert AbelianGroup(1) != AbelianGroup(0, (2,))
+
+
+def factored_invariants(orders):
+    """Invariant factors of the sum of cyclic groups Z/d, prime by prime:
+    the largest power of each prime goes to the largest factor."""
+    from sympy import factorint
+    powers: dict[int, list[int]] = {}
+    for d in orders:
+        for p, e in factorint(d).items():
+            powers.setdefault(p, []).append(p ** e)
+    width = max((len(v) for v in powers.values()), default=0)
+    out = [1] * width
+    for qs in powers.values():
+        for k, q in enumerate(sorted(qs, reverse=True)):
+            out[width - 1 - k] *= q
+    return tuple(out)
+
+
+class TestTorsionSum:
+    @pytest.mark.parametrize("diagonal, want", [
+        ([4, 6], (2, 12)), ([2, 3, 5], (30,)), ([-7, 7, 2], (7, 14)),
+        ([1, 1], ())])
+    def test_cyclic_summands(self, diagonal, want):
+        assert _torsion_sum(cokernel([[d]]).torsion for d in diagonal) == want
+
+    def test_chains_stay_chains(self):
+        assert _torsion_sum([(2, 4), (2, 12), ()]) == (2, 2, 4, 12)
+        assert _torsion_sum([(6,), (2, 4)]) == (2, 2, 12)
+
+    def test_against_prime_powers(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            chains = [cokernel(random_symmetric(rng, rng.randint(1, 4), 6)
+                               ).torsion for _ in range(rng.randint(0, 5))]
+            got = _torsion_sum(chains)
+            assert got == factored_invariants(
+                [d for chain in chains for d in chain])
+            AbelianGroup(0, got)  # a divisibility chain of factors >= 2
 
 
 class TestCokernel:

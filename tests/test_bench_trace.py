@@ -1,0 +1,24 @@
+"""The traced benchmark runs clean on the library.
+
+The tracer wraps every public function of the layer modules, and its
+per-layer metrics read an ``abelian.*`` call's first argument as a matrix;
+a public helper with another signature makes the traced run fail.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_traced_script_replay_runs_clean():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload",
+         "script_replay", "--seed", "1", "--seconds", "1", "--trace", "1"],
+        capture_output=True, text=True, cwd=ROOT, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0 and result["attempted"] > 0

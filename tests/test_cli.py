@@ -214,6 +214,16 @@ class TestRibbon:
         assert code == 2 and out == ""
         assert "line 4: duplicate whitney id w" in err
 
+    def test_plan_rejects_loop_id_equal_to_a_whitney_id(self, files,
+                                                        capsys):
+        text = (TREE_NEG + "middle\npairs 2\nfinger f1 1 2 w1\n"
+                "finger f2 1 2 l1\nloop l1 f1\n"
+                "cap w1 standard\ncap l1 tree t\n")
+        code, out, err = run(capsys, "ribbon", "plan", "--verify",
+                             files("r.ribbon", text))
+        assert code == 2 and out == ""
+        assert "line 9: loop id l1 is the whitney id of finger f2" in err
+
     @pytest.mark.parametrize("finger", ["f1 3 1 w1", "f1 0 1 w1",
                                         "f1 -1 2 w1"])
     def test_plan_rejects_sphere_outside_pairs(self, files, capsys, finger):

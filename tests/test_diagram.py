@@ -8,10 +8,12 @@ import pytest
 from ribboncalc import (AbelianGroup, Component, ForbiddenMove, KirbyDiagram,
                         MoveError, add_cancelling_pair, assert_geometric,
                         blow_down, blow_up, boundary_homology, cancel_pair,
-                        dualize, empty_diagram, euler_char, handle_slide,
-                        signature, twist_blow_up, validate, zero_dot_swap)
+                        cokernel, dualize, empty_diagram, euler_char,
+                        handle_slide, parse_diagram, serialize_diagram,
+                        signature, symmetric_signature, twist_blow_up,
+                        validate, zero_dot_swap)
 
-from genlib import random_diagram
+from genlib import block_sum, dense_cluster, random_diagram
 
 
 def unknot(framing, name="u"):
@@ -59,6 +61,37 @@ class TestValidate:
         rng = random.Random(7)
         for _ in range(100):
             assert validate(random_diagram(rng)) == []
+
+
+class TestLinkPairs:
+    """``links`` holds one entry per pair, in the (min, max) order that
+    ``alg`` and ``geom`` read."""
+
+    def two(self, *links):
+        return KirbyDiagram("x", (Component("a", "framed", 1),
+                                  Component("b", "framed", 1)), links)
+
+    def test_reversed_pair_rejected(self):
+        # As built, alg("a", "b") read 0 (sigma 2, H1 0), while its text
+        # parsed back with alg 1 (sigma 1, H1 Z).
+        with pytest.raises(ValueError, match=r"\(b, a\) is not in"):
+            self.two((("b", "a"), 1, 1))
+
+    def test_repeated_pair_rejected(self):
+        # It read alg 3 but wrote two link lines, which parse_diagram
+        # refuses as a duplicate link.
+        with pytest.raises(ValueError, match=r"repeated link pair \(a, b\)"):
+            self.two((("a", "b"), 1, 1), (("a", "b"), 3, 3))
+
+    def test_canonical_pair_round_trips(self):
+        d = self.two((("a", "b"), 1, 1))
+        assert d.alg("b", "a") == 1 and signature(d) == 1
+        assert h1plus(d) == AbelianGroup(1)
+        assert parse_diagram(serialize_diagram(d)) == d
+
+    def test_with_links_writes_canonical_pairs(self):
+        d = self.two().with_links({("b", "a"): (1, 1)})
+        assert d.links == ((("a", "b"), 1, 1),)
 
 
 class TestInvariants:
@@ -385,3 +418,100 @@ class TestDualize:
             Component("a", "framed", 2), Component("b", "framed", 0)))
         d = d.with_links({("a", "b"): (1, 1)})
         assert boundary_homology(dualize(d), "minus")[0] == h1plus(d)
+
+
+def dense_invariants(d):
+    """sigma, H1+ and (for a dual) H1- of whole matrices read entry by
+    entry through ``alg``: the oracle for the per-block invariants."""
+    def matrix(kinds):
+        ids = [c.id for c in d.components if c.kind in kinds]
+        return [[d.alg(i, j) for j in ids] for i in ids]
+
+    def h1(kinds):
+        g = cokernel(matrix(kinds))
+        return AbelianGroup(g.free_rank + d.hidden_one_handles, g.torsion)
+
+    return (symmetric_signature(matrix(("framed", "parenframed"))),
+            h1(("dotted", "framed", "parenframed")),
+            h1(("parenframed",)) if d.dual_flag else None)
+
+
+def invariants(d):
+    return (signature(d), h1plus(d),
+            boundary_homology(d, "minus")[0] if d.dual_flag else None)
+
+
+class TestBlockwiseInvariants:
+    """Invariants summed over linked blocks equal the whole-matrix ones."""
+
+    def test_random_diagrams_and_duals(self):
+        rng = random.Random(2026)
+        for _ in range(300):
+            d = random_diagram(rng, max_components=12)
+            assert invariants(d) == dense_invariants(d)
+            assert signature(d) == symmetric_signature(d.framed_submatrix())
+            assert h1plus(d).torsion == cokernel(d.linking_matrix()).torsion
+            dual = dualize(d)
+            assert invariants(dual) == dense_invariants(dual)
+
+    def test_shuffled_block_sums(self):
+        rng = random.Random(9)
+        for _ in range(60):
+            parts = [random_diagram(rng, max_components=6)
+                     for _ in range(rng.randint(2, 6))]
+            if rng.random() < 0.5:
+                parts.append(dense_cluster(rng, rng.randint(1, 8),
+                                           rng.randint(0, 2)))
+            d = block_sum(rng, parts)
+            assert invariants(d) == dense_invariants(d)
+            assert invariants(dualize(d)) == dense_invariants(dualize(d))
+            assert signature(d) == sum(signature(p) for p in parts)
+
+    def test_one_block_per_dense_cluster(self):
+        rng = random.Random(3)
+        d = block_sum(rng, [dense_cluster(rng, 10 - k) for k in range(5)])
+        blocks = d._link_blocks(d.ids())
+        assert sorted(len(b) for b in blocks) == [6, 7, 8, 9, 10]
+        assert d._link_blocks(d.ids(), split=False) == [d.linking_matrix()]
+        assert d._link_blocks([], split=False) == [[]]
+
+    @pytest.mark.parametrize("framings, torsion", [
+        ([4, 6], (2, 12)), ([2, 3, 5], (30,)), ([-7, 7, 2], (7, 14)),
+        ([1, 1], ())])
+    def test_unlinked_lens_spaces_merge_torsion(self, framings, torsion):
+        d = KirbyDiagram("x", tuple(Component(f"u{k}", "framed", f)
+                                    for k, f in enumerate(framings)))
+        assert h1plus(d) == AbelianGroup(0, torsion)
+        assert signature(d) == sum(1 if f > 0 else -1 for f in framings)
+
+    def test_block_sum_of_60_against_sympy(self):
+        from sympy import Matrix
+        from sympy.matrices.normalforms import smith_normal_form
+        rng = random.Random(60)
+        d = block_sum(rng, [dense_cluster(rng, 10, rng.randint(0, 3))
+                            for _ in range(6)])
+        ids = d.ids()
+        snf = smith_normal_form(Matrix([[d.alg(i, j) for j in ids]
+                                        for i in ids]))
+        diag = [abs(snf[i, i]) for i in range(len(ids))]
+        assert h1plus(d) == AbelianGroup(
+            diag.count(0), tuple(sorted(x for x in diag if x > 1)))
+
+    def test_2000_components_in_200_clusters(self):
+        rng = random.Random(13)
+        cluster = dense_cluster(rng)
+        sigma, plus = signature(cluster), h1plus(cluster)
+        minus = boundary_homology(dualize(cluster), "minus")[0]
+        assert sigma != 0 and len(plus.torsion) >= 2
+        k = 200
+        d = block_sum(rng, [cluster] * k)
+        start = time.perf_counter()
+        got = (signature(d), h1plus(d),
+               boundary_homology(dualize(d), "minus")[0])
+        assert time.perf_counter() - start < 2.0
+        assert got == (
+            k * sigma,
+            AbelianGroup(k * plus.free_rank,
+                         tuple(t for t in plus.torsion for _ in range(k))),
+            AbelianGroup(k * minus.free_rank,
+                         tuple(t for t in minus.torsion for _ in range(k))))

@@ -41,6 +41,12 @@ class TestValidateMiddle:
         m = middle(2, [], [("l1", ["nope"])])
         assert any("missing finger" in v for v in validate_middle(m))
 
+    def test_loop_id_equal_to_a_whitney_id(self):
+        m = middle(2, [("f1", 1, 2, "w1"), ("f2", 1, 2, "l1")],
+                   [("l1", ["f1"])])
+        assert validate_middle(m) == ["loop id l1 is the whitney id of "
+                                      "finger f2"]
+
     def test_empty_loop_rejected_at_construction(self):
         with pytest.raises(ValueError):
             AccessoryLoop("l1", ())

@@ -284,6 +284,20 @@ class TestPlanInvalidMiddle:
             r, StabilizationPlan(0, 0, (), Outcome("product"))).reason
 
 
+    def test_loop_id_equal_to_a_whitney_id_is_refused(self):
+        # One cap served both ids: the plan replaced it twice and its own
+        # replay failed ("l1 has no non-positive tree cap").
+        m = middle(2, [("f1", 1, 2, "w1"), ("f2", 1, 2, "l1")],
+                   [("l1", ["f1"])])
+        r = make_descriptor(m, {"w1": STANDARD_CAP, "l1": CHMINUS})
+        with pytest.raises(StabilizationError) as e:
+            stabilization_plan(r)
+        assert str(e.value) == ("invalid middle data: loop id l1 is the "
+                                "whitney id of finger f2")
+        assert str(e.value) == verify_plan(
+            r, StabilizationPlan(0, 0, (), Outcome("product"))).reason
+
+
 class TestVerifyPlanInvalidMiddle:
     """A product plan over middle data that validate_middle rejects fails
     before its first step, whatever the planner made of the data."""

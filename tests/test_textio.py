@@ -187,6 +187,18 @@ class TestMiddleAndRibbon:
         assert "duplicate whitney id w" in e.value.message
         assert "f1" in e.value.message
 
+    @pytest.mark.parametrize("order, line", [
+        (["finger f1 1 2 w1", "finger f2 1 2 l1", "loop l1 f1"], 5),
+        (["loop l1 f1", "finger f2 1 2 l1", "finger f1 1 2 w1"], 3)])
+    def test_loop_id_equal_to_a_whitney_id(self, order, line):
+        # Loop l1 and finger f2's whitney circle would share one cap.
+        text = ("middle\npairs 2\n" + "\n".join(order)
+                + "\ncap w1 standard\ncap l1 standard\n")
+        with pytest.raises(ParseError) as e:
+            parse_ribbon(text)
+        assert e.value.line == line
+        assert e.value.message == "loop id l1 is the whitney id of finger f2"
+
     @pytest.mark.parametrize("line", [
         "finger f1 3 1 w1", "finger f1 1 3 w1", "finger f1 0 1 w1",
         "finger f1 -1 2 w1"])
