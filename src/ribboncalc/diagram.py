@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import itemgetter
 
 from .abelian import (AbelianGroup, _torsion_sum, cokernel,
                       symmetric_signature)
@@ -146,19 +147,15 @@ class KirbyDiagram:
     def _ids_of(self, *kinds: str) -> list[str]:
         return [c.id for c in self.components if c.kind in kinds]
 
-    def _link_blocks(self, ids, split: bool = True) -> list[list[list[int]]]:
-        """Linking matrices of the linked blocks of ``ids``.
-
-        Two ids share a block when a chain of nonzero algebraic links among
-        ``ids`` joins them, so the matrix of ``ids`` is the block sum of the
-        returned matrices up to a permutation.  Blocks come in the order of
-        their first id, and a block keeps the order of ``ids``.  With
-        ``split=False`` all of ``ids`` is one block; no ids give one empty
-        block.  Filling reads each link once: O(len(ids) + links) besides
-        the zeros of the blocks.
-        """
-        pos = {cid: k for k, cid in enumerate(ids)}
-        root = list(range(len(ids))) if split else [0] * len(ids)
+    @cached_property
+    def _partition(self) -> tuple[dict[str, int], list[int],
+                                  list[tuple[int, int, int]]]:
+        """Linked blocks of all components, shared by every invariant of
+        this value: each id's position, each position's block (the position
+        of the block's root), and the nonzero ``(x, y, alg)`` link entries
+        by position.  Read it, never mutate it."""
+        at = {c.id: k for k, c in enumerate(self.components)}
+        root = list(range(len(at)))
 
         def find(k: int) -> int:
             while root[k] != k:
@@ -167,14 +164,32 @@ class KirbyDiagram:
             return k
 
         entries = []
-        for (i, j), (a, _) in self._linkmap.items():
-            if a and i in pos and j in pos:
-                x, y = pos[i], pos[j]
+        for (i, j), a, _ in self.links:
+            if a:
+                x, y = at[i], at[j]
                 entries.append((x, y, a))
                 root[find(x)] = find(y)
+        return at, [find(k) for k in range(len(root))], entries
+
+    def _link_blocks(self, ids, split: bool = True) -> list[list[list[int]]]:
+        """Linking matrices of the linked blocks of ``ids``.
+
+        The blocks restrict the partition of all components, cached on this
+        value, to ``ids``: two ids share a block when a chain of nonzero
+        algebraic links joins them, possibly through components outside
+        ``ids``.  Such a block may be coarser than the linked blocks of
+        ``ids`` alone, but the matrix of ``ids`` is still the block sum of
+        the returned matrices up to a permutation.  Blocks come in the
+        order of their first id, and a block keeps the order of ``ids``.
+        With ``split=False`` all of ``ids`` is one block; no ids give one
+        empty block.  Filling reads each link once: O(len(ids) + links)
+        besides the zeros of the blocks.
+        """
+        at, block_of, entries = self._partition
+        local = {at[cid]: k for k, cid in enumerate(ids)}
         groups: dict[int, list[int]] = {}
-        for k in range(len(ids)):
-            groups.setdefault(find(k), []).append(k)
+        for x, k in local.items():
+            groups.setdefault(block_of[x] if split else 0, []).append(k)
         blocks = []
         where = [(0, 0)] * len(ids)  # (block, row within it) of each id
         for b, members in enumerate(groups.values()):
@@ -183,8 +198,9 @@ class KirbyDiagram:
                 where[k] = (b, r)
                 blocks[b][r][r] = self._by_id[ids[k]].framing or 0
         for x, y, a in entries:
-            (b, r), (_, c) = where[x], where[y]
-            blocks[b][r][c] = blocks[b][c][r] = a
+            if x in local and y in local:
+                (b, r), (_, c) = where[local[x]], where[local[y]]
+                blocks[b][r][c] = blocks[b][c][r] = a
         return blocks or [[]]
 
     # -- construction helpers -------------------------------------------
@@ -194,13 +210,15 @@ class KirbyDiagram:
                    **changes) -> "KirbyDiagram":
         comps = components if components is not None else self.components
         order = {c.id: n for n, c in enumerate(comps)}
-        entries = []
+        keyed = []  # (positions in order, entry): sorted by the positions
         for (i, j), (a, g) in linkmap.items():
             if (a, g) == (0, 0):
                 continue
-            entries.append((_pair(i, j), a, g))
-        entries.sort(key=lambda e: tuple(sorted((order[e[0][0]], order[e[0][1]]))))
-        return replace(self, components=comps, links=tuple(entries), **changes)
+            x, y = order[i], order[j]
+            keyed.append(((x, y) if x < y else (y, x), (_pair(i, j), a, g)))
+        keyed.sort(key=itemgetter(0))
+        return replace(self, components=comps,
+                       links=tuple(e for _, e in keyed), **changes)
 
     def _mutable(self) -> dict[tuple[str, str], tuple[int, int]]:
         return dict(self._linkmap)
@@ -251,22 +269,40 @@ def euler_char(d: KirbyDiagram) -> int:
             - d.three_handles + d.four_handles)
 
 
-def signature(d: KirbyDiagram) -> int:
+def _per_block(tag: str, kernel, blocks, memo: dict | None) -> list:
+    """``kernel(m)`` for each block matrix ``m``, computed once per distinct
+    ``m``.  ``memo`` maps ``(tag, m as a tuple of tuples)`` to a result
+    already computed and gains every new one; None stands for an empty
+    dict."""
+    memo = {} if memo is None else memo
+    out = []
+    for m in blocks:
+        key = (tag, tuple(map(tuple, m)))
+        if key not in memo:
+            memo[key] = kernel(m)
+        out.append(memo[key])
+    return out
+
+
+def signature(d: KirbyDiagram, memo: dict | None = None) -> int:
     """Signature of the framed and paren-framed linking matrix, summed over
-    its linked blocks."""
-    return sum(symmetric_signature(m)
-               for m in d._link_blocks(d._ids_of(FRAMED, PAREN)))
+    its linked blocks.  A block matrix already in ``memo`` (see
+    :func:`ribboncalc.scripts.run_script`) is not computed again."""
+    return sum(_per_block("signature", symmetric_signature,
+                          d._link_blocks(d._ids_of(FRAMED, PAREN)), memo))
 
 
-def boundary_homology(d: KirbyDiagram, side: str = "plus") -> tuple[AbelianGroup, bool]:
+def boundary_homology(d: KirbyDiagram, side: str = "plus",
+                      memo: dict | None = None) -> tuple[AbelianGroup, bool]:
     """First homology of a boundary component, plus a 3-handle caveat flag.
 
     ``plus``: cokernel of the full linking matrix (dotted diagonals 0).
     ``minus``: cokernel of the paren-framed submatrix; requires a dual
     diagram.  The cokernel is the direct sum of the cokernels of the
-    matrix's linked blocks.  Both sides gain a free Z summand per hidden
-    1-handle.  The caveat flag is set when 3-handles exist: the reported
-    group is the pre-3-handle boundary.
+    matrix's linked blocks; a block matrix already in ``memo`` is not
+    computed again.  Both sides gain a free Z summand per hidden 1-handle.
+    The caveat flag is set when 3-handles exist: the reported group is the
+    pre-3-handle boundary.
     """
     if side == "plus":
         ids = d.ids()
@@ -276,7 +312,7 @@ def boundary_homology(d: KirbyDiagram, side: str = "plus") -> tuple[AbelianGroup
         ids = d._ids_of(PAREN)
     else:
         raise ValueError(f"unknown side {side!r}")
-    groups = [cokernel(m) for m in d._link_blocks(ids)]
+    groups = _per_block("cokernel", cokernel, d._link_blocks(ids), memo)
     group = AbelianGroup(
         sum(g.free_rank for g in groups) + d.hidden_one_handles,
         _torsion_sum(g.torsion for g in groups))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .trees import SignedTree, is_positive
+from .trees import DEFAULT_PAIR_BUDGET, SignedTree, is_positive
 
 
 class MiddleError(Exception):
@@ -82,6 +82,9 @@ def validate_middle(m: MiddleLevelData) -> list[str]:
     out = []
     if m.pairs < 1:
         out.append(f"pairs = {m.pairs} must be positive")
+    if m.pairs > DEFAULT_PAIR_BUDGET:
+        out.append(f"pairs = {m.pairs} exceeds the pair budget "
+                   f"{DEFAULT_PAIR_BUDGET}")
     fids = [f.id for f in m.fingers]
     if len(set(fids)) != len(fids):
         out.append("duplicate finger ids")
@@ -144,8 +147,12 @@ def finger_graph(m: MiddleLevelData) -> FingerGraph:
 
     One depth-first search visits nodes and successors in ascending order;
     every back edge it meets reports a cycle.  The search keeps its own
-    stack, so long finger chains do not exhaust the interpreter's.
+    stack, so long finger chains do not exhaust the interpreter's.  Data
+    over the pair budget raises MiddleError: every pair is a node.
     """
+    if m.pairs > DEFAULT_PAIR_BUDGET:
+        raise MiddleError(f"pairs = {m.pairs} exceeds the pair budget "
+                          f"{DEFAULT_PAIR_BUDGET}")
     edges = tuple((f.id, f.from_a, f.through_b) for f in m.fingers)
     succ: dict[int, set[int]] = {}
     for _, a, b in edges:

@@ -145,11 +145,11 @@ class ScriptResult:
 
 
 def _snapshot(idx: int, cmd: Command | None, ok: bool, detail: str,
-              d: KirbyDiagram) -> StepReport:
-    plus, _ = boundary_homology(d, "plus")
-    minus = boundary_homology(d, "minus")[0] if d.dual_flag else None
-    return StepReport(idx, cmd, ok, detail, euler_char(d), signature(d),
-                      plus, minus)
+              d: KirbyDiagram, memo: dict) -> StepReport:
+    plus, _ = boundary_homology(d, "plus", memo)
+    minus = boundary_homology(d, "minus", memo)[0] if d.dual_flag else None
+    return StepReport(idx, cmd, ok, detail, euler_char(d),
+                      signature(d, memo), plus, minus)
 
 
 def apply_command(d: KirbyDiagram, cmd: Command) -> KirbyDiagram:
@@ -166,8 +166,12 @@ def run_script(d: KirbyDiagram, script: MoveScript) -> ScriptResult:
 
     The invariants of each diagram are computed once: an assertion, or a
     move that fails, reports the snapshot of the diagram it left unchanged.
+    A move changes only the linked blocks it touches, so one memo of block
+    results, kept for this call only, serves every snapshot: the signature
+    and the cokernel of each distinct block matrix are computed once.
     """
-    state = _snapshot(0, None, True, "initial", d)
+    memo: dict = {}
+    state = _snapshot(0, None, True, "initial", d, memo)
     steps = [state]
     for idx, cmd in enumerate(script.commands, start=1):
         try:
@@ -184,7 +188,7 @@ def run_script(d: KirbyDiagram, script: MoveScript) -> ScriptResult:
             steps.append(replace(state, index=idx, command=cmd, ok=False,
                                  detail=str(exc)))
             return ScriptResult(script.name, False, tuple(steps), d)
-        state = _snapshot(idx, cmd, True, "applied", d)
+        state = _snapshot(idx, cmd, True, "applied", d, memo)
         steps.append(state)
     return ScriptResult(script.name, True, tuple(steps), d)
 

@@ -184,8 +184,8 @@ PRODUCT_NOTE = "product structure certified; hence the cobordism is not stably n
 def stabilization_plan(r: RibbonDescriptor) -> StabilizationPlan:
     """Full pipeline: obstruction gate, cap replacement, Whitney tricks on
     the standard-capped fingers, Norman cascades on the rest, terminal pair
-    cancellation.  Invalid middle data (:func:`validate_middle`) raises
-    StabilizationError."""
+    cancellation.  Invalid middle data (:func:`validate_middle`), which
+    includes data over the pair budget, raises StabilizationError."""
     m = r.middle
     problems = validate_middle(m)
     if problems:
@@ -233,13 +233,14 @@ class VerifyResult:
 def verify_plan(r: RibbonDescriptor, p: StabilizationPlan) -> VerifyResult:
     """Replay every step against the descriptor, checking preconditions,
     recorded deltas, the blow-up total and the terminal product state.
-    Any plan gets a verdict: invalid middle data (:func:`validate_middle`)
-    fails before the outcome is read, an unknown outcome fails, and an
-    obstruction plan carries no steps, no k and no blow-ups.  A malformed
-    step is a failing step.  Removing a finger breaks every accessory loop
-    through it, and the loop's cap leaves with it.  G is replayed as sparse
-    excess rows (:func:`excess_rows`) beside a live-finger count per
-    sphere, so every precondition is O(1)."""
+    Any plan gets a verdict: invalid middle data (:func:`validate_middle`),
+    which includes data over the pair budget, fails before the outcome is
+    read, an unknown outcome fails, and an obstruction plan carries no
+    steps, no k and no blow-ups.  A malformed step is a failing step.
+    Removing a finger breaks every accessory loop through it, and the
+    loop's cap leaves with it.  G is replayed as sparse excess rows
+    (:func:`excess_rows`) beside a live-finger count per sphere, so every
+    precondition is O(1)."""
     m = r.middle
     problems = validate_middle(m)
     if problems:

@@ -12,9 +12,11 @@ Grammar summary ('#' starts a comment, blank lines ignored):
     note TEXT
 
 A ribbon-descriptor document is a sequence of tree blocks followed by one
-middle block with its cap lines; K >= 1 and every finger's FROM and THRU
-lie in 1..K.  Scripts are a ``script NAME`` header followed by one command
-per line, in one of the forms of :data:`ribboncalc.scripts.COMMANDS`.
+middle block with its cap lines; 1 <= K <= DEFAULT_PAIR_BUDGET and every
+finger's FROM and THRU lie in 1..K.  A tree block must satisfy every rule
+of :func:`ribboncalc.trees.validate_tree`.  Scripts are a ``script NAME``
+header followed by one command per line, in one of the forms of
+:data:`ribboncalc.scripts.COMMANDS`.
 
 Round-trip law: ``parse(serialize(v)) == v`` and ``serialize(parse(text))``
 is canonical.
@@ -27,7 +29,7 @@ from .middle import (AccessoryLoop, Cap, Finger, MiddleLevelData,
                      RibbonDescriptor, STANDARD_CAP)
 from .scripts import (ABSENT, COMMANDS, ID, INT, INTS, SIGN, STRANDS,
                       Command, Form, MoveScript, form_error, form_of)
-from .trees import SignedTree, TreeEdge
+from .trees import DEFAULT_PAIR_BUDGET, SignedTree, TreeEdge, TreeError
 
 
 class ParseError(Exception):
@@ -177,9 +179,12 @@ def _parse_tree_blocks(text: str, stop_at: str | None = None):
             return
         if cur["root"] is None:
             raise ParseError(cur["line"], f"tree {cur['name']} has no root")
-        trees[cur["name"]] = SignedTree(cur["name"], tuple(cur["nodes"]),
-                                        cur["root"], tuple(cur["edges"]),
-                                        cur["finite"])
+        try:
+            trees[cur["name"]] = SignedTree(cur["name"], tuple(cur["nodes"]),
+                                            cur["root"], tuple(cur["edges"]),
+                                            cur["finite"])
+        except TreeError as exc:  # a rule of validate_tree, at the header
+            raise ParseError(cur["line"], str(exc)) from None
         cur = None
 
     for k, (n, line) in enumerate(pending):
@@ -269,6 +274,9 @@ def _parse_middle_block(lines, trees):
             pairs = _int(toks[1], n, "pair count")
             if pairs < 1:
                 raise ParseError(n, f"pair count {pairs} must be positive")
+            if pairs > DEFAULT_PAIR_BUDGET:
+                raise ParseError(n, f"pair count {pairs} exceeds the pair "
+                                    f"budget {DEFAULT_PAIR_BUDGET}")
         elif kw == "finger":
             if len(toks) != 5:
                 raise ParseError(n, "finger needs: finger ID FROM THRU WID")

@@ -247,7 +247,13 @@ def _deepest_level(t: SignedTree) -> list[str]:
 
 # -- truncation ----------------------------------------------------------
 
+# Size budgets.  Unrolling stops past DEFAULT_NODE_BUDGET nodes.  Planning,
+# replay and rendering take time and memory linear in a descriptor's
+# declared sphere pairs, so middle data with more than DEFAULT_PAIR_BUDGET
+# pairs is refused by the parser, the planner, the verifier and the finger
+# graph.
 DEFAULT_NODE_BUDGET = 100_000
+DEFAULT_PAIR_BUDGET = 100_000
 
 
 def truncate(t: SignedTree, n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> SignedTree:

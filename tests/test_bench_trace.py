@@ -22,3 +22,12 @@ def test_traced_script_replay_runs_clean():
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0 and result["attempted"] > 0
+    # The run's report keeps every span with its parent's index.  Memo hits
+    # in run_script skip kernel calls, but both kernel chains must remain.
+    report = json.loads((ROOT / ".bench_out" /
+                         "script_replay-seed1-trace1.json").read_text())
+    spans = report["spans"]
+    edges = {(spans[s[3]][0], s[0]) for s in spans if s[3] >= 0}
+    for chain in (("diagram.signature", "abelian.symmetric_signature"),
+                  ("abelian.cokernel", "abelian.smith_invariants")):
+        assert chain in edges, chain

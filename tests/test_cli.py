@@ -258,6 +258,47 @@ class TestRibbon:
         assert "verified: true" in out
 
 
+class TestBudgetsAndTreeRules:
+    # Eight lines that used to print 1 000 002 planned steps in about 9 s.
+    MILLION_PAIRS = TREE_NEG + ("middle\npairs 1000000\nfinger f1 1 2 w1\n"
+                                "cap w1 tree t\n")
+    REFUSAL = "line 6: pair count 1000000 exceeds the pair budget 100000"
+
+    @pytest.mark.parametrize("argv", [["ribbon", "plan", "--verify"],
+                                      ["ribbon", "positivity"], ["check"],
+                                      ["render"]])
+    def test_pairs_over_the_budget_are_a_parse_error(self, files, capsys,
+                                                     argv):
+        code, out, err = run(capsys, *argv,
+                             files("r.ribbon", self.MILLION_PAIRS))
+        assert code == 2 and out == ""
+        assert self.REFUSAL in err
+
+    def test_render_refuses_data_the_parser_let_through(
+            self, files, capsys, monkeypatch):
+        # The finger graph checks the budget itself, whatever the parser did.
+        monkeypatch.setattr(ribboncalc.textio, "DEFAULT_PAIR_BUDGET", 10**7)
+        code, out, err = run(capsys, "render",
+                             files("r.ribbon", self.MILLION_PAIRS))
+        assert code == 1 and out == ""
+        assert "exceeds the pair budget 100000" in err
+
+    @pytest.mark.parametrize("argv", [["tree"], ["check"], ["render"]])
+    def test_tree_rule_is_a_parse_error(self, files, capsys, argv):
+        code, out, err = run(capsys, *argv,
+                             files("t.tree", "tree t\nnode a b\nroot a\n"))
+        assert code == 2 and out == ""
+        assert "line 1: tree t: node b unreachable from root" in err
+        assert "Traceback" not in err
+
+    def test_tree_rule_in_a_ribbon_document(self, files, capsys):
+        text = ("tree t\nfinite\nnode r s\nroot r\nedge r s +\n"
+                "edge s r +\nmiddle\npairs 1\n")
+        code, out, err = run(capsys, "ribbon", "plan", files("r.ribbon", text))
+        assert code == 2 and out == ""
+        assert "line 1: tree t: tower contains back-edges" in err
+
+
 class TestCorpusAndRender:
     def test_corpus_run(self, capsys):
         code, out, _ = run(capsys, "corpus", "run")

@@ -475,6 +475,39 @@ class TestBlockwiseInvariants:
         assert d._link_blocks(d.ids(), split=False) == [d.linking_matrix()]
         assert d._link_blocks([], split=False) == [[]]
 
+    def test_framed_clusters_joined_through_a_dotted_circle(self):
+        # a-b and c-e link only among themselves; the dotted x links a and
+        # c.  Restricted to the framed ids, the partition of all components
+        # gives one block where the framed ids alone would give two.
+        d = KirbyDiagram("x", (
+            Component("a", "framed", 2), Component("b", "framed", -3),
+            Component("x", "dotted"), Component("c", "framed", 1),
+            Component("e", "framed", 4))).with_links({
+                ("a", "b"): (1, 1), ("c", "e"): (3, 3),
+                ("a", "x"): (1, 1), ("c", "x"): (2, 2)})
+        assert d._link_blocks(["a", "b", "c", "e"]) == [
+            [[2, 1, 0, 0], [1, -3, 0, 0], [0, 0, 1, 3], [0, 0, 3, 4]]]
+        assert invariants(d) == dense_invariants(d)
+        assert invariants(dualize(d)) == dense_invariants(dualize(d))
+
+    def test_random_clusters_joined_through_dotted_circles(self):
+        rng = random.Random(17)
+        for _ in range(60):
+            parts = [dense_cluster(rng, rng.randint(1, 5), dotted=0)
+                     for _ in range(rng.randint(2, 5))]
+            d = block_sum(rng, parts)
+            links = dict(d._linkmap)
+            comps = list(d.components)
+            for k in range(rng.randint(1, 3)):
+                comps.append(Component(f"x{k}", "dotted"))
+                for c in rng.sample(d.ids(), rng.randint(1, len(d.ids()))):
+                    a = rng.choice((-2, -1, 1, 2))
+                    links[(c, f"x{k}")] = (a, abs(a))
+            d = d.with_links(links, components=tuple(comps))
+            assert invariants(d) == dense_invariants(d)
+            assert invariants(dualize(d)) == dense_invariants(dualize(d))
+            assert signature(d) == sum(signature(p) for p in parts)
+
     @pytest.mark.parametrize("framings, torsion", [
         ([4, 6], (2, 12)), ([2, 3, 5], (30,)), ([-7, 7, 2], (7, 14)),
         ([1, 1], ())])

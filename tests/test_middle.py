@@ -13,6 +13,7 @@ from ribboncalc import (AccessoryLoop, Cap, Finger, MiddleLevelData,
 from genlib import (dense_excess_rows, dense_geometric_matrix,
                     oracle_cycle_exists, random_acyclic_middle,
                     random_cyclic_middle)
+from ribboncalc.trees import DEFAULT_PAIR_BUDGET
 
 CHP = Cap(chplus())
 
@@ -50,6 +51,12 @@ class TestValidateMiddle:
     def test_empty_loop_rejected_at_construction(self):
         with pytest.raises(ValueError):
             AccessoryLoop("l1", ())
+
+    def test_pair_budget(self):
+        assert validate_middle(middle(DEFAULT_PAIR_BUDGET)) == []
+        assert validate_middle(middle(DEFAULT_PAIR_BUDGET + 1)) == [
+            f"pairs = {DEFAULT_PAIR_BUDGET + 1} exceeds the pair budget "
+            f"{DEFAULT_PAIR_BUDGET}"]
 
     def test_nonpositive_pairs(self):
         assert any("positive" in v for v in validate_middle(middle(0)))
@@ -111,6 +118,13 @@ class TestFingerGraph:
                  else random_cyclic_middle(rng))
             g = finger_graph(m)
             assert g.acyclic == (not oracle_cycle_exists(m))
+
+
+    def test_pair_budget(self):
+        # Every pair is a node of the graph.
+        with pytest.raises(MiddleError, match="exceeds the pair budget"):
+            finger_graph(middle(DEFAULT_PAIR_BUDGET + 1,
+                                [("f1", 1, 2, "w1")]))
 
 
 class TestCapsAndDescriptors:

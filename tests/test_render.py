@@ -2,9 +2,12 @@
 
 import random
 
+import pytest
+
 from ribboncalc import (AccessoryLoop, Component, Finger, KirbyDiagram,
-                        MiddleLevelData, chplus, diagram_dot, finger_dot,
-                        tree_dot)
+                        MiddleError, MiddleLevelData, chplus, diagram_dot,
+                        finger_dot, tree_dot)
+from ribboncalc.trees import DEFAULT_PAIR_BUDGET
 
 from genlib import random_diagram, random_tree
 
@@ -41,6 +44,15 @@ class TestFingerDot:
     def test_no_fingers(self):
         dot = finger_dot(MiddleLevelData(1, (), ()))
         assert "->" not in dot
+
+
+class TestFingerDotBudget:
+    def test_refuses_data_over_the_pair_budget(self):
+        # One node per pair: a million pairs made a 49 MB document.
+        m = MiddleLevelData(DEFAULT_PAIR_BUDGET + 1,
+                            (Finger("f1", 1, 2, "w1"),))
+        with pytest.raises(MiddleError, match="exceeds the pair budget"):
+            finger_dot(m)
 
 
 class TestDiagramDot:

@@ -1,12 +1,19 @@
 """Script interpreter: stepwise application, assertions and traces."""
 
+import random
+
 import pytest
 
+import ribboncalc.diagram
 import ribboncalc.scripts
+from ribboncalc.diagram import FRAMED, PAREN
 from ribboncalc.scripts import COMMANDS
 from ribboncalc import (AbelianGroup, Command, Component, KirbyDiagram,
-                        MoveError, MoveScript, apply_command, run_script,
+                        MoveError, MoveScript, apply_command,
+                        boundary_homology, euler_char, run_script, signature,
                         trace_lines)
+
+from genlib import block_sum, dense_cluster, random_diagram
 
 
 def diagram(*comps, links=None, **kw):
@@ -134,7 +141,7 @@ class TestRunScript:
         calls = []
         real = ribboncalc.scripts.signature
         monkeypatch.setattr(ribboncalc.scripts, "signature",
-                            lambda d: calls.append(d) or real(d))
+                            lambda d, *rest: calls.append(d) or real(d, *rest))
         s = script(("assert-signature", 0), ("assert-euler", 3),
                    ("blowup", 1, "e"), ("assert-signature", 1),
                    ("assert-homology", "plus", 0, ()), ("blowdown", "a"))
@@ -182,6 +189,114 @@ class TestRunScript:
         assert result.ok
         assert result.steps[0].minus is None
         assert result.steps[1].minus is not None
+
+
+def matrix_key(m):
+    return tuple(map(tuple, m))
+
+
+def diagrams_of(d, result):
+    """The diagram each step of ``result`` reports on, replayed from ``d``:
+    only an applied move changes it."""
+    for step in result.steps:
+        if step.detail == "applied":
+            d = apply_command(d, step.command)
+        yield d
+
+
+def applicable_script(rng, d, length):
+    """``length`` moves that all apply in turn from ``d``, with a true
+    Euler-characteristic assertion now and then."""
+    cmds = []
+    for n in range(length):
+        makers = [
+            lambda: Command("slide", (rng.choice(d.ids()), rng.choice(d.ids()),
+                                      rng.choice((1, -1)))),
+            lambda: Command("blowup", (rng.choice((1, -1)), f"e{n}")),
+            lambda: Command("twistblowup", (rng.choice((1, -1)), f"t{n}", (
+                (rng.choice(d.ids()), rng.choice((1, 2, -1))),))),
+            lambda: Command("blowdown", (rng.choice(d.ids()),)),
+            lambda: Command("swap", (rng.choice(d.ids()),)),
+            lambda: Command("addpair", ("12", f"d{n}", f"h{n}")),
+            lambda: Command("assert-euler", (euler_char(d),)),
+        ]
+        if rng.random() < 0.05:
+            makers = [lambda: Command("dualize")]
+        for _ in range(20):
+            cmd = rng.choice(makers)()
+            try:
+                if cmd.op != "assert-euler":
+                    d = apply_command(d, cmd)
+            except MoveError:
+                continue
+            cmds.append(cmd)
+            break
+    return MoveScript("s", tuple(cmds))
+
+
+class TestBlockMemo:
+    """Within one run_script call, the signature and the cokernel of each
+    distinct block matrix are computed once."""
+
+    def count_kernels(self, monkeypatch):
+        seen = {"cokernel": [], "symmetric_signature": []}
+        for name, calls in seen.items():
+            real = getattr(ribboncalc.diagram, name)
+            monkeypatch.setattr(
+                ribboncalc.diagram, name,
+                lambda m, real=real, calls=calls:
+                    calls.append(matrix_key(m)) or real(m))
+        return seen
+
+    def test_one_kernel_call_per_distinct_block(self, monkeypatch):
+        rng = random.Random(11)
+        d = block_sum(rng, [dense_cluster(rng, 8, dotted=1)] * 6)
+        # Every move touches copy 0 (ids c*.0); the second slide undoes the
+        # first, so its blocks are all in the memo already.
+        s = script(("slide", "c3.0", "c4.0", 1),
+                   ("assert-euler", euler_char(d)),
+                   ("slide", "c3.0", "c4.0", -1),
+                   ("blowup", 1, "e"), ("slide", "c5.0", "e", 1),
+                   ("dualize",), ("slide", "m_c2.0", "m_c6.0", 1))
+        seen = self.count_kernels(monkeypatch)
+        result = run_script(d, s)
+        assert result.ok
+        want = {"cokernel": set(), "symmetric_signature": set()}
+        blocks_read = 0
+        for e in diagrams_of(d, result):
+            sides = [e.ids()] + ([e._ids_of(PAREN)] if e.dual_flag else [])
+            for kernel, ids in ([("cokernel", ids) for ids in sides]
+                                + [("symmetric_signature",
+                                    e._ids_of(FRAMED, PAREN))]):
+                blocks = [matrix_key(m) for m in e._link_blocks(ids)]
+                want[kernel].update(blocks)
+                blocks_read += len(blocks)
+        for kernel, calls in seen.items():
+            assert len(calls) == len(set(calls)), kernel
+            assert set(calls) == want[kernel], kernel
+        made = {kernel: len(calls) for kernel, calls in seen.items()}
+        # The shuffle orders the copies' components differently, so their
+        # matrices differ by a permutation; the untouched ones still repeat
+        # from step to step.
+        assert sum(made.values()) < blocks_read / 2
+        # A second call starts from an empty memo.
+        for calls in seen.values():
+            calls.clear()
+        assert run_script(d, s) == result
+        assert {kernel: len(calls) for kernel, calls in seen.items()} == made
+
+    def test_steps_match_the_public_functions_without_memo(self):
+        rng = random.Random(5)
+        for _ in range(80):
+            d = random_diagram(rng, max_components=10)
+            result = run_script(d, applicable_script(rng, d, 15))
+            assert result.ok
+            for step, e in zip(result.steps, diagrams_of(d, result)):
+                assert (step.sig, step.plus, step.minus) == (
+                    signature(e), boundary_homology(e)[0],
+                    boundary_homology(e, "minus")[0] if e.dual_flag
+                    else None)
+            assert result.final == e
 
 
 class TestTraceLines:

@@ -14,7 +14,7 @@ from ribboncalc import (AccessoryLoop, Cap, Finger, MiddleLevelData,
 from ribboncalc.simplify import (CancelFinger, CancelPair, NormanTrick,
                                  Outcome, ReplaceCap, StabilizationPlan,
                                  VerifyResult, replace_nonpositive_caps)
-from ribboncalc.trees import SignedTree, TreeEdge
+from ribboncalc.trees import DEFAULT_PAIR_BUDGET, SignedTree, TreeEdge
 
 from genlib import (dense_excess_rows, dense_geometric_matrix, dense_identity,
                     dense_norman_replay, dense_norman_trick_step,
@@ -296,6 +296,36 @@ class TestPlanInvalidMiddle:
                                 "whitney id of finger f2")
         assert str(e.value) == verify_plan(
             r, StabilizationPlan(0, 0, (), Outcome("product"))).reason
+
+
+class TestPairBudget:
+    """Plans and replays are linear in the declared pairs, so middle data
+    over the pair budget is refused before any of that work."""
+
+    def test_budget_holds_the_32k_pair_chain(self):
+        assert DEFAULT_PAIR_BUDGET >= 32_000
+
+    def test_data_at_the_budget_plans(self):
+        r = make_descriptor(middle(DEFAULT_PAIR_BUDGET, [("f1", 1, 2, "w1")]),
+                            {"w1": STANDARD_CAP})
+        plan = stabilization_plan(r)
+        assert len(plan.steps) == DEFAULT_PAIR_BUDGET + 1
+        assert verify_plan(r, plan).ok
+
+    def test_data_over_the_budget_is_refused(self):
+        r = make_descriptor(middle(10**6, [("f1", 1, 2, "w1")]),
+                            {"w1": STANDARD_CAP})
+        reason = (f"invalid middle data: pairs = {10**6} exceeds the pair "
+                  f"budget {DEFAULT_PAIR_BUDGET}")
+        with pytest.raises(StabilizationError) as e:
+            stabilization_plan(r)
+        assert str(e.value) == reason
+        for plan in (StabilizationPlan(0, 0, (), Outcome("product")),
+                     StabilizationPlan(0, 0, (CancelFinger("f1", "w1"),)
+                                       + (CancelPair(("A1", "B1")),) * 2,
+                                       Outcome("product")),
+                     StabilizationPlan(0, 0, (), Outcome("unknown"))):
+            assert verify_plan(r, plan) == VerifyResult(False, None, reason)
 
 
 class TestVerifyPlanInvalidMiddle:

@@ -9,6 +9,7 @@ from ribboncalc import (STANDARD_CAP, Cap, Command, MoveError, MoveScript,
                         parse_middle, parse_ribbon, parse_script, parse_tree,
                         serialize_diagram, serialize_middle, serialize_ribbon,
                         serialize_script, serialize_tree)
+from ribboncalc.trees import DEFAULT_PAIR_BUDGET
 
 from genlib import (random_diagram, random_nonpositive_descriptor,
                     random_script, random_tree)
@@ -106,6 +107,9 @@ class TestTreeRoundTrip:
         assert t.nodes == ("a", "b", "c")
 
 
+TREE_CHP = "tree c\nnode r\nroot r\nedge r r +\n"
+
+
 class TestTreeErrors:
     def error(self, text):
         with pytest.raises(ParseError) as e:
@@ -131,6 +135,28 @@ class TestTreeErrors:
         two = "tree t\nnode a\nroot a\ntree u\nnode b\nroot b\n"
         assert "exactly one" in self.error(two).message
 
+    # A rule of validate_tree used to escape as a raw TreeError with no
+    # line; it is now a ParseError on the tree's header line.
+    TREE_RULES = [
+        ("tree t\nnode a b\nroot a\n", "node b unreachable from root"),
+        ("tree t\nnode a\nroot b\n", "root b not declared"),
+        ("tree t\nfinite\nnode a b\nroot a\nedge a b +\nedge b a +\n",
+         "tower contains back-edges")]
+
+    @pytest.mark.parametrize("text, message", TREE_RULES)
+    def test_tree_rule_is_positioned(self, text, message):
+        e = self.error("# a tree\n" + text)
+        assert e.line == 2 and e.message == f"tree t: {message}"
+
+    @pytest.mark.parametrize("text, message", TREE_RULES)
+    def test_tree_rule_in_a_ribbon_document(self, text, message):
+        doc = (TREE_CHP + text.replace("tree t", "tree u")
+               + "middle\npairs 1\nfinger f1 1 1 w1\ncap w1 tree c\n")
+        with pytest.raises(ParseError) as e:
+            parse_ribbon(doc)
+        assert e.value.line == 5
+        assert e.value.message == f"tree u: {message}"
+
 
 class TestMiddleAndRibbon:
     def test_middle_round_trip(self):
@@ -152,6 +178,21 @@ class TestMiddleAndRibbon:
     def test_missing_pairs(self):
         with pytest.raises(ParseError, match="pairs"):
             parse_middle("middle\n")
+
+    def test_pair_budget(self):
+        at = f"middle\npairs {DEFAULT_PAIR_BUDGET}\nfinger f1 1 2 w1\n"
+        assert parse_middle(at).pairs == DEFAULT_PAIR_BUDGET
+        over = at.replace(str(DEFAULT_PAIR_BUDGET),
+                          str(DEFAULT_PAIR_BUDGET + 1))
+        for parse, text in ((parse_middle, over),
+                            (parse_ribbon, "# r\n" + over
+                             + "cap w1 standard\n")):
+            with pytest.raises(ParseError) as e:
+                parse(text)
+            assert e.value.line == 2 + (parse is parse_ribbon)
+            assert e.value.message == (
+                f"pair count {DEFAULT_PAIR_BUDGET + 1} exceeds the pair "
+                f"budget {DEFAULT_PAIR_BUDGET}")
 
     def test_ribbon_needs_middle_block(self):
         with pytest.raises(ParseError, match="middle"):
