@@ -242,8 +242,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return PARSE_FAIL
     except (TreeError, StabilizationError, MoveError, MiddleError, OSError,
-            ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+            ValueError, MemoryError, RecursionError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return FAIL
 
 

@@ -168,62 +168,71 @@ def parse_tree(text: str) -> SignedTree:
     return next(iter(trees.values()))
 
 
+_SIGNS = {"+": 1, "+1": 1, "-": -1, "-1": -1}  # the tokens _sign accepts
+
+
+def _tree_block(name, line, nodes, root, edges, finite) -> SignedTree:
+    """The tree of a finished block whose header is on ``line``."""
+    if root is None:
+        raise ParseError(line, f"tree {name} has no root")
+    try:
+        return SignedTree(name, tuple(nodes), root, tuple(edges), finite)
+    except TreeError as exc:  # a rule of validate_tree, at the header
+        raise ParseError(line, str(exc)) from None
+
+
 def _parse_tree_blocks(text: str, stop_at: str | None = None):
     trees: dict[str, SignedTree] = {}
-    cur: dict | None = None
     pending: list[tuple[int, str]] = list(_lines(text))
-
-    def finish():
-        nonlocal cur
-        if cur is None:
-            return
-        if cur["root"] is None:
-            raise ParseError(cur["line"], f"tree {cur['name']} has no root")
-        try:
-            trees[cur["name"]] = SignedTree(cur["name"], tuple(cur["nodes"]),
-                                            cur["root"], tuple(cur["edges"]),
-                                            cur["finite"])
-        except TreeError as exc:  # a rule of validate_tree, at the header
-            raise ParseError(cur["line"], str(exc)) from None
-        cur = None
-
+    # The open block: name (None when there is none), header line, node
+    # ids (a dict keeps their order), root, edges and the finite flag.
+    name = header = root = None
+    nodes: dict[str, None] = {}
+    edges: list[TreeEdge] = []
+    finite = False
     for k, (n, line) in enumerate(pending):
         toks = line.split()
         kw = toks[0]
-        if stop_at is not None and kw == stop_at:
-            finish()
-            return trees, pending[k:]
-        if kw == "tree":
-            finish()
+        if kw == "edge" and name is not None:
+            if len(toks) != 4:
+                raise ParseError(n, "edge needs: edge PARENT CHILD SIGN")
+            _, parent, child, sign = toks
+            if parent not in nodes:
+                raise ParseError(n, f"edge references undeclared node {parent}")
+            if child not in nodes:
+                raise ParseError(n, f"edge references undeclared node {child}")
+            edges.append(TreeEdge(parent, child,
+                                  _SIGNS.get(sign) or _sign(sign, n)))
+        elif kw == "node" and name is not None:
+            for nid in toks[1:]:
+                if nid in nodes:
+                    raise ParseError(n, f"duplicate node id {nid}")
+                nodes[nid] = None
+        elif kw == stop_at or kw == "tree":
+            if name is not None:
+                trees[name] = _tree_block(name, header, nodes, root, edges,
+                                          finite)
+                name = None
+            if kw == stop_at:
+                return trees, pending[k:]
             if len(toks) != 2:
                 raise ParseError(n, "tree header needs a name")
             if toks[1] in trees:
                 raise ParseError(n, f"duplicate tree name {toks[1]}")
-            cur = {"name": toks[1], "nodes": {}, "root": None,
-                   "edges": [], "finite": False, "line": n}
-        elif cur is None:
+            name, header, root = toks[1], n, None
+            nodes, edges, finite = {}, [], False
+        elif name is None:
             raise ParseError(n, "expected 'tree NAME' header first")
-        elif kw == "node":
-            for nid in toks[1:]:
-                if nid in cur["nodes"]:
-                    raise ParseError(n, f"duplicate node id {nid}")
-                cur["nodes"][nid] = None
         elif kw == "root":
-            if len(toks) != 2 or cur["root"] is not None:
+            if len(toks) != 2 or root is not None:
                 raise ParseError(n, "malformed or duplicate root line")
-            cur["root"] = toks[1]
-        elif kw == "edge":
-            if len(toks) != 4:
-                raise ParseError(n, "edge needs: edge PARENT CHILD SIGN")
-            for x in toks[1:3]:
-                if x not in cur["nodes"]:
-                    raise ParseError(n, f"edge references undeclared node {x}")
-            cur["edges"].append(TreeEdge(toks[1], toks[2], _sign(toks[3], n)))
+            root = toks[1]
         elif kw == "finite":
-            cur["finite"] = True
+            finite = True
         else:
             raise ParseError(n, f"unknown keyword {kw!r}")
-    finish()
+    if name is not None:
+        trees[name] = _tree_block(name, header, nodes, root, edges, finite)
     return trees, []
 
 
@@ -233,8 +242,8 @@ def serialize_tree(t: SignedTree) -> str:
         out.append("finite")
     out.extend(f"node {n}" for n in t.nodes)
     out.append(f"root {t.root}")
-    for e in t.edges:
-        out.append(f"edge {e.parent} {e.child} {'+' if e.sign == 1 else '-'}")
+    for parent, child, sign in t.edges:
+        out.append(f"edge {parent} {child} {'+' if sign == 1 else '-'}")
     return "\n".join(out) + "\n"
 
 

@@ -8,6 +8,7 @@ back-edges.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,15 +21,23 @@ class SizeLimit(TreeError):
     """Unrolling exceeded the configured node budget."""
 
 
-@dataclass(frozen=True)
-class TreeEdge:
-    parent: str
-    child: str
-    sign: int  # +1 or -1
+class TreeEdge(namedtuple("TreeEdge", "parent child sign")):
+    """An immutable ``(parent, child, sign)`` record, sign +1 or -1.
 
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
+    A tuple, so equality and hashing run in C; it equals the plain tuple of
+    its fields.  The constructor, ``_make`` and ``_replace`` check the sign.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, parent: str, child: str, sign: int):
+        if sign not in (1, -1):
             raise ValueError("edge sign must be +1 or -1")
+        return tuple.__new__(cls, (parent, child, sign))
+
+    @classmethod
+    def _make(cls, iterable) -> TreeEdge:  # also serves _replace
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -134,38 +143,54 @@ class SignedTree:
 
 
 def validate_tree(t: SignedTree) -> list[str]:
+    """Every rule ``t`` breaks, as messages in a fixed order.
+
+    Set sizes decide whether a rule holds; the per-node loops that name
+    the offenders run only when one fails.
+    """
     out = []
-    nodeset = set(t.nodes)
-    if len(nodeset) != len(t.nodes):
+    nodes, root = t.nodes, t.root
+    nodeset = set(nodes)
+    if len(nodeset) != len(nodes):
         out.append(f"tree {t.name}: duplicate node ids")
-    if t.root not in nodeset:
-        out.append(f"tree {t.name}: root {t.root} not declared")
+    if root not in nodeset:
+        out.append(f"tree {t.name}: root {root} not declared")
         return out
-    for e in t.edges:
-        if e.parent not in nodeset or e.child not in nodeset:
-            out.append(f"tree {t.name}: edge {e.parent}->{e.child} references "
-                       "an undeclared node")
-            return out
-    # Reachability from the root.
-    reach = {t.root}
-    frontier = [t.root]
-    while frontier:
-        for e in t.out_edges(frontier.pop()):
-            if e.child not in reach:
-                reach.add(e.child)
-                frontier.append(e.child)
-    for n in t.nodes:
-        if n not in reach:
-            out.append(f"tree {t.name}: node {n} unreachable from root")
+    parents, children, _ = zip(*t.edges) if t.edges else ((), (), ())
+    if not (nodeset.issuperset(parents) and nodeset.issuperset(children)):
+        for e in t.edges:
+            if e.parent not in nodeset or e.child not in nodeset:
+                out.append(f"tree {t.name}: edge {e.parent}->{e.child} "
+                           "references an undeclared node")
+                return out
+    # Reachability from the root.  One pass in edge order reaches every
+    # node when each edge's parent is the root or the child of an earlier
+    # edge, as in the towers truncate builds; the out-index walk from the
+    # nodes reached finishes the closure otherwise.
+    reach = {root}
+    for parent, child in zip(parents, children):
+        if parent in reach:
+            reach.add(child)
+    if len(reach) != len(nodeset):
+        index = t._out_index
+        queue = list(reach)
+        for v in queue:  # breadth-first: the loop sees nodes appended below
+            for e in index.get(v, ()):
+                child = e.child
+                if child not in reach:
+                    reach.add(child)
+                    queue.append(child)
+    if len(reach) != len(nodeset):
+        out.extend(f"tree {t.name}: node {n} unreachable from root"
+                   for n in nodes if n not in reach)
     # Each non-root node has an incoming edge.
-    children = [e.child for e in t.edges]
     covered = set(children)
-    for n in t.nodes:
-        if n != t.root and n not in covered:
-            out.append(f"tree {t.name}: node {n} has no incoming edge")
-    if t.finite and (t.root in covered
+    if len(covered) - (root in covered) != len(nodeset) - 1:
+        out.extend(f"tree {t.name}: node {n} has no incoming edge"
+                   for n in nodes if n != root and n not in covered)
+    if t.finite and (root in covered
                      or len(covered) != len(children)
-                     or len(t.edges) != len(t.nodes) - 1):
+                     or len(t.edges) != len(nodes) - 1):
         out.append(f"tree {t.name}: tower contains back-edges")
     return out
 
@@ -226,20 +251,28 @@ def is_strictly_positive(t: SignedTree) -> bool:
 
     Tower leaves at maximal depth are exempt (nothing emanates from them).
     """
-    exempt = set(_deepest_level(t)) if t.finite else set()
+    index = t._out_index
+    exempt = None  # found when first needed: only a tower leaf can be exempt
     for n in t.nodes:
-        outs = t.out_edges(n)
-        pos = sum(1 for e in outs if e.sign == 1)
-        if 2 * pos <= len(outs) and n not in exempt:
+        outs = index.get(n, ())
+        # More positive than negative edges: the signs sum above zero.
+        if sum(e.sign for e in outs) > 0:
+            continue
+        if outs or not t.finite:
+            return False
+        if exempt is None:
+            exempt = set(_deepest_level(t))
+        if n not in exempt:
             return False
     return True
 
 
 def _deepest_level(t: SignedTree) -> list[str]:
     """The nodes of a tower at maximal depth."""
+    index = t._out_index
     level = [t.root]
     while True:
-        below = [e.child for v in level for e in t.out_edges(v)]
+        below = [e.child for v in level for e in index.get(v, ())]
         if not below:
             return level
         level = below
@@ -261,23 +294,34 @@ def truncate(t: SignedTree, n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> S
 
     The root keeps its id; the node created i-th (breadth first, children
     in edge order) is ``f"{t.root}.{i}"``, so ids stay short at any depth.
+    The tower keeps the name ``NAME^n`` when the unrolling dies out above
+    depth n; the levels below it are empty and are not visited.  The node
+    budget is checked once per level, before the level is built.
     """
     if n < 1:
         raise TreeError("truncation depth must be >= 1")
+    get = t._out_index.get
+    prefix = f"{t.root}."
     nodes = [t.root]
     edges: list[TreeEdge] = []
-    level = [(t.root, t.root)]  # (unrolled id, presentation node)
+    level = [(t.root, get(t.root, ()))]  # (unrolled id, its out-edges)
+    width = len(level[0][1])  # nodes on the next level
     for _ in range(n):
+        if not width:
+            break
+        if len(nodes) + width > node_budget:
+            raise SizeLimit(
+                f"unrolling {t.name} to depth {n} exceeds {node_budget} nodes")
         below = []
-        for uid, node in level:
-            for e in t.out_edges(node):
-                child_uid = f"{t.root}.{len(nodes)}"
+        width = 0
+        for uid, outs in level:
+            for _, child, sign in outs:
+                child_uid = f"{prefix}{len(nodes)}"
                 nodes.append(child_uid)
-                if len(nodes) > node_budget:
-                    raise SizeLimit(
-                        f"unrolling {t.name} to depth {n} exceeds {node_budget} nodes")
-                edges.append(TreeEdge(uid, child_uid, e.sign))
-                below.append((child_uid, e.child))
+                edges.append(TreeEdge(uid, child_uid, sign))
+                grand = get(child, ())
+                width += len(grand)
+                below.append((child_uid, grand))
         level = below
     return SignedTree(f"{t.name}^{n}", tuple(nodes), t.root, tuple(edges),
                       finite=True)

@@ -7,10 +7,11 @@ traversals, so oracle agreement is meaningful.
 from __future__ import annotations
 
 import random
+from dataclasses import fields
 
 from ribboncalc import (AccessoryLoop, Cap, Component, Finger, KirbyDiagram,
-                        MiddleLevelData, STANDARD_CAP, SignedTree, TreeEdge,
-                        make_descriptor)
+                        MiddleLevelData, ParseError, STANDARD_CAP, SignedTree,
+                        SizeLimit, TreeEdge, TreeError, make_descriptor)
 
 DOTTED, FRAMED = "dotted", "framed"
 
@@ -180,6 +181,190 @@ def random_nonpositive_tree(rng: random.Random,
         t = random_tree(rng, max_nodes)
         if not oracle_is_positive(t):
             return t
+
+
+def unvalidated(nodes, root, edges, finite=False, name="t") -> SignedTree:
+    """A SignedTree built without running validation, to see every
+    message ``validate_tree`` reports instead of the first one."""
+    t = object.__new__(SignedTree)
+    values = (name, tuple(nodes), root,
+              tuple(TreeEdge(p, c, s) for p, c, s in edges), finite)
+    for f, v in zip(fields(SignedTree), values):
+        object.__setattr__(t, f.name, v)
+    return t
+
+
+# Ways a presented tree can break the rules of validate_tree.
+BROKEN_TREE_KINDS = ("duplicate", "root", "parent", "child", "unreachable",
+                     "no_incoming", "back_edge")
+
+
+def broken_tree(rng: random.Random, kinds) -> SignedTree:
+    """A random tree (a tower when ``kinds`` has "back_edge", else a handle
+    or a tower) broken in each of the ``kinds`` ways, unvalidated.
+
+    "parent" and "child" add undeclared endpoints at random places among
+    the edges; the first such edge decides which of the two is reported.
+    """
+    finite = "back_edge" in kinds or rng.random() < 0.5
+    base = random_tree(rng, finite=finite)
+    nodes, root = list(base.nodes), base.root
+    edges = [tuple(e) for e in base.edges]
+    if rng.random() < 0.5:  # children listed before their parents
+        rng.shuffle(edges)
+    sign = lambda: rng.choice((1, -1))
+    if "unreachable" in kinds:  # a cycle of new nodes: each has a parent
+        k = rng.randint(1, 3)
+        ring = [f"u{i}" for i in range(k)]
+        nodes += ring
+        edges += [(ring[i], ring[(i + 1) % k], sign()) for i in range(k)]
+    if "no_incoming" in kinds:  # new nodes, some with edges into the tree
+        for i in range(rng.randint(1, 3)):
+            nodes.append(f"s{i}")
+            if rng.random() < 0.5:
+                edges.append((f"s{i}", rng.choice(base.nodes), sign()))
+    if "back_edge" in kinds:  # one edge too many
+        edges.append((rng.choice(base.nodes), rng.choice(base.nodes), sign()))
+    for kind, bad in (("parent", lambda: ("x", rng.choice(nodes), sign())),
+                      ("child", lambda: (rng.choice(nodes), "y", sign()))):
+        if kind in kinds:
+            for _ in range(rng.randint(1, 2)):
+                edges.insert(rng.randint(0, len(edges)), bad())
+    rng.shuffle(nodes)
+    if "duplicate" in kinds:
+        for _ in range(rng.randint(1, 2)):
+            nodes.insert(rng.randint(0, len(nodes)), rng.choice(nodes))
+    if "root" in kinds:
+        root = "z"
+    return unvalidated(nodes, root, edges, finite, base.name)
+
+
+def oracle_validate_tree(t: SignedTree) -> list[str]:
+    """The messages of ``validate_tree`` as it read before edges became
+    tuples: one loop per rule, through ``out_edges``."""
+    out = []
+    nodeset = set(t.nodes)
+    if len(nodeset) != len(t.nodes):
+        out.append(f"tree {t.name}: duplicate node ids")
+    if t.root not in nodeset:
+        out.append(f"tree {t.name}: root {t.root} not declared")
+        return out
+    for e in t.edges:
+        if e.parent not in nodeset or e.child not in nodeset:
+            out.append(f"tree {t.name}: edge {e.parent}->{e.child} references "
+                       "an undeclared node")
+            return out
+    reach = {t.root}
+    frontier = [t.root]
+    while frontier:
+        for e in t.out_edges(frontier.pop()):
+            if e.child not in reach:
+                reach.add(e.child)
+                frontier.append(e.child)
+    for n in t.nodes:
+        if n not in reach:
+            out.append(f"tree {t.name}: node {n} unreachable from root")
+    children = [e.child for e in t.edges]
+    covered = set(children)
+    for n in t.nodes:
+        if n != t.root and n not in covered:
+            out.append(f"tree {t.name}: node {n} has no incoming edge")
+    if t.finite and (t.root in covered
+                     or len(covered) != len(children)
+                     or len(t.edges) != len(t.nodes) - 1):
+        out.append(f"tree {t.name}: tower contains back-edges")
+    return out
+
+
+def oracle_truncate(t: SignedTree, n: int, node_budget: int) -> SignedTree:
+    """``truncate`` as it read before it checked the budget per level: one
+    budget check per node, and every one of the n levels visited."""
+    if n < 1:
+        raise TreeError("truncation depth must be >= 1")
+    nodes = [t.root]
+    edges: list[TreeEdge] = []
+    level = [(t.root, t.root)]
+    for _ in range(n):
+        below = []
+        for uid, node in level:
+            for e in t.out_edges(node):
+                child_uid = f"{t.root}.{len(nodes)}"
+                nodes.append(child_uid)
+                if len(nodes) > node_budget:
+                    raise SizeLimit(f"unrolling {t.name} to depth {n} "
+                                    f"exceeds {node_budget} nodes")
+                edges.append(TreeEdge(uid, child_uid, e.sign))
+                below.append((child_uid, e.child))
+        level = below
+    return SignedTree(f"{t.name}^{n}", tuple(nodes), t.root, tuple(edges),
+                      finite=True)
+
+
+def oracle_parse_tree_blocks(lines, stop_at=None):
+    """The tree-block parser as it read before it kept the open block in
+    local variables, over ``(line number, text)`` pairs."""
+    trees: dict[str, SignedTree] = {}
+    cur: dict | None = None
+
+    def sign(tok, n):
+        if tok in ("+", "+1"):
+            return 1
+        if tok in ("-", "-1"):
+            return -1
+        raise ParseError(n, f"malformed sign {tok!r}")
+
+    def finish():
+        nonlocal cur
+        if cur is None:
+            return
+        if cur["root"] is None:
+            raise ParseError(cur["line"], f"tree {cur['name']} has no root")
+        try:
+            trees[cur["name"]] = SignedTree(cur["name"], tuple(cur["nodes"]),
+                                            cur["root"], tuple(cur["edges"]),
+                                            cur["finite"])
+        except TreeError as exc:
+            raise ParseError(cur["line"], str(exc)) from None
+        cur = None
+
+    for k, (n, line) in enumerate(lines):
+        toks = line.split()
+        kw = toks[0]
+        if stop_at is not None and kw == stop_at:
+            finish()
+            return trees, lines[k:]
+        if kw == "tree":
+            finish()
+            if len(toks) != 2:
+                raise ParseError(n, "tree header needs a name")
+            if toks[1] in trees:
+                raise ParseError(n, f"duplicate tree name {toks[1]}")
+            cur = {"name": toks[1], "nodes": {}, "root": None,
+                   "edges": [], "finite": False, "line": n}
+        elif cur is None:
+            raise ParseError(n, "expected 'tree NAME' header first")
+        elif kw == "node":
+            for nid in toks[1:]:
+                if nid in cur["nodes"]:
+                    raise ParseError(n, f"duplicate node id {nid}")
+                cur["nodes"][nid] = None
+        elif kw == "root":
+            if len(toks) != 2 or cur["root"] is not None:
+                raise ParseError(n, "malformed or duplicate root line")
+            cur["root"] = toks[1]
+        elif kw == "edge":
+            if len(toks) != 4:
+                raise ParseError(n, "edge needs: edge PARENT CHILD SIGN")
+            for x in toks[1:3]:
+                if x not in cur["nodes"]:
+                    raise ParseError(n, f"edge references undeclared node {x}")
+            cur["edges"].append(TreeEdge(toks[1], toks[2], sign(toks[3], n)))
+        elif kw == "finite":
+            cur["finite"] = True
+        else:
+            raise ParseError(n, f"unknown keyword {kw!r}")
+    finish()
+    return trees, []
 
 
 # -- middle-level data and descriptors -----------------------------------

@@ -3,11 +3,13 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import ribboncalc
+from ribboncalc import cli
 from ribboncalc.cli import main
 from ribboncalc.corpus import corpus_names, corpus_text
 
@@ -192,6 +194,17 @@ class TestTree:
         assert parse_tree(out).finite
 
 
+    def test_truncate_stops_when_the_unrolling_dies_out(self, files,
+                                                         capsys):
+        path = files("h.tree", "tree h\nnode r a\nroot r\nedge r a -\n")
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "tree", "--truncate", str(10 ** 12), path)
+        assert time.perf_counter() - start < 0.1
+        assert code == 0
+        assert out == ("tree h^1000000000000\nfinite\nnode r\nnode r.1\n"
+                       "root r\nedge r r.1 -\n")
+
+
 class TestRibbon:
     def test_positivity_positive(self, files, capsys):
         code, out, _ = run(capsys, "ribbon", "positivity",
@@ -297,6 +310,21 @@ class TestBudgetsAndTreeRules:
         code, out, err = run(capsys, "ribbon", "plan", files("r.ribbon", text))
         assert code == 2 and out == ""
         assert "line 1: tree t: tower contains back-edges" in err
+
+
+class TestResourceErrors:
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError(), "error: MemoryError"),
+        (RecursionError("maximum recursion depth exceeded"),
+         "error: maximum recursion depth exceeded")])
+    def test_exit_one_with_an_error_line(self, files, capsys, monkeypatch,
+                                         error, message):
+        def exhausted(args, out):
+            raise error
+
+        monkeypatch.setattr(cli, "_cmd_tree", exhausted)
+        code, out, err = run(capsys, "tree", files("t.tree", TREE))
+        assert code == 1 and out == "" and err == message + "\n"
 
 
 class TestCorpusAndRender:

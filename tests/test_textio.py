@@ -9,10 +9,11 @@ from ribboncalc import (STANDARD_CAP, Cap, Command, MoveError, MoveScript,
                         parse_middle, parse_ribbon, parse_script, parse_tree,
                         serialize_diagram, serialize_middle, serialize_ribbon,
                         serialize_script, serialize_tree)
+from ribboncalc import textio
 from ribboncalc.trees import DEFAULT_PAIR_BUDGET
 
-from genlib import (random_diagram, random_nonpositive_descriptor,
-                    random_script, random_tree)
+from genlib import (oracle_parse_tree_blocks, random_diagram,
+                    random_nonpositive_descriptor, random_script, random_tree)
 
 
 class TestDiagramRoundTrip:
@@ -109,6 +110,69 @@ class TestTreeRoundTrip:
 
 TREE_CHP = "tree c\nnode r\nroot r\nedge r r +\n"
 
+# Tokens and lines that mutated tree documents draw from.
+TOKENS = ("+", "-", "+1", "-1", "0", "2", "x", "n0", "n1", "tree", "node",
+          "edge", "root", "finite", "middle")
+LINES = ("finite", "root n0", "node n0", "node n9", "edge n0 n1 +",
+         "edge n0 zz -", "edge n1 n0", "tree t", "tree", "bogus", "middle",
+         "# comment", "")
+
+
+class TestTreeBlockParserOracle:
+    """The tree-block parser against a copy of its earlier version in
+    genlib: the same trees, or the same ParseError line and message."""
+
+    @staticmethod
+    def outcome(parse, *args):
+        try:
+            return parse(*args)
+        except ParseError as e:
+            return e.line, e.message
+
+    def mutate(self, rng, lines):
+        for _ in range(rng.randint(0, 3)):
+            at = rng.randrange(len(lines) + 1)
+            op = rng.randrange(5)
+            if op == 0 and at < len(lines):
+                del lines[at]
+            elif op == 1 and at < len(lines):
+                lines.insert(at, lines[at])
+            elif op == 2:
+                lines.insert(at, rng.choice(LINES))
+            elif at < len(lines) and lines[at].split():
+                toks = lines[at].split()
+                k = rng.randrange(len(toks))
+                if op == 3:
+                    toks[k] = rng.choice(TOKENS)
+                else:
+                    del toks[k]
+                lines[at] = " ".join(toks)
+        return lines
+
+    def test_mutated_documents(self):
+        rng = random.Random(109)
+        seen = set()
+        for _ in range(3000):
+            lines = []
+            for i in range(rng.randint(1, 3)):
+                t = random_tree(rng, max_nodes=6, finite=rng.random() < 0.3)
+                text = serialize_tree(t).replace(f"tree {t.name}", f"tree t{i}")
+                lines += text.splitlines()
+            if rng.random() < 0.3:
+                lines += ["middle", "pairs 1"]
+            text = "\n".join(self.mutate(rng, lines)) + "\n"
+            stop_at = rng.choice((None, "middle"))
+            got = self.outcome(textio._parse_tree_blocks, text, stop_at)
+            want = self.outcome(oracle_parse_tree_blocks,
+                                list(textio._lines(text)), stop_at)
+            assert got == want, text
+            seen.add(got[1] if isinstance(got[0], int) else "ok")
+        for stem in ("ok", "duplicate node id", "edge needs", "undeclared node",
+                     "header first", "duplicate root", "malformed sign",
+                     "has no root", "unreachable", "not declared",
+                     "back-edges", "needs a name", "unknown keyword"):
+            assert any(stem in message for message in seen), stem
+
 
 class TestTreeErrors:
     def error(self, text):
@@ -130,6 +194,11 @@ class TestTreeErrors:
     def test_bad_sign(self):
         assert "sign" in self.error(
             "tree t\nnode a\nroot a\nedge a a 2\n").message
+
+    @pytest.mark.parametrize("sign", ["0", "++"])
+    def test_malformed_sign_is_positioned(self, sign):
+        e = self.error(f"tree t\nnode r a\nroot r\n\nedge r a {sign}\n")
+        assert e.line == 5 and e.message == f"malformed sign {sign!r}"
 
     def test_two_blocks_rejected(self):
         two = "tree t\nnode a\nroot a\ntree u\nnode b\nroot b\n"

@@ -6,7 +6,6 @@ import subprocess
 import sys
 import textwrap
 import time
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -15,27 +14,18 @@ import ribboncalc
 from ribboncalc import (SignedTree, SizeLimit, TreeEdge, TreeError, chplus,
                         is_positive, is_strictly_positive, kuga_blowup_cost,
                         positive_witness, prune_depth,
-                        tower_has_positive_branch, truncate, validate_tree)
+                        tower_has_positive_branch, trees, truncate,
+                        validate_tree)
 
-from genlib import (oracle_frontier_negatives, oracle_is_positive,
-                    oracle_longest_positive_path, random_nonpositive_tree,
-                    random_tree)
+from genlib import (BROKEN_TREE_KINDS, broken_tree, oracle_frontier_negatives,
+                    oracle_is_positive, oracle_longest_positive_path,
+                    oracle_truncate, oracle_validate_tree,
+                    random_nonpositive_tree, random_tree, unvalidated)
 
 
 def tree(nodes, root, edges, finite=False, name="t"):
     return SignedTree(name, tuple(nodes), root,
                       tuple(TreeEdge(p, c, s) for p, c, s in edges), finite)
-
-
-def unvalidated(nodes, root, edges, finite=False, name="t"):
-    """A SignedTree built without running validation, to see every
-    message ``validate_tree`` reports instead of the first one."""
-    t = object.__new__(SignedTree)
-    values = (name, tuple(nodes), root,
-              tuple(TreeEdge(p, c, s) for p, c, s in edges), finite)
-    for f, v in zip(fields(SignedTree), values):
-        object.__setattr__(t, f.name, v)
-    return t
 
 
 def cycle(n, last_sign=1):
@@ -63,6 +53,29 @@ CHMINUS = tree(["r"], "r", [("r", "r", -1)], name="chminus")
 # Positive kink followed by a negative one, repeating.
 ALTERNATING = tree(["a", "b"], "a",
                    [("a", "b", 1), ("b", "a", -1)], name="alt")
+
+
+class TestTreeEdge:
+    @pytest.mark.parametrize("sign", [0, 2])
+    def test_sign_must_be_one_or_minus_one(self, sign):
+        with pytest.raises(ValueError, match="sign must be"):
+            TreeEdge("a", "b", sign)
+
+    def test_replace_and_make_check_the_sign(self):
+        e = TreeEdge("a", "b", 1)
+        assert e._replace(sign=-1) == TreeEdge("a", "b", -1)
+        with pytest.raises(ValueError):
+            e._replace(sign=0)
+        with pytest.raises(ValueError):
+            TreeEdge._make(("a", "b", 2))
+
+    def test_a_tuple_record(self):
+        e = TreeEdge(parent="a", child="b", sign=-1)
+        assert e == ("a", "b", -1) and hash(e) == hash(("a", "b", -1))
+        assert (e.parent, e.child, e.sign) == tuple(e)
+        assert repr(e) == "TreeEdge(parent='a', child='b', sign=-1)"
+        with pytest.raises(AttributeError):
+            e.sign = 1
 
 
 class TestValidation:
@@ -107,6 +120,76 @@ class TestValidation:
         rng = random.Random(3)
         for _ in range(200):
             assert validate_tree(random_tree(rng)) == []
+
+
+class TestAgainstOracles:
+    """validate_tree and truncate against copies of their earlier versions
+    in genlib: the same messages in the same order, the same towers."""
+
+    def test_valid_trees(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            t = random_tree(rng, finite=rng.random() < 0.5)
+            assert validate_tree(t) == oracle_validate_tree(t) == []
+            # Children before their parents: one pass in edge order does
+            # not reach every node, and the out-index walk must.
+            edges = list(t.edges)
+            rng.shuffle(edges)
+            shuffled = SignedTree(t.name, t.nodes, t.root, tuple(edges),
+                                  t.finite)
+            assert validate_tree(shuffled) == []
+
+    def test_child_edge_listed_before_its_parent_edge(self):
+        t = tree(["a", "b", "c"], "a", [("b", "c", 1), ("a", "b", -1)],
+                 finite=True)
+        assert validate_tree(t) == oracle_validate_tree(t) == []
+
+    @pytest.mark.parametrize("kind", BROKEN_TREE_KINDS)
+    def test_broken_one_way(self, kind):
+        rng = random.Random(kind)
+        for _ in range(200):
+            t = broken_tree(rng, (kind,))
+            got = validate_tree(t)
+            assert got and got == oracle_validate_tree(t)
+
+    def test_undeclared_endpoint_reports_the_first_edge(self):
+        rng = random.Random(43)
+        seen = set()
+        for _ in range(300):
+            t = broken_tree(rng, ("parent", "child"))
+            got = validate_tree(t)
+            assert got == oracle_validate_tree(t) and len(got) == 1
+            seen.add(got[0].split()[3].startswith("x->"))
+        assert seen == {True, False}  # parent first, child first
+
+    def test_broken_several_ways(self):
+        rng = random.Random(47)
+        for _ in range(600):
+            kinds = rng.sample(BROKEN_TREE_KINDS, rng.randint(2, 4))
+            t = broken_tree(rng, kinds)
+            assert validate_tree(t) == oracle_validate_tree(t)
+
+    def test_towers(self):
+        rng = random.Random(53)
+        for _ in range(300):
+            t = random_tree(rng, max_nodes=8)
+            depth = rng.randint(1, 12)
+            budget = rng.choice((50, 500, 5000))
+            try:
+                want = oracle_truncate(t, depth, budget)
+            except SizeLimit as exc:
+                with pytest.raises(SizeLimit) as got:
+                    truncate(t, depth, budget)
+                assert str(got.value) == str(exc)
+                continue
+            assert truncate(t, depth, budget) == want
+            size = len(want.nodes)
+            assert truncate(t, depth, size) == want
+            if size > 1:
+                with pytest.raises(SizeLimit):
+                    oracle_truncate(t, depth, size - 1)
+                with pytest.raises(SizeLimit):
+                    truncate(t, depth, size - 1)
 
 
 class TestPositivity:
@@ -213,6 +296,36 @@ class TestTruncate:
         bushy = tree(["r"], "r", [("r", "r", 1), ("r", "r", 1)])
         with pytest.raises(SizeLimit):
             truncate(bushy, 30, node_budget=1000)
+
+    def test_stops_when_the_unrolling_dies_out(self):
+        # The unrolling of r -> a is empty below depth 1: no level below
+        # it may be visited, or depth 10^12 would never return.
+        h = tree(["r", "a"], "r", [("r", "a", -1)], name="h")
+        start = time.perf_counter()
+        tower = truncate(h, 10 ** 12)
+        assert time.perf_counter() - start < 0.1
+        short = truncate(h, 1)
+        assert tower.name == "h^1000000000000"
+        assert (tower.nodes, tower.root, tower.edges, tower.finite) == (
+            short.nodes, short.root, short.edges, short.finite)
+
+    def test_node_budget_boundary(self):
+        binary = tree(["r"], "r", [("r", "r", 1), ("r", "r", -1)])
+        for depth in range(1, 8):
+            size = 2 ** (depth + 1) - 1
+            assert len(truncate(binary, depth, node_budget=size).nodes) == size
+            with pytest.raises(SizeLimit, match=f"exceeds {size - 1} nodes"):
+                truncate(binary, depth, node_budget=size - 1)
+
+    def test_wide_level_raises_before_it_is_built(self, monkeypatch):
+        loops = SignedTree("w", ("r",), "r", (TreeEdge("r", "r", 1),) * 200_000)
+
+        def built(*args):
+            raise AssertionError("the level was built")
+
+        monkeypatch.setattr(trees, "TreeEdge", built)
+        with pytest.raises(SizeLimit, match="exceeds 100000 nodes"):
+            truncate(loops, 1)
 
     def test_truncation_reaches_full_depth_iff_positive(self):
         # An all-positive path through the whole depth-(n+1) truncation
