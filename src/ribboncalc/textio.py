@@ -53,12 +53,14 @@ def _int(tok: str, n: int, what: str) -> int:
         raise ParseError(n, f"malformed {what} {tok!r}") from None
 
 
+_SIGNS = {"+": 1, "+1": 1, "-": -1, "-1": -1}  # sign token -> sign
+
+
 def _sign(tok: str, n: int) -> int:
-    if tok in ("+", "+1"):
-        return 1
-    if tok in ("-", "-1"):
-        return -1
-    raise ParseError(n, f"malformed sign {tok!r}")
+    sign = _SIGNS.get(tok)
+    if sign is None:
+        raise ParseError(n, f"malformed sign {tok!r}")
+    return sign
 
 
 # -- diagrams ------------------------------------------------------------
@@ -166,9 +168,6 @@ def parse_tree(text: str) -> SignedTree:
     if len(trees) != 1:
         raise ParseError(1, f"expected exactly one tree block, found {len(trees)}")
     return next(iter(trees.values()))
-
-
-_SIGNS = {"+": 1, "+1": 1, "-": -1, "-1": -1}  # the tokens _sign accepts
 
 
 def _tree_block(name, line, nodes, root, edges, finite) -> SignedTree:

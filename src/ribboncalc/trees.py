@@ -149,37 +149,41 @@ def validate_tree(t: SignedTree) -> list[str]:
     the offenders run only when one fails.
     """
     out = []
-    nodes, root = t.nodes, t.root
+    nodes, root, edges = t.nodes, t.root, t.edges
     nodeset = set(nodes)
     if len(nodeset) != len(nodes):
         out.append(f"tree {t.name}: duplicate node ids")
     if root not in nodeset:
         out.append(f"tree {t.name}: root {root} not declared")
         return out
-    parents, children, _ = zip(*t.edges) if t.edges else ((), (), ())
+    # A TreeEdge checks its sign when it is made; any other value, a plain
+    # tuple included, is refused here.
+    if not {TreeEdge}.issuperset(map(type, edges)):
+        bad = next(e for e in edges if type(e) is not TreeEdge)
+        out.append(f"tree {t.name}: edge {bad!r} is not a TreeEdge")
+        return out
+    parents, children, signs = zip(*edges) if edges else ((), (), ())
+    if not {1, -1}.issuperset(signs):
+        bad = next(e for e in edges if e.sign not in (1, -1))
+        out.append(f"tree {t.name}: edge {bad.parent}->{bad.child} has "
+                   f"sign {bad.sign!r}, not +1 or -1")
+        return out
     if not (nodeset.issuperset(parents) and nodeset.issuperset(children)):
-        for e in t.edges:
+        for e in edges:
             if e.parent not in nodeset or e.child not in nodeset:
                 out.append(f"tree {t.name}: edge {e.parent}->{e.child} "
                            "references an undeclared node")
                 return out
-    # Reachability from the root.  One pass in edge order reaches every
-    # node when each edge's parent is the root or the child of an earlier
-    # edge, as in the towers truncate builds; the out-index walk from the
-    # nodes reached finishes the closure otherwise.
+    # Reachability from the root, breadth first over the out-index.
+    index = t._out_index
     reach = {root}
-    for parent, child in zip(parents, children):
-        if parent in reach:
-            reach.add(child)
-    if len(reach) != len(nodeset):
-        index = t._out_index
-        queue = list(reach)
-        for v in queue:  # breadth-first: the loop sees nodes appended below
-            for e in index.get(v, ()):
-                child = e.child
-                if child not in reach:
-                    reach.add(child)
-                    queue.append(child)
+    queue = [root]
+    for v in queue:  # the loop sees nodes appended below
+        for e in index.get(v, ()):
+            child = e.child
+            if child not in reach:
+                reach.add(child)
+                queue.append(child)
     if len(reach) != len(nodeset):
         out.extend(f"tree {t.name}: node {n} unreachable from root"
                    for n in nodes if n not in reach)
@@ -190,7 +194,7 @@ def validate_tree(t: SignedTree) -> list[str]:
                    for n in nodes if n != root and n not in covered)
     if t.finite and (root in covered
                      or len(covered) != len(children)
-                     or len(t.edges) != len(nodes) - 1):
+                     or len(edges) != len(nodes) - 1):
         out.append(f"tree {t.name}: tower contains back-edges")
     return out
 
@@ -252,17 +256,10 @@ def is_strictly_positive(t: SignedTree) -> bool:
     Tower leaves at maximal depth are exempt (nothing emanates from them).
     """
     index = t._out_index
-    exempt = None  # found when first needed: only a tower leaf can be exempt
+    exempt = set(_deepest_level(t)) if t.finite else set()
     for n in t.nodes:
-        outs = index.get(n, ())
         # More positive than negative edges: the signs sum above zero.
-        if sum(e.sign for e in outs) > 0:
-            continue
-        if outs or not t.finite:
-            return False
-        if exempt is None:
-            exempt = set(_deepest_level(t))
-        if n not in exempt:
+        if sum(e.sign for e in index.get(n, ())) <= 0 and n not in exempt:
             return False
     return True
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from ribboncalc import (STANDARD_CAP, Cap, Command, MoveError, MoveScript,
-                        ParseError, make_descriptor, parse_diagram,
+                        ParseError, TreeEdge, make_descriptor, parse_diagram,
                         parse_middle, parse_ribbon, parse_script, parse_tree,
                         serialize_diagram, serialize_middle, serialize_ribbon,
                         serialize_script, serialize_tree)
@@ -194,6 +194,12 @@ class TestTreeErrors:
     def test_bad_sign(self):
         assert "sign" in self.error(
             "tree t\nnode a\nroot a\nedge a a 2\n").message
+
+    @pytest.mark.parametrize("tok,sign", [("+", 1), ("+1", 1), ("-", -1),
+                                          ("-1", -1)])
+    def test_every_sign_token(self, tok, sign):
+        t = parse_tree(f"tree t\nnode r a\nroot r\nedge r a {tok}\n")
+        assert t.edges == (TreeEdge("r", "a", sign),)
 
     @pytest.mark.parametrize("sign", ["0", "++"])
     def test_malformed_sign_is_positioned(self, sign):

@@ -79,6 +79,21 @@ class TestTreeEdge:
 
 
 class TestValidation:
+    def test_plain_tuple_edges_are_refused(self):
+        # A plain tuple equals a TreeEdge but has no sign check and no
+        # field names; construction refuses it whatever its sign.
+        for sign in (1, 5):
+            with pytest.raises(TreeError, match="is not a TreeEdge"):
+                SignedTree("t", ("r", "a"), "r", (("r", "a", sign),))
+        with pytest.raises(TreeError, match="is not a TreeEdge"):
+            SignedTree("t", ("r", "a"), "r", (TreeEdge("r", "a", 1), "ra+"))
+
+    def test_sign_column_is_checked(self):
+        # A TreeEdge made past its constructor still meets the sign rule.
+        bad = tuple.__new__(TreeEdge, ("r", "a", 5))
+        with pytest.raises(TreeError, match="r->a has sign 5, not"):
+            SignedTree("t", ("r", "a"), "r", (bad,))
+
     def test_duplicate_nodes(self):
         with pytest.raises(TreeError, match="duplicate"):
             tree(["a", "a"], "a", [])
@@ -131,8 +146,7 @@ class TestAgainstOracles:
         for _ in range(300):
             t = random_tree(rng, finite=rng.random() < 0.5)
             assert validate_tree(t) == oracle_validate_tree(t) == []
-            # Children before their parents: one pass in edge order does
-            # not reach every node, and the out-index walk must.
+            # Children listed before their parents.
             edges = list(t.edges)
             rng.shuffle(edges)
             shuffled = SignedTree(t.name, t.nodes, t.root, tuple(edges),
