@@ -16,8 +16,7 @@ from .diagram import (Component, DOTTED, FRAMED, ForbiddenMove, KirbyDiagram,
 from .middle import (AccessoryLoop, Cap, Finger, FingerGraph, MiddleLevelData,
                      MiddleError, PositivityDecision, RibbonDescriptor,
                      STANDARD_CAP, excess_rows, finger_graph,
-                     is_positive_ribbon, make_descriptor, validate_middle,
-                     whitney_set)
+                     is_positive_ribbon, make_descriptor, whitney_set)
 from .simplify import (NormanResult, Outcome, StabilizationError,
                        StabilizationPlan, VerifyResult, norman_eliminate,
                        norman_trick_step, stabilization_plan, verify_plan)

@@ -48,7 +48,8 @@ class _Out:
 def _cmd_check(args, out: _Out) -> int:
     kind, value = parse_any(_read(args.file))
     out.kv("type", kind)
-    # Parsing already enforces every rule of validate_tree and validate_middle.
+    # Trees, middle data and descriptors cannot be built invalid, so only a
+    # diagram can have violations to report.
     problems = [v.message for v in validate(value)] if kind == "diagram" else []
     for p in problems:
         out.kv("violation", p)

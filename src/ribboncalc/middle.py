@@ -17,7 +17,17 @@ from .trees import DEFAULT_PAIR_BUDGET, SignedTree, is_positive
 
 
 class MiddleError(Exception):
-    pass
+    """A broken rule of middle data or of a cap assignment.
+
+    ``entry`` names the offending entry, so a parser can point at its line:
+    ``("pairs", 0)``, ``("finger", k)``, ``("loop", k)`` or ``("cap", k)``
+    for the k-th finger, loop or cap, or None (a missing cap, a finite
+    tower as a cap).
+    """
+
+    def __init__(self, message: str, entry: tuple[str, int] | None = None):
+        super().__init__(message)
+        self.entry = entry
 
 
 @dataclass(frozen=True)
@@ -35,29 +45,67 @@ class AccessoryLoop:
 
     def __post_init__(self) -> None:
         if not self.fingers:
-            raise ValueError(f"accessory loop {self.id} traverses no fingers")
+            raise MiddleError(f"accessory loop {self.id} traverses no fingers")
 
 
 @dataclass(frozen=True)
 class MiddleLevelData:
     """Sphere pairs, fingers and accessory loops.
 
-    Construction does not validate; :func:`validate_middle` reports
-    violations as data.  Lookups by id see the first finger or loop with
-    that id.
+    Construction raises MiddleError on the first broken rule: the pair
+    count lies in 1..DEFAULT_PAIR_BUDGET; finger ids and whitney ids are
+    unique and every finger's spheres lie in 1..pairs; loop ids are unique,
+    differ from every whitney id (the two would share one cap), and every
+    loop names declared fingers only.
     """
 
     pairs: int
     fingers: tuple[Finger, ...] = ()
     accessory_loops: tuple[AccessoryLoop, ...] = ()
 
+    def __post_init__(self) -> None:
+        pairs = self.pairs
+        if pairs < 1:
+            raise MiddleError(f"pair count {pairs} must be positive",
+                              ("pairs", 0))
+        if pairs > DEFAULT_PAIR_BUDGET:
+            raise MiddleError(f"pair count {pairs} exceeds the pair budget "
+                              f"{DEFAULT_PAIR_BUDGET}", ("pairs", 0))
+        fids: set[str] = set()
+        finger_of_whitney: dict[str, str] = {}
+        for k, f in enumerate(self.fingers):
+            if f.id in fids:
+                raise MiddleError(f"duplicate finger id {f.id}", ("finger", k))
+            if f.whitney in finger_of_whitney:
+                raise MiddleError(
+                    f"duplicate whitney id {f.whitney} (finger "
+                    f"{finger_of_whitney[f.whitney]} has it)", ("finger", k))
+            if not (1 <= f.from_a <= pairs and 1 <= f.through_b <= pairs):
+                raise MiddleError(f"finger {f.id} references sphere outside "
+                                  f"1..{pairs}", ("finger", k))
+            fids.add(f.id)
+            finger_of_whitney[f.whitney] = f.id
+        lids: set[str] = set()
+        for k, l in enumerate(self.accessory_loops):
+            if l.id in lids:
+                raise MiddleError(f"duplicate loop id {l.id}", ("loop", k))
+            for fid in l.fingers:
+                if fid not in fids:
+                    raise MiddleError(f"loop {l.id} references undeclared "
+                                      f"finger {fid}", ("loop", k))
+            if l.id in finger_of_whitney:
+                raise MiddleError(f"loop id {l.id} is the whitney id of "
+                                  f"finger {finger_of_whitney[l.id]}",
+                                  ("loop", k))
+            lids.add(l.id)
+
     @cached_property
     def fingers_by_id(self) -> dict[str, Finger]:
-        return _first_by_id(self.fingers)
+        return {f.id: f for f in self.fingers}
 
     @cached_property
     def loops_by_id(self) -> dict[str, AccessoryLoop]:
-        return _first_by_id(self.accessory_loops)
+        return {l.id: l for l in self.accessory_loops}
 
     def finger(self, fid: str) -> Finger:
         return self.fingers_by_id[fid]
@@ -69,44 +117,6 @@ class MiddleLevelData:
         """The ids a cap assignment covers: whitney ids, then loop ids."""
         return (tuple(f.whitney for f in self.fingers)
                 + tuple(l.id for l in self.accessory_loops))
-
-
-def _first_by_id(items):
-    out = {}
-    for x in items:
-        out.setdefault(x.id, x)
-    return out
-
-
-def validate_middle(m: MiddleLevelData) -> list[str]:
-    out = []
-    if m.pairs < 1:
-        out.append(f"pairs = {m.pairs} must be positive")
-    if m.pairs > DEFAULT_PAIR_BUDGET:
-        out.append(f"pairs = {m.pairs} exceeds the pair budget "
-                   f"{DEFAULT_PAIR_BUDGET}")
-    fids = [f.id for f in m.fingers]
-    if len(set(fids)) != len(fids):
-        out.append("duplicate finger ids")
-    finger_of_whitney = {f.whitney: f.id for f in m.fingers}
-    if len(finger_of_whitney) != len(m.fingers):
-        out.append("duplicate whitney ids")
-    for f in m.fingers:
-        if not (1 <= f.from_a <= m.pairs and 1 <= f.through_b <= m.pairs):
-            out.append(f"finger {f.id} references sphere outside 1..{m.pairs}")
-    lids = [l.id for l in m.accessory_loops]
-    if len(set(lids)) != len(lids):
-        out.append("duplicate accessory loop ids")
-    known = set(fids)
-    for l in m.accessory_loops:
-        for fid in l.fingers:
-            if fid not in known:
-                out.append(f"loop {l.id} references missing finger {fid}")
-        if l.id in finger_of_whitney:
-            # A loop and a whitney circle keyed alike would share one cap.
-            out.append(f"loop id {l.id} is the whitney id of finger "
-                       f"{finger_of_whitney[l.id]}")
-    return out
 
 
 def excess_rows(m: MiddleLevelData) -> dict[int, dict[int, int]]:
@@ -147,12 +157,8 @@ def finger_graph(m: MiddleLevelData) -> FingerGraph:
 
     One depth-first search visits nodes and successors in ascending order;
     every back edge it meets reports a cycle.  The search keeps its own
-    stack, so long finger chains do not exhaust the interpreter's.  Data
-    over the pair budget raises MiddleError: every pair is a node.
+    stack, so long finger chains do not exhaust the interpreter's.
     """
-    if m.pairs > DEFAULT_PAIR_BUDGET:
-        raise MiddleError(f"pairs = {m.pairs} exceeds the pair budget "
-                          f"{DEFAULT_PAIR_BUDGET}")
     edges = tuple((f.id, f.from_a, f.through_b) for f in m.fingers)
     succ: dict[int, set[int]] = {}
     for _, a, b in edges:
@@ -214,24 +220,33 @@ STANDARD_CAP = Cap()
 class RibbonDescriptor:
     """Middle-level data plus a total cap assignment.
 
-    ``caps`` maps every whitney id and every accessory loop id to a Cap.
+    ``caps`` maps every whitney id and every accessory loop id to a Cap,
+    each id once; construction raises MiddleError otherwise.
     """
 
     middle: MiddleLevelData
     caps: tuple[tuple[str, Cap], ...] = ()
 
     def __post_init__(self) -> None:
-        needed = set(self.middle.cap_ids())
-        missing = needed - set(self.caps_by_id)
+        seen: set[str] = set()
+        for k, (cid, _) in enumerate(self.caps):
+            if cid in seen:
+                raise MiddleError(f"duplicate cap for {cid}", ("cap", k))
+            seen.add(cid)
+        needed = self.middle.cap_ids()
+        missing = [cid for cid in needed if cid not in seen]
         if missing:
-            raise MiddleError(f"missing caps for {sorted(missing)}")
-        extra = set(self.caps_by_id) - needed
-        if extra:
-            raise MiddleError(f"caps for unknown ids {sorted(extra)}")
+            raise MiddleError(f"missing caps for {missing}")
+        if len(self.caps) > len(needed):
+            known = set(needed)
+            extra = [k for k, (cid, _) in enumerate(self.caps)
+                     if cid not in known]
+            raise MiddleError(f"caps for unknown ids "
+                              f"{[self.caps[k][0] for k in extra]}",
+                              ("cap", extra[0]))
 
     @cached_property
     def caps_by_id(self) -> dict[str, Cap]:
-        """Each cap id's cap; a repeated id keeps its last entry."""
         return dict(self.caps)
 
     def cap(self, cid: str) -> Cap:

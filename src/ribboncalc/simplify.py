@@ -15,8 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .middle import (Finger, MiddleLevelData, RibbonDescriptor, STANDARD_CAP,
-                     excess_rows, finger_graph, is_positive_ribbon,
-                     validate_middle)
+                     excess_rows, finger_graph, is_positive_ribbon)
 from .trees import kuga_blowup_cost, prune_depth
 
 
@@ -26,6 +25,8 @@ class StabilizationError(Exception):
     Raised when the fingers left after the Whitney tricks form a cycle;
     the argument excludes this for non-positive descriptors, so an
     encodable instance hitting it is flagged rather than planned around.
+    Data that breaks a middle-data rule never reaches the planner: building
+    it raises MiddleError.
     """
 
 
@@ -184,12 +185,9 @@ PRODUCT_NOTE = "product structure certified; hence the cobordism is not stably n
 def stabilization_plan(r: RibbonDescriptor) -> StabilizationPlan:
     """Full pipeline: obstruction gate, cap replacement, Whitney tricks on
     the standard-capped fingers, Norman cascades on the rest, terminal pair
-    cancellation.  Invalid middle data (:func:`validate_middle`), which
-    includes data over the pair budget, raises StabilizationError."""
+    cancellation.  The descriptor is valid by construction, pair budget
+    included, so every step is linear in fingers plus pairs."""
     m = r.middle
-    problems = validate_middle(m)
-    if problems:
-        raise StabilizationError(f"invalid middle data: {problems[0]}")
     decision = is_positive_ribbon(r)
     if decision.positive:
         return StabilizationPlan(
@@ -233,18 +231,15 @@ class VerifyResult:
 def verify_plan(r: RibbonDescriptor, p: StabilizationPlan) -> VerifyResult:
     """Replay every step against the descriptor, checking preconditions,
     recorded deltas, the blow-up total and the terminal product state.
-    Any plan gets a verdict: invalid middle data (:func:`validate_middle`),
-    which includes data over the pair budget, fails before the outcome is
-    read, an unknown outcome fails, and an obstruction plan carries no
-    steps, no k and no blow-ups.  A malformed step is a failing step.
+    Any plan gets a verdict, since every descriptor is valid by
+    construction: an unknown outcome fails, and an obstruction plan
+    carries no steps, no k and no blow-ups.  A malformed step is a failing
+    step.
     Removing a finger breaks every accessory loop through it, and the
     loop's cap leaves with it.  G is replayed as sparse excess rows
     (:func:`excess_rows`) beside a live-finger count per sphere, so every
     precondition is O(1)."""
     m = r.middle
-    problems = validate_middle(m)
-    if problems:
-        return VerifyResult(False, None, f"invalid middle data: {problems[0]}")
     if p.outcome.kind == "positive-obstruction":
         if p.steps or p.k or p.blowups:
             return VerifyResult(False, None, "an obstruction plan carries "

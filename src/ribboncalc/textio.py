@@ -12,9 +12,13 @@ Grammar summary ('#' starts a comment, blank lines ignored):
     note TEXT
 
 A ribbon-descriptor document is a sequence of tree blocks followed by one
-middle block with its cap lines; 1 <= K <= DEFAULT_PAIR_BUDGET and every
-finger's FROM and THRU lie in 1..K.  A tree block must satisfy every rule
-of :func:`ribboncalc.trees.validate_tree`.  Scripts are a ``script NAME``
+middle block with its cap lines.  A tree block must satisfy every rule of
+:func:`ribboncalc.trees.validate_tree`.  The middle block and its caps
+must satisfy the rules that :class:`ribboncalc.middle.MiddleLevelData` and
+:class:`ribboncalc.middle.RibbonDescriptor` check when built (among them
+1 <= K <= DEFAULT_PAIR_BUDGET and FROM, THRU in 1..K); the parser checks
+only the syntax and reports a broken rule on the line of the entry that
+breaks it (line 1 for a missing cap).  Scripts are a ``script NAME``
 header followed by one command per line, in one of the forms of
 :data:`ribboncalc.scripts.COMMANDS`.
 
@@ -25,11 +29,11 @@ is canonical.
 from __future__ import annotations
 
 from .diagram import (Component, DOTTED, FRAMED, KirbyDiagram, PAREN)
-from .middle import (AccessoryLoop, Cap, Finger, MiddleLevelData,
-                     RibbonDescriptor, STANDARD_CAP)
+from .middle import (AccessoryLoop, Cap, Finger, MiddleError,
+                     MiddleLevelData, RibbonDescriptor, STANDARD_CAP)
 from .scripts import (ABSENT, COMMANDS, ID, INT, INTS, SIGN, STRANDS,
                       Command, Form, MoveScript, form_error, form_of)
-from .trees import DEFAULT_PAIR_BUDGET, SignedTree, TreeEdge, TreeError
+from .trees import SignedTree, TreeEdge, TreeError
 
 
 class ParseError(Exception):
@@ -256,16 +260,13 @@ def parse_middle(text: str) -> MiddleLevelData:
 
 
 def _parse_middle_block(lines, trees):
-    """Middle data and caps over the tree blocks ``trees``; caps naming one
-    tree share one Cap."""
+    """Middle data over the tree blocks ``trees`` and its ``(id, cap)``
+    lines in file order; caps naming one tree share one Cap."""
     caps_by_tree = {name: Cap(t) for name, t in trees.items() if not t.finite}
     pairs = None
-    fingers: dict[str, Finger] = {}
-    finger_of_whitney: dict[str, str] = {}
-    finger_line: dict[str, int] = {}
-    loops: dict[str, AccessoryLoop] = {}
-    loop_line: dict[str, int] = {}
-    caps: dict[str, Cap] = {}
+    fingers: list[Finger] = []
+    loops: list[AccessoryLoop] = []
+    caps: list[tuple[str, Cap]] = []
     started = False
     for n, line in lines:
         toks = line.split()
@@ -280,45 +281,27 @@ def _parse_middle_block(lines, trees):
             if len(toks) != 2 or pairs is not None:
                 raise ParseError(n, "malformed or duplicate pairs line")
             pairs = _int(toks[1], n, "pair count")
-            if pairs < 1:
-                raise ParseError(n, f"pair count {pairs} must be positive")
-            if pairs > DEFAULT_PAIR_BUDGET:
-                raise ParseError(n, f"pair count {pairs} exceeds the pair "
-                                    f"budget {DEFAULT_PAIR_BUDGET}")
         elif kw == "finger":
             if len(toks) != 5:
                 raise ParseError(n, "finger needs: finger ID FROM THRU WID")
-            if toks[1] in fingers:
-                raise ParseError(n, f"duplicate finger id {toks[1]}")
-            if toks[4] in finger_of_whitney:
-                raise ParseError(n, f"duplicate whitney id {toks[4]} (finger "
-                                    f"{finger_of_whitney[toks[4]]} has it)")
-            finger_of_whitney[toks[4]] = toks[1]
-            finger_line[toks[1]] = n
-            fingers[toks[1]] = Finger(toks[1], _int(toks[2], n, "sphere index"),
-                                      _int(toks[3], n, "sphere index"), toks[4])
+            fingers.append(Finger(toks[1], _int(toks[2], n, "sphere index"),
+                                  _int(toks[3], n, "sphere index"), toks[4]))
         elif kw == "loop":
             if len(toks) < 3:
                 raise ParseError(n, "loop needs an id and at least one finger")
-            if toks[1] in loops:
-                raise ParseError(n, f"duplicate loop id {toks[1]}")
-            loops[toks[1]] = AccessoryLoop(toks[1], tuple(toks[2:]))
-            loop_line[toks[1]] = n
+            loops.append(AccessoryLoop(toks[1], tuple(toks[2:])))
         elif kw == "cap":
             if len(toks) < 3:
                 raise ParseError(n, "cap needs: cap ID standard|tree NAME")
-            cid = toks[1]
-            if cid in caps:
-                raise ParseError(n, f"duplicate cap for {cid}")
             if toks[2] == "standard" and len(toks) == 3:
-                caps[cid] = STANDARD_CAP
+                caps.append((toks[1], STANDARD_CAP))
             elif toks[2] == "tree" and len(toks) == 4:
                 if toks[3] not in trees:
                     raise ParseError(n, f"cap references unknown tree {toks[3]}")
                 if toks[3] not in caps_by_tree:
                     raise ParseError(n, f"cap names tree {toks[3]}, a finite "
                                         "tower, not a Casson handle")
-                caps[cid] = caps_by_tree[toks[3]]
+                caps.append((toks[1], caps_by_tree[toks[3]]))
             else:
                 raise ParseError(n, f"malformed cap line")
         else:
@@ -327,21 +310,20 @@ def _parse_middle_block(lines, trees):
         raise ParseError(1, "missing 'middle' header")
     if pairs is None:
         raise ParseError(1, "middle block has no pairs line")
-    for f in fingers.values():
-        if not (1 <= f.from_a <= pairs and 1 <= f.through_b <= pairs):
-            raise ParseError(finger_line[f.id], f"finger {f.id} references "
-                                                f"sphere outside 1..{pairs}")
-    for l in loops.values():
-        for fid in l.fingers:
-            if fid not in fingers:
-                raise ParseError(loop_line[l.id], f"loop {l.id} references "
-                                                  f"undeclared finger {fid}")
-        if l.id in finger_of_whitney:
-            raise ParseError(loop_line[l.id], f"loop id {l.id} is the whitney "
-                                              f"id of finger "
-                                              f"{finger_of_whitney[l.id]}")
-    return MiddleLevelData(pairs, tuple(fingers.values()),
-                           tuple(loops.values())), caps
+    try:
+        return MiddleLevelData(pairs, tuple(fingers), tuple(loops)), caps
+    except MiddleError as exc:
+        raise _positioned(exc, lines) from None
+
+
+def _positioned(exc: MiddleError, lines, order=None) -> ParseError:
+    """``exc`` on the line of its entry: the k-th line of the entry's
+    keyword, the k-th after ``order`` for a cap; line 1 for no entry."""
+    if exc.entry is None:
+        return ParseError(1, str(exc))
+    kind, k = exc.entry
+    at = [n for n, line in lines if line.split()[0] == kind]
+    return ParseError(at[order[k] if kind == "cap" else k], str(exc))
 
 
 def parse_ribbon(text: str) -> RibbonDescriptor:
@@ -349,15 +331,14 @@ def parse_ribbon(text: str) -> RibbonDescriptor:
     if not rest:
         raise ParseError(1, "ribbon document has no middle block")
     m, caps = _parse_middle_block(rest, trees)
-    needed = m.cap_ids()
-    missing = [cid for cid in needed if cid not in caps]
-    if missing:
-        raise ParseError(1, f"missing caps for {missing}")
-    known = set(needed)
-    extra = [cid for cid in caps if cid not in known]
-    if extra:
-        raise ParseError(1, f"caps for unknown ids {extra}")
-    return RibbonDescriptor(m, tuple((cid, caps[cid]) for cid in needed))
+    # The caps in canonical order: that of cap_ids, unknown ids last.
+    rank = {cid: k for k, cid in enumerate(m.cap_ids())}
+    ranks = [rank.get(cid, len(rank)) for cid, _ in caps]
+    order = sorted(range(len(caps)), key=ranks.__getitem__)
+    try:
+        return RibbonDescriptor(m, tuple(caps[k] for k in order))
+    except MiddleError as exc:
+        raise _positioned(exc, rest, order) from None
 
 
 def serialize_middle(m: MiddleLevelData) -> str:

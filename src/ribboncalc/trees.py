@@ -280,8 +280,7 @@ def _deepest_level(t: SignedTree) -> list[str]:
 # Size budgets.  Unrolling stops past DEFAULT_NODE_BUDGET nodes.  Planning,
 # replay and rendering take time and memory linear in a descriptor's
 # declared sphere pairs, so middle data with more than DEFAULT_PAIR_BUDGET
-# pairs is refused by the parser, the planner, the verifier and the finger
-# graph.
+# pairs cannot be built (MiddleLevelData raises MiddleError).
 DEFAULT_NODE_BUDGET = 100_000
 DEFAULT_PAIR_BUDGET = 100_000
 

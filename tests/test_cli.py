@@ -287,15 +287,6 @@ class TestBudgetsAndTreeRules:
         assert code == 2 and out == ""
         assert self.REFUSAL in err
 
-    def test_render_refuses_data_the_parser_let_through(
-            self, files, capsys, monkeypatch):
-        # The finger graph checks the budget itself, whatever the parser did.
-        monkeypatch.setattr(ribboncalc.textio, "DEFAULT_PAIR_BUDGET", 10**7)
-        code, out, err = run(capsys, "render",
-                             files("r.ribbon", self.MILLION_PAIRS))
-        assert code == 1 and out == ""
-        assert "exceeds the pair budget 100000" in err
-
     @pytest.mark.parametrize("argv", [["tree"], ["check"], ["render"]])
     def test_tree_rule_is_a_parse_error(self, files, capsys, argv):
         code, out, err = run(capsys, *argv,

@@ -5,10 +5,10 @@ import random
 import pytest
 
 from ribboncalc import (AccessoryLoop, Cap, Finger, MiddleLevelData,
-                        MiddleError, RibbonDescriptor, STANDARD_CAP, chplus,
+                        MiddleError, RibbonDescriptor, STANDARD_CAP,
+                        SignedTree, TreeEdge, chplus,
                         excess_rows, finger_graph, is_positive_ribbon,
-                        make_descriptor, truncate, validate_middle,
-                        whitney_set)
+                        make_descriptor, truncate, whitney_set)
 
 from genlib import (dense_excess_rows, dense_geometric_matrix,
                     oracle_cycle_exists, random_acyclic_middle,
@@ -25,41 +25,59 @@ def middle(pairs, fingers=(), loops=()):
         tuple(AccessoryLoop(i, tuple(fs)) for i, fs in loops))
 
 
+def refusal(build):
+    """The message and entry of the MiddleError that ``build()`` raises."""
+    with pytest.raises(MiddleError) as e:
+        build()
+    return str(e.value), e.value.entry
+
+
 class TestValidateMiddle:
+    """Middle data that breaks a rule cannot be built; the error names the
+    offending entry."""
+
     def test_clean(self):
         m = middle(2, [("f1", 1, 2, "w1")], [("l1", ["f1"])])
-        assert validate_middle(m) == []
+        assert m.cap_ids() == ("w1", "l1")
 
     def test_out_of_range_sphere(self):
-        m = middle(1, [("f1", 1, 2, "w1")])
-        assert any("outside" in v for v in validate_middle(m))
+        assert refusal(lambda: middle(1, [("f1", 1, 2, "w1")])) == (
+            "finger f1 references sphere outside 1..1", ("finger", 0))
 
     def test_duplicate_ids(self):
-        m = middle(2, [("f1", 1, 2, "w1"), ("f1", 2, 1, "w2")])
-        assert any("duplicate finger" in v for v in validate_middle(m))
+        assert refusal(lambda: middle(
+            2, [("f1", 1, 2, "w1"), ("f1", 2, 1, "w2")])) == (
+            "duplicate finger id f1", ("finger", 1))
+        assert refusal(lambda: middle(
+            2, [("f1", 1, 2, "w"), ("f2", 2, 1, "w")])) == (
+            "duplicate whitney id w (finger f1 has it)", ("finger", 1))
+        assert refusal(lambda: middle(
+            2, [("f1", 1, 2, "w1")], [("l1", ["f1"]), ("l1", ["f1"])])) == (
+            "duplicate loop id l1", ("loop", 1))
 
     def test_loop_over_missing_finger(self):
-        m = middle(2, [], [("l1", ["nope"])])
-        assert any("missing finger" in v for v in validate_middle(m))
+        assert refusal(lambda: middle(2, [], [("l1", ["nope"])])) == (
+            "loop l1 references undeclared finger nope", ("loop", 0))
 
     def test_loop_id_equal_to_a_whitney_id(self):
-        m = middle(2, [("f1", 1, 2, "w1"), ("f2", 1, 2, "l1")],
-                   [("l1", ["f1"])])
-        assert validate_middle(m) == ["loop id l1 is the whitney id of "
-                                      "finger f2"]
+        assert refusal(lambda: middle(
+            2, [("f1", 1, 2, "w1"), ("f2", 1, 2, "l1")],
+            [("l1", ["f1"])])) == (
+            "loop id l1 is the whitney id of finger f2", ("loop", 0))
 
     def test_empty_loop_rejected_at_construction(self):
-        with pytest.raises(ValueError):
-            AccessoryLoop("l1", ())
+        assert refusal(lambda: AccessoryLoop("l1", ())) == (
+            "accessory loop l1 traverses no fingers", None)
 
     def test_pair_budget(self):
-        assert validate_middle(middle(DEFAULT_PAIR_BUDGET)) == []
-        assert validate_middle(middle(DEFAULT_PAIR_BUDGET + 1)) == [
-            f"pairs = {DEFAULT_PAIR_BUDGET + 1} exceeds the pair budget "
-            f"{DEFAULT_PAIR_BUDGET}"]
+        assert middle(DEFAULT_PAIR_BUDGET).pairs == DEFAULT_PAIR_BUDGET
+        assert refusal(lambda: middle(DEFAULT_PAIR_BUDGET + 1)) == (
+            f"pair count {DEFAULT_PAIR_BUDGET + 1} exceeds the pair budget "
+            f"{DEFAULT_PAIR_BUDGET}", ("pairs", 0))
 
     def test_nonpositive_pairs(self):
-        assert any("positive" in v for v in validate_middle(middle(0)))
+        assert refusal(lambda: middle(0)) == (
+            "pair count 0 must be positive", ("pairs", 0))
 
 
 class TestGeometricMatrix:
@@ -121,7 +139,7 @@ class TestFingerGraph:
 
 
     def test_pair_budget(self):
-        # Every pair is a node of the graph.
+        # Every pair is a node of the graph, so such data cannot be built.
         with pytest.raises(MiddleError, match="exceeds the pair budget"):
             finger_graph(middle(DEFAULT_PAIR_BUDGET + 1,
                                 [("f1", 1, 2, "w1")]))
@@ -146,6 +164,21 @@ class TestCapsAndDescriptors:
             RibbonDescriptor(m, (("w1", CHP),))
         with pytest.raises(MiddleError, match="unknown"):
             RibbonDescriptor(m, (("w1", CHP), ("l1", CHP), ("zz", CHP)))
+        assert refusal(lambda: RibbonDescriptor(m, (("zz", CHP),) + (
+            ("w1", CHP), ("l1", CHP), ("yy", CHP)))) == (
+            "caps for unknown ids ['zz', 'yy']", ("cap", 0))
+        assert refusal(lambda: RibbonDescriptor(
+            middle(2, [("f1", 1, 2, "w1"), ("f2", 1, 2, "w2")]),
+            (("w1", CHP),))) == ("missing caps for ['w2']", None)
+
+    def test_repeated_cap_id(self):
+        # The repeat used to be planned as two ReplaceCap("w1", 1) steps,
+        # and verify_plan rejected the plan at step 1.
+        neg = Cap(SignedTree("neg", ("r",), "r", (TreeEdge("r", "r", -1),)))
+        m = middle(1, [("f1", 1, 1, "w1")])
+        assert refusal(lambda: RibbonDescriptor(
+            m, (("w1", neg), ("w1", neg)))) == (
+            "duplicate cap for w1", ("cap", 1))
 
     def test_whitney_set(self):
         m = middle(2, [("f1", 1, 2, "w1"), ("f2", 1, 2, "w2")],

@@ -6,8 +6,8 @@ from dataclasses import replace
 
 import pytest
 
-from ribboncalc import (AccessoryLoop, Cap, Finger, MiddleLevelData,
-                        STANDARD_CAP, chplus, excess_rows,
+from ribboncalc import (AccessoryLoop, Cap, Finger, MiddleError,
+                        MiddleLevelData, STANDARD_CAP, chplus, excess_rows,
                         is_positive_ribbon, make_descriptor, norman_eliminate,
                         norman_trick_step, stabilization_plan, verify_plan,
                         StabilizationError)
@@ -271,31 +271,22 @@ class TestStabilizationPlan:
 
 
 class TestPlanInvalidMiddle:
+    """Data the planner used to refuse cannot be built any more."""
+
     def test_finger_past_the_last_sphere_is_refused(self):
         # finger_graph roots only spheres 1..pairs: without the check the
         # finger was dropped and the plan was two bare pair cancellations.
-        r = make_descriptor(MiddleLevelData(2, (Finger("f1", 5, 1, "w1"),)),
-                            {"w1": CHP})
-        with pytest.raises(StabilizationError) as e:
-            stabilization_plan(r)
-        assert str(e.value) == ("invalid middle data: finger f1 references "
-                                "sphere outside 1..2")
-        assert str(e.value) == verify_plan(
-            r, StabilizationPlan(0, 0, (), Outcome("product"))).reason
-
+        with pytest.raises(MiddleError) as e:
+            MiddleLevelData(2, (Finger("f1", 5, 1, "w1"),))
+        assert str(e.value) == "finger f1 references sphere outside 1..2"
 
     def test_loop_id_equal_to_a_whitney_id_is_refused(self):
         # One cap served both ids: the plan replaced it twice and its own
         # replay failed ("l1 has no non-positive tree cap").
-        m = middle(2, [("f1", 1, 2, "w1"), ("f2", 1, 2, "l1")],
+        with pytest.raises(MiddleError) as e:
+            middle(2, [("f1", 1, 2, "w1"), ("f2", 1, 2, "l1")],
                    [("l1", ["f1"])])
-        r = make_descriptor(m, {"w1": STANDARD_CAP, "l1": CHMINUS})
-        with pytest.raises(StabilizationError) as e:
-            stabilization_plan(r)
-        assert str(e.value) == ("invalid middle data: loop id l1 is the "
-                                "whitney id of finger f2")
-        assert str(e.value) == verify_plan(
-            r, StabilizationPlan(0, 0, (), Outcome("product"))).reason
+        assert str(e.value) == "loop id l1 is the whitney id of finger f2"
 
 
 class TestPairBudget:
@@ -313,24 +304,15 @@ class TestPairBudget:
         assert verify_plan(r, plan).ok
 
     def test_data_over_the_budget_is_refused(self):
-        r = make_descriptor(middle(10**6, [("f1", 1, 2, "w1")]),
-                            {"w1": STANDARD_CAP})
-        reason = (f"invalid middle data: pairs = {10**6} exceeds the pair "
-                  f"budget {DEFAULT_PAIR_BUDGET}")
-        with pytest.raises(StabilizationError) as e:
-            stabilization_plan(r)
-        assert str(e.value) == reason
-        for plan in (StabilizationPlan(0, 0, (), Outcome("product")),
-                     StabilizationPlan(0, 0, (CancelFinger("f1", "w1"),)
-                                       + (CancelPair(("A1", "B1")),) * 2,
-                                       Outcome("product")),
-                     StabilizationPlan(0, 0, (), Outcome("unknown"))):
-            assert verify_plan(r, plan) == VerifyResult(False, None, reason)
+        with pytest.raises(MiddleError) as e:
+            middle(10**6, [("f1", 1, 2, "w1")])
+        assert str(e.value) == (f"pair count {10**6} exceeds the pair "
+                                f"budget {DEFAULT_PAIR_BUDGET}")
 
 
 class TestVerifyPlanInvalidMiddle:
-    """A product plan over middle data that validate_middle rejects fails
-    before its first step, whatever the planner made of the data."""
+    """Middle data whose product plans the verifier used to fail before
+    their first step cannot be built."""
 
     @pytest.mark.parametrize("pairs, finger", [
         (2, ("f1", 3, 1, "w1")),   # past the last sphere
@@ -339,18 +321,11 @@ class TestVerifyPlanInvalidMiddle:
         (0, ("f1", 1, 1, "w1")),   # no sphere pairs at all
     ])
     def test_out_of_range_sphere(self, pairs, finger):
-        r = make_descriptor(middle(pairs, [finger]), {"w1": STANDARD_CAP})
-        plan = StabilizationPlan(
-            0, 0, (CancelFinger("f1", "w1"),) + tuple(
-                CancelPair((f"A{i}", f"B{i}")) for i in range(1, pairs + 1)),
-            Outcome("product"))
-        result = verify_plan(r, plan)
-        assert not result.ok and result.failing_step is None
-        assert "invalid middle data" in result.reason
-        # The planner refuses the same data with the same reason.
-        with pytest.raises(StabilizationError) as e:
-            stabilization_plan(r)
-        assert str(e.value) == result.reason
+        with pytest.raises(MiddleError) as e:
+            middle(pairs, [finger])
+        assert str(e.value) == (
+            f"pair count {pairs} must be positive" if pairs < 1
+            else f"finger f1 references sphere outside 1..{pairs}")
 
 
 class TestVerifyPlanOutcome:
@@ -359,15 +334,12 @@ class TestVerifyPlanOutcome:
         return make_descriptor(m, {"w1": CHP, "l1": CHP})
 
     def test_obstruction_plan_over_invalid_middle(self):
-        # is_positive_ribbon used to run first and raised KeyError: 'fX'.
-        m = MiddleLevelData(1, (Finger("f1", 1, 1, "w1"),),
+        # is_positive_ribbon used to raise KeyError: 'fX' on such data;
+        # now it cannot be built.
+        with pytest.raises(MiddleError) as e:
+            MiddleLevelData(1, (Finger("f1", 1, 1, "w1"),),
                             (AccessoryLoop("l1", ("fX",)),))
-        r = make_descriptor(m, {"w1": CHP, "l1": CHP})
-        plan = StabilizationPlan(0, 0, (),
-                                 Outcome("positive-obstruction", "l1"))
-        assert verify_plan(r, plan) == VerifyResult(
-            False, None, "invalid middle data: loop l1 references missing "
-                         "finger fX")
+        assert str(e.value) == "loop l1 references undeclared finger fX"
 
     def test_unknown_outcome_is_rejected(self):
         r = make_descriptor(middle(2, [("f1", 1, 2, "w1")]),
@@ -536,12 +508,9 @@ class TestVerifyPlanIsTotal:
             assert not result.ok and result.failing_step == 0
 
     def test_shared_whitney_id(self):
-        # Unvalidated data: two fingers share the Whitney loop w.
-        m = middle(2, [("f1", 1, 2, "w"), ("f2", 1, 2, "w")],
+        # Two fingers sharing the Whitney loop w got verdicts from the
+        # replay; such data cannot be built any more.
+        with pytest.raises(MiddleError) as e:
+            middle(2, [("f1", 1, 2, "w"), ("f2", 1, 2, "w")],
                    [("l1", ["f2"])])
-        r = make_descriptor(m, {"w": STANDARD_CAP, "l1": STANDARD_CAP})
-        trick = NormanTrick("f1", ())
-        for tail in ((NormanTrick("f2", ()),), (CancelFinger("f2", "w"),),
-                     (CancelFinger("f2", "w"), NormanTrick("f2", ()))):
-            plan = StabilizationPlan(0, 0, (trick,) + tail, Outcome("product"))
-            assert not verify_plan(r, plan).ok
+        assert str(e.value) == "duplicate whitney id w (finger f1 has it)"

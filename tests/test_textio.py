@@ -4,9 +4,11 @@ import random
 
 import pytest
 
-from ribboncalc import (STANDARD_CAP, Cap, Command, MoveError, MoveScript,
-                        ParseError, TreeEdge, make_descriptor, parse_diagram,
-                        parse_middle, parse_ribbon, parse_script, parse_tree,
+from ribboncalc import (STANDARD_CAP, AccessoryLoop, Cap, Command, Finger,
+                        MiddleError, MiddleLevelData, MoveError, MoveScript,
+                        ParseError, RibbonDescriptor, TreeEdge,
+                        make_descriptor, parse_diagram, parse_middle,
+                        parse_ribbon, parse_script, parse_tree,
                         serialize_diagram, serialize_middle, serialize_ribbon,
                         serialize_script, serialize_tree)
 from ribboncalc import textio
@@ -376,6 +378,88 @@ class TestMiddleAndRibbon:
         assert apart == r
         assert serialize_ribbon(apart) == serialize_ribbon(r)
         assert parse_ribbon(serialize_ribbon(r)) == r
+
+
+def _insert(items, k, item):
+    return items[:k] + (item,) + items[k:]
+
+
+def _mutants(rng, r):
+    """Five single-rule breaks of ``r``'s text: ``(kind, text, line, build)``
+    with the 1-based line of the broken entry and a thunk that builds the
+    same broken value directly."""
+    m, caps = r.middle, r.caps
+    fingers, loops = m.fingers, m.accessory_loops
+    lines = serialize_ribbon(r).splitlines()
+
+    def index(prefix):
+        return next(i for i, x in enumerate(lines) if x.startswith(prefix))
+
+    def text(i, line, insert=False):
+        """The document with ``line`` after line i, or in its place."""
+        return "\n".join(lines[:i + insert] + [line] + lines[i + 1:]) + "\n"
+
+    def middle(fs, ls):
+        return lambda: MiddleLevelData(m.pairs, fs, ls)
+
+    if fingers:
+        k = rng.randrange(len(fingers))
+        f = fingers[k]
+        i = index(f"finger {f.id} ")
+        yield ("finger line repeated", text(i, lines[i], insert=True), i + 2,
+               middle(_insert(fingers, k + 1, f), loops))
+        a, b = ((m.pairs + 1, f.through_b) if rng.random() < 0.5
+                else (f.from_a, m.pairs + 1))
+        bad = Finger(f.id, a, b, f.whitney)
+        yield ("sphere past pairs",
+               text(i, f"finger {f.id} {a} {b} {f.whitney}"), i + 1,
+               middle(fingers[:k] + (bad,) + fingers[k + 1:], loops))
+    if loops:
+        k = rng.randrange(len(loops))
+        l = loops[k]
+        i = index(f"loop {l.id} ")
+        for kind, new in (
+                ("loop named like a whitney circle",
+                 AccessoryLoop(rng.choice(fingers).whitney, l.fingers)),
+                ("loop over an undeclared finger",
+                 AccessoryLoop(l.id, _insert(l.fingers,
+                                             rng.randint(0, len(l.fingers)),
+                                             "fX")))):
+            yield (kind, text(i, f"loop {new.id} " + " ".join(new.fingers)),
+                   i + 1, middle(fingers, loops[:k] + (new,) + loops[k + 1:]))
+    if caps:
+        j = rng.randrange(len(caps))
+        i = index(f"cap {caps[j][0]} ")
+        yield ("cap line repeated", text(i, lines[i], insert=True), i + 2,
+               lambda: RibbonDescriptor(m, _insert(caps, j + 1, caps[j])))
+
+
+class TestMiddleRuleMessages:
+    """A broken middle rule reads the same from the parser as from the
+    constructor, and the parser puts it on the line that breaks it."""
+
+    def test_seeded_mutants(self):
+        rng = random.Random(113)
+        seen: dict[str, int] = {}
+        for _ in range(150):
+            r = random_nonpositive_descriptor(rng)
+            for kind, text, line, build in _mutants(rng, r):
+                with pytest.raises(MiddleError) as built:
+                    build()
+                with pytest.raises(ParseError) as parsed:
+                    parse_ribbon(text)
+                assert parsed.value.line == line, (kind, text)
+                assert parsed.value.message == str(built.value), (kind, text)
+                seen[kind] = seen.get(kind, 0) + 1
+        assert len(seen) == 5 and min(seen.values()) >= 30, seen
+
+    def test_repeated_cap_line(self):
+        text = ("middle\npairs 1\nfinger f1 1 1 w1\n"
+                "cap w1 standard\ncap w1 standard\n")
+        with pytest.raises(ParseError) as e:
+            parse_ribbon(text)
+        assert e.value.line == 5
+        assert e.value.message == "duplicate cap for w1"
 
 
 class TestScriptRoundTrip:

@@ -427,12 +427,15 @@ class TestPruningQuantitiesCached:
                 out.append(str(e.value))
             return out
 
-        def walk(self, node):
+        def walk(*args):
             raise AssertionError("the tree was walked again")
 
         first = observe()
         assert first[1] is None and first[2] is None
+        # Both cached quantities start from _prunable_order, so a
+        # recomputation that walks the out-index directly is seen too.
         monkeypatch.setattr(SignedTree, "out_edges", walk)
+        monkeypatch.setattr(ribboncalc.trees, "_prunable_order", walk)
         assert observe() == first
 
 
