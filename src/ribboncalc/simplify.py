@@ -269,7 +269,8 @@ def verify_plan(r: RibbonDescriptor, p: StabilizationPlan) -> VerifyResult:
 
     def remove(f: Finger) -> None:
         del fingers[f.id]
-        on_sphere.subtract((f.from_a, f.through_b))
+        on_sphere[f.from_a] -= 1
+        on_sphere[f.through_b] -= 1
         capmap.pop(f.whitney, None)
         for lid in on_loops.get(f.id, ()):  # the loop breaks: its cap goes
             capmap.pop(lid, None)

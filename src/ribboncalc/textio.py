@@ -28,6 +28,9 @@ is canonical.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import itemgetter
+
 from .diagram import (Component, DOTTED, FRAMED, KirbyDiagram, PAREN)
 from .middle import (AccessoryLoop, Cap, Finger, MiddleError,
                      MiddleLevelData, RibbonDescriptor, STANDARD_CAP)
@@ -44,10 +47,13 @@ class ParseError(Exception):
 
 
 def _lines(text: str):
-    for n, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield n, line
+    """A lazy iterator of ``(line number, tokens)`` over the lines that hold
+    a token; a comment runs from '#' to the end of its line.  One split per
+    line, in C: no Python frame runs per line of a document without '#'."""
+    rows = text.splitlines()
+    if "#" in text:
+        rows = [raw.split("#", 1)[0] for raw in rows]
+    return filter(itemgetter(1), enumerate(map(str.split, rows), 1))
 
 
 def _int(tok: str, n: int, what: str) -> int:
@@ -81,8 +87,7 @@ def parse_diagram(text: str) -> KirbyDiagram:
     counts: dict[str, int] = {}
     dual = False
     notes: list[str] = []
-    for n, line in _lines(text):
-        toks = line.split()
+    for n, toks in _lines(text):
         kw = toks[0]
         if kw == "diagram":
             if name is not None:
@@ -185,16 +190,17 @@ def _tree_block(name, line, nodes, root, edges, finite) -> SignedTree:
 
 
 def _parse_tree_blocks(text: str, stop_at: str | None = None):
+    """The tree blocks of ``text`` by name, and its lines from the first
+    ``stop_at`` line on, still to be read (None when there is none)."""
     trees: dict[str, SignedTree] = {}
-    pending: list[tuple[int, str]] = list(_lines(text))
+    lines = _lines(text)
     # The open block: name (None when there is none), header line, node
     # ids (a dict keeps their order), root, edges and the finite flag.
     name = header = root = None
     nodes: dict[str, None] = {}
     edges: list[TreeEdge] = []
     finite = False
-    for k, (n, line) in enumerate(pending):
-        toks = line.split()
+    for n, toks in lines:
         kw = toks[0]
         if kw == "edge" and name is not None:
             if len(toks) != 4:
@@ -204,8 +210,9 @@ def _parse_tree_blocks(text: str, stop_at: str | None = None):
                 raise ParseError(n, f"edge references undeclared node {parent}")
             if child not in nodes:
                 raise ParseError(n, f"edge references undeclared node {child}")
-            edges.append(TreeEdge(parent, child,
-                                  _SIGNS.get(sign) or _sign(sign, n)))
+            # The sign is +1 or -1, so the edge skips TreeEdge's check.
+            edges.append(tuple.__new__(TreeEdge, (
+                parent, child, _SIGNS.get(sign) or _sign(sign, n))))
         elif kw == "node" and name is not None:
             for nid in toks[1:]:
                 if nid in nodes:
@@ -217,7 +224,7 @@ def _parse_tree_blocks(text: str, stop_at: str | None = None):
                                           finite)
                 name = None
             if kw == stop_at:
-                return trees, pending[k:]
+                return trees, chain([(n, toks)], lines)
             if len(toks) != 2:
                 raise ParseError(n, "tree header needs a name")
             if toks[1] in trees:
@@ -236,7 +243,7 @@ def _parse_tree_blocks(text: str, stop_at: str | None = None):
             raise ParseError(n, f"unknown keyword {kw!r}")
     if name is not None:
         trees[name] = _tree_block(name, header, nodes, root, edges, finite)
-    return trees, []
+    return trees, None
 
 
 def serialize_tree(t: SignedTree) -> str:
@@ -253,23 +260,25 @@ def serialize_tree(t: SignedTree) -> str:
 # -- middle data and ribbon descriptors ----------------------------------
 
 def parse_middle(text: str) -> MiddleLevelData:
-    m, caps = _parse_middle_block(list(_lines(text)), {})
+    m, caps, _ = _parse_middle_block(_lines(text), {})
     if caps:
         raise ParseError(1, "cap lines belong to ribbon documents")
     return m
 
 
 def _parse_middle_block(lines, trees):
-    """Middle data over the tree blocks ``trees`` and its ``(id, cap)``
-    lines in file order; caps naming one tree share one Cap."""
+    """Middle data over the tree blocks ``trees``, its ``(id, cap)`` lines
+    in file order (caps naming one tree share one Cap), and the line
+    numbers of its entries by keyword."""
     caps_by_tree = {name: Cap(t) for name, t in trees.items() if not t.finite}
     pairs = None
     fingers: list[Finger] = []
     loops: list[AccessoryLoop] = []
     caps: list[tuple[str, Cap]] = []
+    where: dict[str, list[int]] = {"pairs": [], "finger": [], "loop": [],
+                                   "cap": []}
     started = False
-    for n, line in lines:
-        toks = line.split()
+    for n, toks in lines:
         kw = toks[0]
         if kw == "middle":
             if started:
@@ -306,31 +315,34 @@ def _parse_middle_block(lines, trees):
                 raise ParseError(n, f"malformed cap line")
         else:
             raise ParseError(n, f"unknown keyword {kw!r}")
+        if kw in where:
+            where[kw].append(n)
     if not started:
         raise ParseError(1, "missing 'middle' header")
     if pairs is None:
         raise ParseError(1, "middle block has no pairs line")
     try:
-        return MiddleLevelData(pairs, tuple(fingers), tuple(loops)), caps
+        m = MiddleLevelData(pairs, tuple(fingers), tuple(loops))
     except MiddleError as exc:
-        raise _positioned(exc, lines) from None
+        raise _positioned(exc, where) from None
+    return m, caps, where
 
 
-def _positioned(exc: MiddleError, lines, order=None) -> ParseError:
+def _positioned(exc: MiddleError, where, order=None) -> ParseError:
     """``exc`` on the line of its entry: the k-th line of the entry's
-    keyword, the k-th after ``order`` for a cap; line 1 for no entry."""
+    keyword in ``where``, the k-th after ``order`` for a cap; line 1 for
+    no entry."""
     if exc.entry is None:
         return ParseError(1, str(exc))
     kind, k = exc.entry
-    at = [n for n, line in lines if line.split()[0] == kind]
-    return ParseError(at[order[k] if kind == "cap" else k], str(exc))
+    return ParseError(where[kind][order[k] if kind == "cap" else k], str(exc))
 
 
 def parse_ribbon(text: str) -> RibbonDescriptor:
     trees, rest = _parse_tree_blocks(text, stop_at="middle")
-    if not rest:
+    if rest is None:
         raise ParseError(1, "ribbon document has no middle block")
-    m, caps = _parse_middle_block(rest, trees)
+    m, caps, where = _parse_middle_block(rest, trees)
     # The caps in canonical order: that of cap_ids, unknown ids last.
     rank = {cid: k for k, cid in enumerate(m.cap_ids())}
     ranks = [rank.get(cid, len(rank)) for cid, _ in caps]
@@ -338,7 +350,7 @@ def parse_ribbon(text: str) -> RibbonDescriptor:
     try:
         return RibbonDescriptor(m, tuple(caps[k] for k in order))
     except MiddleError as exc:
-        raise _positioned(exc, rest, order) from None
+        raise _positioned(exc, where, order) from None
 
 
 def serialize_middle(m: MiddleLevelData) -> str:
@@ -411,8 +423,7 @@ def _read_args(form: Form, toks: list[str], n: int) -> tuple | None:
 def parse_script(text: str) -> MoveScript:
     name = None
     commands: list[Command] = []
-    for n, line in _lines(text):
-        op, *toks = line.split()
+    for n, (op, *toks) in _lines(text):
         if op == "script":
             if name is not None:
                 raise ParseError(n, "duplicate script header")
@@ -451,7 +462,7 @@ def parse_any(text: str):
     """``(kind, value)`` for a document, its kind chosen by the first
     keyword: ``diagram``, ``tree``, ``middle`` or ``script``, or ``ribbon``
     for tree blocks and a middle block, or a middle block with caps."""
-    keywords = [line.split()[0] for _, line in _lines(text)]
+    keywords = [toks[0] for _, toks in _lines(text)]
     first = keywords[0] if keywords else ""
     if (first == "tree" and "middle" in keywords
             or first == "middle" and "cap" in keywords):

@@ -174,19 +174,27 @@ def validate_tree(t: SignedTree) -> list[str]:
                 out.append(f"tree {t.name}: edge {e.parent}->{e.child} "
                            "references an undeclared node")
                 return out
-    # Reachability from the root, breadth first over the out-index.
-    index = t._out_index
+    # Reachability from the root.  One pass in edge order reaches every
+    # node when each parent is listed before its out-edges, as in a tower
+    # from truncate and in its text; only nodes it leaves unreached cost a
+    # breadth-first walk of the out-index from the nodes it did reach.
     reach = {root}
-    queue = [root]
-    for v in queue:  # the loop sees nodes appended below
-        for e in index.get(v, ()):
-            child = e.child
-            if child not in reach:
-                reach.add(child)
-                queue.append(child)
+    add = reach.add
+    for parent, child in zip(parents, children):
+        if parent in reach:
+            add(child)
     if len(reach) != len(nodeset):
-        out.extend(f"tree {t.name}: node {n} unreachable from root"
-                   for n in nodes if n not in reach)
+        index = t._out_index
+        queue = list(reach)
+        for v in queue:  # the loop sees nodes appended below
+            for e in index.get(v, ()):
+                child = e.child
+                if child not in reach:
+                    add(child)
+                    queue.append(child)
+        if len(reach) != len(nodeset):
+            out.extend(f"tree {t.name}: node {n} unreachable from root"
+                       for n in nodes if n not in reach)
     # Each non-root node has an incoming edge.
     covered = set(children)
     if len(covered) - (root in covered) != len(nodeset) - 1:
@@ -297,6 +305,7 @@ def truncate(t: SignedTree, n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> S
     if n < 1:
         raise TreeError("truncation depth must be >= 1")
     get = t._out_index.get
+    new = tuple.__new__  # the signs come from valid edges: skip the check
     prefix = f"{t.root}."
     nodes = [t.root]
     edges: list[TreeEdge] = []
@@ -314,7 +323,7 @@ def truncate(t: SignedTree, n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> S
             for _, child, sign in outs:
                 child_uid = f"{prefix}{len(nodes)}"
                 nodes.append(child_uid)
-                edges.append(TreeEdge(uid, child_uid, sign))
+                edges.append(new(TreeEdge, (uid, child_uid, sign)))
                 grand = get(child, ())
                 width += len(grand)
                 below.append((child_uid, grand))

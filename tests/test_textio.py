@@ -12,6 +12,7 @@ from ribboncalc import (STANDARD_CAP, AccessoryLoop, Cap, Command, Finger,
                         serialize_diagram, serialize_middle, serialize_ribbon,
                         serialize_script, serialize_tree)
 from ribboncalc import textio
+from ribboncalc.corpus import corpus_text
 from ribboncalc.trees import DEFAULT_PAIR_BUDGET
 
 from genlib import (oracle_parse_tree_blocks, random_diagram,
@@ -165,8 +166,12 @@ class TestTreeBlockParserOracle:
             text = "\n".join(self.mutate(rng, lines)) + "\n"
             stop_at = rng.choice((None, "middle"))
             got = self.outcome(textio._parse_tree_blocks, text, stop_at)
+            if not isinstance(got[0], int):  # the remainder's lines as text
+                got = got[0], [(n, " ".join(toks))
+                               for n, toks in got[1] or ()]
             want = self.outcome(oracle_parse_tree_blocks,
-                                list(textio._lines(text)), stop_at)
+                                [(n, " ".join(toks))
+                                 for n, toks in textio._lines(text)], stop_at)
             assert got == want, text
             seen.add(got[1] if isinstance(got[0], int) else "ok")
         for stem in ("ok", "duplicate node id", "edge needs", "undeclared node",
@@ -541,3 +546,74 @@ class TestScriptErrors:
     def test_wrong_token_count_names_the_usage(self, line):
         e = self.error(f"script s\n\n{line}\n")
         assert e.line == 3 and e.message.startswith(f"{line.split()[0]} needs: ")
+
+
+# One document of each kind, in canonical form.
+CANONICAL = {
+    "diagram": corpus_text("x1.diagram"),
+    "tree": "tree t\nnode r a\nroot r\nedge r a +\nedge a r -\nedge a a +\n",
+    "middle": "middle\npairs 2\nfinger f1 1 2 w1\nfinger f2 2 1 w2\n"
+              "loop l1 f1 f2\n",
+    "ribbon": corpus_text("r1.ribbon"),
+    "script": corpus_text("swap_to_dots.script"),
+}
+PARSERS = {"diagram": parse_diagram, "tree": parse_tree,
+           "middle": parse_middle, "ribbon": parse_ribbon,
+           "script": parse_script}
+
+
+def _noisy(text):
+    """``text`` with the same tokens on other lines: blank, tab-only and
+    comment-only lines in between, tab separators, trailing comments and
+    '#' glued to the last token."""
+    out = []
+    for k, line in enumerate(line for line in text.splitlines()
+                             if line.split("#", 1)[0].strip()):
+        out += ["", "\t", "   # a comment-only line"][k % 3:]
+        line = line.split("#", 1)[0].rstrip()
+        out.append((line.replace(" ", "\t"), line + "#x",
+                    " " + line + "  # trailing")[k % 3])
+    return "\n".join(out) + "\n"
+
+
+class TestLexer:
+    """Comments, blank lines and whitespace in every document kind."""
+
+    @pytest.mark.parametrize("kind", sorted(PARSERS))
+    def test_noise_changes_nothing(self, kind):
+        text = CANONICAL[kind]
+        noisy = _noisy(text)
+        assert noisy.count("\t") and noisy.count("#x") and noisy != text
+        assert PARSERS[kind](noisy) == PARSERS[kind](text)
+        assert textio.parse_any(noisy) == textio.parse_any(text) == (
+            kind, PARSERS[kind](text))
+
+    def test_lines_yield_tokens(self):
+        text = "a b\n\n  # c\nc\t d #e\n#\ne#f g\n"
+        assert list(textio._lines(text)) == [
+            (1, ["a", "b"]), (4, ["c", "d"]), (6, ["e"])]
+        assert list(textio._lines("a\tb\n\nc")) == [(1, ["a", "b"]),
+                                                     (3, ["c"])]
+
+    @pytest.mark.parametrize("kind,text,line,stem", [
+        ("diagram", "diagram x\n\n# c\ncomponent a dotted\n\t\nbogus k\n",
+         6, "unknown keyword"),
+        ("tree", "tree t\n# c\n\nnode\tr\nroot r # root\nedge r r 5#x\n",
+         6, "malformed sign"),
+        ("tree", "tree t\n\n# c\nnode r\n# c\n\n", 1, "has no root"),
+        ("middle", "middle\n\n#c\npairs\t2\n# c\nfinger f1 1 3 w1 # far\n",
+         6, "sphere"),
+        ("ribbon", "# r\n\ntree c\nnode r\nroot r\nedge r r +\n\nmiddle\n"
+                   "pairs 1 # one\n\tfinger f1 1 1 w1\n# c\ncap w1 tree d\n",
+         12, "unknown tree"),
+        ("ribbon", "tree c\nnode r\nroot r\nedge r r +\nmiddle\n#c\n\n"
+                   "pairs 1\nfinger f1 1 1 w1\nfinger f2 1 1 w2\n# c\n"
+                   "cap w1 standard\ncap w2 standard\n\ncap w1 standard\n",
+         15, "cap"),
+        ("script", "script s\n\n# c\n\twiggle a\n", 4, "unknown command"),
+    ])
+    def test_error_lines_count_every_line(self, kind, text, line, stem):
+        for parse in (PARSERS[kind], textio.parse_any):
+            with pytest.raises(ParseError) as e:
+                parse(text)
+            assert e.value.line == line and stem in e.value.message, e.value

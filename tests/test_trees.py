@@ -17,6 +17,9 @@ from ribboncalc import (SignedTree, SizeLimit, TreeEdge, TreeError, chplus,
                         tower_has_positive_branch, trees, truncate,
                         validate_tree)
 
+from ribboncalc.corpus import corpus_names, corpus_text
+from ribboncalc.textio import parse_ribbon, parse_tree, serialize_tree
+
 from genlib import (BROKEN_TREE_KINDS, broken_tree, oracle_frontier_negatives,
                     oracle_is_positive, oracle_longest_positive_path,
                     oracle_truncate, oracle_validate_tree,
@@ -56,7 +59,7 @@ ALTERNATING = tree(["a", "b"], "a",
 
 
 class TestTreeEdge:
-    @pytest.mark.parametrize("sign", [0, 2])
+    @pytest.mark.parametrize("sign", [0, 2, 5])
     def test_sign_must_be_one_or_minus_one(self, sign):
         with pytest.raises(ValueError, match="sign must be"):
             TreeEdge("a", "b", sign)
@@ -68,6 +71,10 @@ class TestTreeEdge:
             e._replace(sign=0)
         with pytest.raises(ValueError):
             TreeEdge._make(("a", "b", 2))
+        with pytest.raises(ValueError):
+            e._replace(sign=5)
+        with pytest.raises(ValueError):
+            TreeEdge._make(("a", "b", 5))
 
     def test_a_tuple_record(self):
         e = TreeEdge(parent="a", child="b", sign=-1)
@@ -157,6 +164,9 @@ class TestAgainstOracles:
         t = tree(["a", "b", "c"], "a", [("b", "c", 1), ("a", "b", -1)],
                  finite=True)
         assert validate_tree(t) == oracle_validate_tree(t) == []
+        edges = [("b", "c", 1), ("c", "d", -1), ("a", "b", 1), ("d", "b", 1)]
+        t = tree(["a", "b", "c", "d"], "a", edges)
+        assert validate_tree(t) == oracle_validate_tree(t) == []
 
     @pytest.mark.parametrize("kind", BROKEN_TREE_KINDS)
     def test_broken_one_way(self, kind):
@@ -204,6 +214,51 @@ class TestAgainstOracles:
                     oracle_truncate(t, depth, size - 1)
                 with pytest.raises(SizeLimit):
                     truncate(t, depth, size - 1)
+
+
+class TestTrustedEdgesAndReachability:
+    """The parser and truncate build edges without TreeEdge's sign check,
+    and validation reaches nodes by one pass in edge order before it falls
+    back to the out-index."""
+
+    def test_built_edges_are_tree_edges(self):
+        handle = parse_tree("tree t\nnode r a\nroot r\nedge r a +\n"
+                            "edge a r -\nedge r r +1\nedge a a -1\n")
+        tower = truncate(handle, 6)
+        built = [handle, tower, parse_tree(serialize_tree(tower))]
+        for name in corpus_names():
+            if name.endswith(".ribbon"):
+                r = parse_ribbon(corpus_text(name))
+                built += [cap.tree for _, cap in r.caps if cap.tree]
+        assert len(built) > 3
+        for t in built:
+            assert t.edges and all(type(e) is TreeEdge for e in t.edges)
+            assert {e.sign for e in t.edges} <= {1, -1}
+
+    def test_unreachable_two_cycle_in_a_tower(self):
+        # Each node has one parent and the counts of a tower hold, so only
+        # reachability fails; the messages follow the declared node order.
+        t = unvalidated(["r", "y", "a", "x"], "r",
+                        [("r", "a", 1), ("x", "y", 1), ("y", "x", -1)],
+                        finite=True)
+        assert validate_tree(t) == oracle_validate_tree(t) == [
+            "tree t: node y unreachable from root",
+            "tree t: node x unreachable from root"]
+        with pytest.raises(TreeError, match="node y unreachable"):
+            SignedTree(t.name, t.nodes, t.root, t.edges, True)
+
+    def test_reversed_hundred_thousand_node_chain(self):
+        # Edges listed last level first: the pass in edge order reaches one
+        # node, and the out-index walk must reach the rest in linear time.
+        n = 100_000
+        nodes = tuple(f"c{i}" for i in range(n))
+        edges = tuple(TreeEdge(nodes[i], nodes[i + 1], 1)
+                      for i in reversed(range(n - 1)))
+        start = time.perf_counter()
+        t = SignedTree("chain", nodes, nodes[0], edges, finite=True)
+        elapsed = time.perf_counter() - start
+        assert len(t.nodes) == n
+        assert elapsed < 2.0, f"{elapsed:.2f}s"
 
 
 class TestPositivity:
