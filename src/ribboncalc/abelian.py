@@ -35,10 +35,6 @@ class AbelianGroup:
             if b % a != 0:
                 raise ValueError("invariant factors must form a divisibility chain")
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
     def __str__(self) -> str:
         parts = []
         if self.free_rank == 1:

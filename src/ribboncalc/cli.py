@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -170,7 +171,9 @@ def _cmd_render(args, out: _Out) -> int:
     return OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call only."""
     ap = argparse.ArgumentParser(
         prog="ribboncalc",
         description="Kirby-diagram moves, Casson-handle trees, ribbon "
@@ -188,22 +191,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("check", help="validate a document")
     p.add_argument("file")
-    p.set_defaults(fn=_cmd_check)
 
     p = add_parser("apply", help="run a move script against a diagram")
     p.add_argument("diagram")
     p.add_argument("script")
     p.add_argument("--trace-invariants", action="store_true")
-    p.set_defaults(fn=_cmd_apply)
 
     p = add_parser("homology", help="boundary H1 of a diagram")
     p.add_argument("diagram")
     p.add_argument("--side", choices=("plus", "minus"), default="plus")
-    p.set_defaults(fn=_cmd_homology)
 
     p = add_parser("dualize", help="emit the dual decomposition")
     p.add_argument("diagram")
-    p.set_defaults(fn=_cmd_dualize)
 
     p = add_parser("tree", help="signed-tree analyses")
     p.add_argument("file")
@@ -213,23 +212,19 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--prune-depth", dest="prune_depth", action="store_true")
     g.add_argument("--cost", action="store_true")
     g.add_argument("--truncate", type=int, metavar="N")
-    p.set_defaults(fn=_cmd_tree)
 
     p = add_parser("ribbon", help="ribbon descriptor analyses")
     p.add_argument("action", choices=("positivity", "plan"))
     p.add_argument("file")
     p.add_argument("--verify", action="store_true")
-    p.set_defaults(fn=_cmd_ribbon)
 
     p = add_parser("corpus", help="bundled corpus")
     p.add_argument("action", choices=("run",))
-    p.set_defaults(fn=_cmd_corpus)
 
     p = add_parser("render", help="emit DOT for a document")
     p.add_argument("file")
     p.add_argument("--dot", action="store_true",
                    help="DOT output (the only supported format)")
-    p.set_defaults(fn=_cmd_render)
 
     return ap
 
@@ -238,7 +233,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     out = _Out(args.porcelain)
     try:
-        return args.fn(args, out)
+        # Looked up per call, so a rebound _cmd_* name is the one called.
+        return globals()[f"_cmd_{args.command}"](args, out)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return PARSE_FAIL

@@ -33,6 +33,20 @@ class ForbiddenMove(MoveError):
     """A dotted circle would slide over an undotted component."""
 
 
+class DiagramError(ValueError):
+    """A broken rule of a diagram; ``entry``, ``("component", k)`` or
+    ``("link", k)``, names the k-th component or link that breaks it."""
+
+    def __init__(self, message: str, entry: tuple[str, int]):
+        super().__init__(message)
+        self.entry = entry
+
+
+# Count keyword of the text formats -> diagram field.
+COUNTS = {"threehandles": "three_handles", "fourhandles": "four_handles",
+          "hidden1": "hidden_one_handles"}
+
+
 @dataclass(frozen=True)
 class Component:
     id: str
@@ -64,9 +78,12 @@ def _pair(i: str, j: str) -> tuple[str, str]:
 class KirbyDiagram:
     """A framed link with dotted circles, plus 3-/4-handle bookkeeping.
 
-    ``links`` stores off-diagonal (alg, geom) entries for unordered id pairs;
-    unlisted pairs are (0, 0).  Diagonal algebraic entries are the framings
-    carried by the components themselves (0 for dotted).
+    ``links`` stores off-diagonal (alg, geom) entries, at most one per id
+    pair, in the (min, max) order ``alg`` and ``geom`` read; unlisted pairs
+    are (0, 0).  A built value keeps them canonically, without (0, 0)
+    entries and sorted by component positions, so equal diagrams compare
+    equal and read back from their text.  Diagonal algebraic entries are
+    the framings carried by the components themselves (0 for dotted).
     """
 
     name: str
@@ -79,25 +96,35 @@ class KirbyDiagram:
     notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        seen = set()
-        for c in self.components:
-            if c.id in seen:
-                raise ValueError(f"duplicate component id {c.id}")
-            seen.add(c.id)
+        at: dict[str, int] = {}
+        for k, c in enumerate(self.components):
+            if c.id in at:
+                raise DiagramError(f"duplicate component id {c.id}",
+                                   ("component", k))
+            at[c.id] = k
         pairs = set()
-        for (i, j), _, _ in self.links:
+        keyed = []  # (positions in order, entry): sorted by the positions
+        for k, entry in enumerate(self.links):
+            (i, j), a, g = entry
             if i == j:
-                raise ValueError(f"self-linking entry for {i}")
-            if i not in seen or j not in seen:
-                raise ValueError(f"link references unknown component {i}/{j}")
-            # alg and geom read a pair in (min, max) order, and the text
-            # format writes one line per entry.
+                raise DiagramError(f"self-linking entry for {i}", ("link", k))
+            if i not in at or j not in at:
+                raise DiagramError("link references unknown component "
+                                   f"{j if i in at else i}", ("link", k))
             if i > j:
-                raise ValueError(f"link pair ({i}, {j}) is not in "
-                                 f"(min, max) order")
+                raise DiagramError(f"link pair ({i}, {j}) is not in "
+                                   f"(min, max) order", ("link", k))
             if (i, j) in pairs:
-                raise ValueError(f"repeated link pair ({i}, {j})")
+                raise DiagramError(f"repeated link pair ({i}, {j})",
+                                   ("link", k))
             pairs.add((i, j))
+            if a or g:
+                x, y = at[i], at[j]
+                keyed.append(((x, y) if x < y else (y, x), entry))
+        keyed.sort(key=itemgetter(0))
+        links = tuple(e for _, e in keyed)
+        if links != self.links:
+            object.__setattr__(self, "links", links)
 
     # -- queries ---------------------------------------------------------
 
@@ -208,17 +235,11 @@ class KirbyDiagram:
     def with_links(self, linkmap: dict[tuple[str, str], tuple[int, int]],
                    components: tuple[Component, ...] | None = None,
                    **changes) -> "KirbyDiagram":
-        comps = components if components is not None else self.components
-        order = {c.id: n for n, c in enumerate(comps)}
-        keyed = []  # (positions in order, entry): sorted by the positions
-        for (i, j), (a, g) in linkmap.items():
-            if (a, g) == (0, 0):
-                continue
-            x, y = order[i], order[j]
-            keyed.append(((x, y) if x < y else (y, x), (_pair(i, j), a, g)))
-        keyed.sort(key=itemgetter(0))
-        return replace(self, components=comps,
-                       links=tuple(e for _, e in keyed), **changes)
+        return replace(
+            self, links=tuple((_pair(i, j), a, g)
+                              for (i, j), (a, g) in linkmap.items()),
+            components=self.components if components is None else components,
+            **changes)
 
     def _mutable(self) -> dict[tuple[str, str], tuple[int, int]]:
         return dict(self._linkmap)

@@ -59,8 +59,6 @@ def diagram_dot(d: KirbyDiagram) -> str:
             label, shape = f"{c.id} [{c.framing}]", "ellipse"
         out.append(f"  {_q(c.id)} [shape={shape} label={_q(label)}];")
     for (i, j), alg, geom in d.links:
-        if alg == 0 and geom == 0:
-            continue
         style = " style=dashed" if alg == 0 else ""
         out.append(f"  {_q(i)} -- {_q(j)} [label={_q(f'{alg}/{geom}')}{style}];")
     out.append("}")

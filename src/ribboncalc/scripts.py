@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from .abelian import AbelianGroup
-from .diagram import (KirbyDiagram, MoveError, add_cancelling_pair,
+from .diagram import (COUNTS, KirbyDiagram, MoveError, add_cancelling_pair,
                       assert_geometric, blow_down, blow_up, cancel_pair,
                       dualize, handle_slide, twist_blow_up, zero_dot_swap,
                       boundary_homology, euler_char, signature)
@@ -66,7 +66,7 @@ class Form:
     usage: str
     kinds: tuple[str, ...]
     move: Callable | None = None   # (d, *args) -> the new diagram
-    check: Callable | None = None  # (step, *args) -> (invariant, got, want)
+    check: Callable | None = None  # (step, d, *args) -> (what, got, want)
 
     def fits(self, args) -> bool:
         return (isinstance(args, tuple) and len(args) == len(self.kinds)
@@ -74,7 +74,7 @@ class Form:
                         for k, v in zip(self.kinds, args)))
 
 
-def _homology(step: StepReport, side: str, rank: int, torsion):
+def _homology(step: StepReport, d, side: str, rank: int, torsion):
     if getattr(step, side) is None:
         raise MoveError("minus boundary requires a dual decomposition")
     try:
@@ -110,9 +110,16 @@ COMMANDS = (
     Form("assert-homology", "assert-homology plus|minus RANK [D...]",
          ("plus|minus", INT, INTS), check=_homology),
     Form("assert-euler", "assert-euler VALUE", (INT,),
-         check=lambda step, v: ("euler characteristic", step.euler, v)),
+         check=lambda step, d, v: ("euler characteristic", step.euler, v)),
     Form("assert-signature", "assert-signature VALUE", (INT,),
-         check=lambda step, v: ("signature", step.sig, v)),
+         check=lambda step, d, v: ("signature", step.sig, v)),
+    Form("assert-count", "assert-count threehandles|fourhandles|hidden1 N",
+         ("|".join(COUNTS), INT),
+         check=lambda step, d, kw, v: (kw, getattr(d, COUNTS[kw]), v)),
+    Form("assert-kind", "assert-kind ID dotted|framed|parenframed",
+         (ID, "dotted|framed|parenframed"),
+         check=lambda step, d, c, kind: (f"kind of {c}", d.component(c).kind,
+                                         kind)),
 )
 
 
@@ -177,7 +184,7 @@ def run_script(d: KirbyDiagram, script: MoveScript) -> ScriptResult:
         try:
             form = form_of(cmd)
             if form.check is not None:
-                what, got, want = form.check(state, *cmd.args)
+                what, got, want = form.check(state, d, *cmd.args)
                 if got != want:
                     raise MoveError(f"{what} = {got}, expected {want}")
                 steps.append(replace(state, index=idx, command=cmd,

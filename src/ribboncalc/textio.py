@@ -11,19 +11,23 @@ Grammar summary ('#' starts a comment, blank lines ignored):
     hidden1 N
     note TEXT
 
-A ribbon-descriptor document is a sequence of tree blocks followed by one
+A component line is ``component ID KIND [FRAMING] [label TEXT]``.  A
+diagram must satisfy the rules that :class:`ribboncalc.diagram.Component`
+and :class:`ribboncalc.diagram.KirbyDiagram` check when built; ``link b
+a`` reads as ``link a b``, and a link may come before its components.  A
+ribbon-descriptor document is a sequence of tree blocks followed by one
 middle block with its cap lines.  A tree block must satisfy every rule of
 :func:`ribboncalc.trees.validate_tree`.  The middle block and its caps
 must satisfy the rules that :class:`ribboncalc.middle.MiddleLevelData` and
 :class:`ribboncalc.middle.RibbonDescriptor` check when built (among them
-1 <= K <= DEFAULT_PAIR_BUDGET and FROM, THRU in 1..K); the parser checks
-only the syntax and reports a broken rule on the line of the entry that
-breaks it (line 1 for a missing cap).  Scripts are a ``script NAME``
-header followed by one command per line, in one of the forms of
-:data:`ribboncalc.scripts.COMMANDS`.
+1 <= K <= DEFAULT_PAIR_BUDGET and FROM, THRU in 1..K).  For diagrams and
+middle data the parser checks only the syntax and reports a broken rule on
+the line of the entry that breaks it (line 1 for a missing cap).  Scripts
+are a ``script NAME`` header followed by one command per line, in one of
+the forms of :data:`ribboncalc.scripts.COMMANDS`.
 
 Round-trip law: ``parse(serialize(v)) == v`` and ``serialize(parse(text))``
-is canonical.
+is canonical; a serializer raises ValueError for a value it cannot write.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from __future__ import annotations
 from itertools import chain
 from operator import itemgetter
 
-from .diagram import (Component, DOTTED, FRAMED, KirbyDiagram, PAREN)
+from .diagram import (COUNTS, Component, DiagramError, DOTTED, KirbyDiagram,
+                      _pair)
 from .middle import (AccessoryLoop, Cap, Finger, MiddleError,
                      MiddleLevelData, RibbonDescriptor, STANDARD_CAP)
 from .scripts import (ABSENT, COMMANDS, ID, INT, INTS, SIGN, STRANDS,
@@ -75,18 +80,14 @@ def _sign(tok: str, n: int) -> int:
 
 # -- diagrams ------------------------------------------------------------
 
-_COUNTS = {"threehandles": "three_handles", "fourhandles": "four_handles",
-           "hidden1": "hidden_one_handles"}  # count keyword -> diagram field
-
-
 def parse_diagram(text: str) -> KirbyDiagram:
     name = None
     comps: list[Component] = []
-    ids: set[str] = set()
-    links: dict[tuple[str, str], tuple[int, int]] = {}
+    links: list[tuple[tuple[str, str], int, int]] = []
     counts: dict[str, int] = {}
     dual = False
     notes: list[str] = []
+    where: dict[str, list[int]] = {"component": [], "link": []}
     for n, toks in _lines(text):
         kw = toks[0]
         if kw == "diagram":
@@ -102,71 +103,70 @@ def parse_diagram(text: str) -> KirbyDiagram:
         elif kw == "component":
             if len(toks) < 3:
                 raise ParseError(n, "component needs an id and a kind")
-            cid, kind = toks[1], toks[2]
-            if cid in ids:
-                raise ParseError(n, f"duplicate component id {cid}")
-            ids.add(cid)
             rest = toks[3:]
             framing = None
-            if kind in (FRAMED, PAREN):
-                if not rest:
-                    raise ParseError(n, f"{kind} component needs a framing")
+            if rest and rest[0] != "label":
                 framing = _int(rest[0], n, "framing token")
                 rest = rest[1:]
-            elif kind != DOTTED:
-                raise ParseError(n, f"unknown component kind {kind!r}")
-            label = None
-            if rest:
-                if rest[0] != "label":
-                    raise ParseError(n, f"unexpected token {rest[0]!r}")
-                label = " ".join(rest[1:])
-            comps.append(Component(cid, kind, framing, label))
+            if rest and rest[0] != "label":
+                raise ParseError(n, f"unexpected token {rest[0]!r}")
+            label = " ".join(rest[1:]) if rest else None
+            try:
+                comps.append(Component(toks[1], toks[2], framing, label))
+            except ValueError as exc:  # a rule of Component, on its line
+                raise ParseError(n, str(exc)) from None
         elif kw == "link":
             if len(toks) != 5:
                 raise ParseError(n, "link needs: link ID ID ALG GEOM")
-            a, b = toks[1], toks[2]
-            for x in (a, b):
-                if x not in ids:
-                    raise ParseError(n, f"link references unknown component {x}")
-            if a == b:
-                raise ParseError(n, f"self-link on {a}")
-            key = (a, b) if a <= b else (b, a)
-            if key in links:
-                raise ParseError(n, f"duplicate link {a} {b}")
-            links[key] = (_int(toks[3], n, "linking number"),
-                          _int(toks[4], n, "geometric count"))
-        elif kw in _COUNTS:
+            links.append((_pair(toks[1], toks[2]),
+                          _int(toks[3], n, "linking number"),
+                          _int(toks[4], n, "geometric count")))
+        elif kw in COUNTS:
             if len(toks) != 2:
                 raise ParseError(n, f"{kw} needs a count")
-            counts[_COUNTS[kw]] = _int(toks[1], n, "count")
+            counts[COUNTS[kw]] = _int(toks[1], n, "count")
         elif kw == "note":
             notes.append(" ".join(toks[1:]))
         else:
             raise ParseError(n, f"unknown keyword {kw!r}")
+        if kw in where:
+            where[kw].append(n)
     if name is None:
         raise ParseError(1, "missing 'diagram NAME' header")
-    d = KirbyDiagram(name=name, components=tuple(comps), dual_flag=dual,
-                     notes=tuple(notes), **counts)
-    return d.with_links(links)
+    try:
+        return KirbyDiagram(name, tuple(comps), tuple(links), dual_flag=dual,
+                            notes=tuple(notes), **counts)
+    except DiagramError as exc:
+        raise _positioned(exc, where) from None
+
+
+def _text(x: str, what: str, words: bool = False) -> str:
+    """``x``, if it reads back unchanged as one token (as the rest of a
+    line, with ``words``): no '#', no whitespace but single spaces."""
+    if "#" in x or (x != " ".join(x.split()) if words else x.split() != [x]):
+        raise ValueError(f"{what} {x!r} cannot be written as text")
+    return x
 
 
 def serialize_diagram(d: KirbyDiagram) -> str:
-    out = [f"diagram {d.name}"]
+    """Canonical text; raises ValueError for a name, id, label or note that
+    the text cannot carry and read back unchanged."""
+    out = [f"diagram {_text(d.name, 'diagram name')}"]
     if d.dual_flag:
         out.append("dual")
     for c in d.components:
-        parts = ["component", c.id, c.kind]
+        parts = ["component", _text(c.id, "component id"), c.kind]
         if c.kind != DOTTED:
             parts.append(str(c.framing))
         if c.label is not None:
-            parts.extend(["label", c.label])
+            parts.extend(["label", _text(c.label, "label", True)])
         out.append(" ".join(parts))
     for (i, j), a, g in d.links:
         out.append(f"link {i} {j} {a} {g}")
-    out.extend(f"{kw} {getattr(d, field)}" for kw, field in _COUNTS.items()
+    out.extend(f"{kw} {getattr(d, field)}" for kw, field in COUNTS.items()
                if getattr(d, field))
     for note in d.notes:
-        out.append(f"note {note}")
+        out.append(f"note {_text(note, 'note', True)}")
     return "\n".join(out) + "\n"
 
 
@@ -328,7 +328,8 @@ def _parse_middle_block(lines, trees):
     return m, caps, where
 
 
-def _positioned(exc: MiddleError, where, order=None) -> ParseError:
+def _positioned(exc: MiddleError | DiagramError, where,
+                order=None) -> ParseError:
     """``exc`` on the line of its entry: the k-th line of the entry's
     keyword in ``where``, the k-th after ``order`` for a cap; line 1 for
     no entry."""

@@ -208,6 +208,10 @@ class TestAbelianGroup:
         with pytest.raises(ValueError):
             AbelianGroup(0, (1,))
 
+    def test_rejects_negative_free_rank(self):
+        with pytest.raises(ValueError, match="free rank must be nonnegative"):
+            AbelianGroup(-1)
+
     def test_equality_is_isomorphism(self):
         assert AbelianGroup(1, (2,)) == AbelianGroup(1, (2,))
         assert AbelianGroup(1) != AbelianGroup(0, (2,))

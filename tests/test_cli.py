@@ -108,6 +108,17 @@ class TestPorcelain:
                            files("d.diagram", DIAGRAM))
         assert code == 0 and "ok=true" in out
 
+    def test_flag_does_not_carry_over_to_the_next_call(self, files, capsys):
+        path = files("d.diagram", DIAGRAM)
+        for argv in (("check", "--porcelain", path), ("--porcelain", "check",
+                                                      path)):
+            assert run(capsys, *argv)[1] == "type=diagram\nok=true\n"
+            assert run(capsys, "check", path)[1] == (
+                "type: diagram\nok: true\n")
+
+    def test_parser_is_built_once(self, files, capsys):
+        assert cli.build_parser() is cli.build_parser()
+
 
 class TestApply:
     def test_successful_script(self, files, capsys):
@@ -134,6 +145,20 @@ class TestApply:
         assert "failed_step: 1" in out
         assert "error: step 1: unknown component 'zz'" in err
         assert "Traceback" not in err
+
+    def test_porcelain_step_lines(self, files, capsys):
+        script = files("s.script", "script s\nslide a1 b1 +\nassert-euler 4\n"
+                                   "assert-kind b1 dotted\n")
+        code, out, err = run(capsys, "--porcelain", "apply",
+                             files("d.diagram", DIAGRAM), script)
+        assert code == 1
+        assert out == ("step0=ok chi=4 sigma=0 h1plus=Z\n"
+                       "step1=ok chi=4 sigma=0 h1plus=Z\n"
+                       "step2=ok chi=4 sigma=0 h1plus=Z\n"
+                       "step3=fail chi=4 sigma=0 h1plus=Z\n"
+                       "ok=false\nfailed_step=3\n"
+                       "reason=kind of b1 = framed, expected dotted\n")
+        assert err == "error: step 3: kind of b1 = framed, expected dotted\n"
 
     def test_trace(self, files, capsys):
         code, out, _ = run(capsys, "apply", "--trace-invariants",
@@ -271,6 +296,15 @@ class TestRibbon:
         assert "verified: true" in out
 
 
+    def test_failed_verification_exits_one(self, files, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "verify_plan", lambda r, plan: (
+            ribboncalc.VerifyResult(False, 1, "forged")))
+        code, out, _ = run(capsys, "ribbon", "plan", "--verify",
+                           files("r.ribbon", corpus_text("r4.ribbon")))
+        assert code == 1
+        assert out.endswith("verified: false\nverify_reason: forged\n")
+
+
 class TestBudgetsAndTreeRules:
     # Eight lines that used to print 1 000 002 planned steps in about 9 s.
     MILLION_PAIRS = TREE_NEG + ("middle\npairs 1000000\nfinger f1 1 2 w1\n"
@@ -337,6 +371,10 @@ class TestCorpusAndRender:
     def test_render_tree(self, files, capsys):
         code, out, _ = run(capsys, "render", files("t.tree", TREE))
         assert code == 0 and out.startswith("digraph")
+
+    def test_render_script_is_refused(self, files, capsys):
+        code, out, err = run(capsys, "render", files("s.script", SCRIPT))
+        assert (code, out, err) == (1, "", "cannot render a script document\n")
 
 
 class TestInstalledEntryPoint:

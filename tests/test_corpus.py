@@ -4,6 +4,7 @@ from ribboncalc import (corpus_names, corpus_run, corpus_text,
                         is_positive_ribbon, parse_diagram, parse_ribbon,
                         parse_script, run_script, stabilization_plan,
                         verify_plan, whitney_set)
+from ribboncalc import corpus
 from ribboncalc.corpus import summary_table
 
 
@@ -23,6 +24,15 @@ class TestRunner:
         # three walkthrough scripts
         report = corpus_run()
         assert len(report.items) == len(corpus_names()) + 4 + 1 + 3
+
+    def test_failed_assertion_fails_its_item(self, monkeypatch):
+        real = corpus.corpus_text
+        monkeypatch.setattr(corpus, "corpus_text", lambda name: real(
+            name).replace("assert-kind b2 dotted", "assert-kind b2 framed"))
+        report = corpus_run()
+        failed = [(i.name, i.detail) for i in report.items if not i.ok]
+        assert failed == [("script:swap_to_dots", "step 11 failed: kind of "
+                                                  "b2 = dotted, expected framed")]
 
     def test_summary_table_shape(self):
         report = corpus_run()

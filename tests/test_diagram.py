@@ -52,6 +52,16 @@ class TestValidate:
         d = d.with_links({("a", "b"): (1, 1)})
         assert "dotted-dotted" in {v.code for v in validate(d)}
 
+    def test_negative_geometric_and_counts(self):
+        d = KirbyDiagram(name="x", components=(
+            Component("a", "framed", 0), Component("b", "framed", 0)),
+            three_handles=-1, hidden_one_handles=-2)
+        d = d.with_links({("a", "b"): (0, -2)})
+        assert [(v.code, v.subjects) for v in validate(d)] == [
+            ("negative-geometric", ("a", "b")), ("magnitude", ("a", "b")),
+            ("negative-count", ("three_handles",)),
+            ("negative-count", ("hidden_one_handles",))]
+
     def test_paren_requires_dual_flag(self):
         d = KirbyDiagram(name="x",
                          components=(Component("p", "parenframed", 2),))
@@ -135,6 +145,14 @@ class TestInvariants:
     def test_minus_side_needs_dual(self):
         with pytest.raises(MoveError):
             boundary_homology(empty_diagram(), "minus")
+
+    def test_unknown_side(self):
+        with pytest.raises(ValueError, match="unknown side 'left'"):
+            boundary_homology(empty_diagram(), "left")
+
+    def test_diagonal_geometric_entry_is_zero(self):
+        d = hopf_12()
+        assert d.geom("h", "h") == 0 and d.geom("d", "h") == 1
 
     def test_linking_matrices_at_n80(self):
         rng = random.Random(80)
@@ -439,6 +457,65 @@ def dense_invariants(d):
 def invariants(d):
     return (signature(d), h1plus(d),
             boundary_homology(d, "minus")[0] if d.dual_flag else None)
+
+
+class TestMovePreconditions:
+    """Every refused move names its reason and leaves no new value."""
+
+    def base(self):
+        d = hopf_12()  # d dotted, h 0-framed, a geometric Hopf pair
+        d = add_cancelling_pair(d, "23", ("z",))
+        d = blow_up(d, 1, "e")
+        d = KirbyDiagram(name="b", components=d.components + (
+            Component("p", "dotted"), Component("q", "framed", 2),
+            Component("w", "framed", 0)), three_handles=d.three_handles)
+        return d.with_links({("d", "h"): (1, 1), ("p", "q"): (1, 3),
+                             ("p", "w"): (0, 2)})
+
+    @pytest.mark.parametrize("move, message", [
+        (lambda d: handle_slide(d, "h", "z", 2), "slide sign must be"),
+        (lambda d: blow_up(d, 2), "blow-up sign must be"),
+        (lambda d: blow_up(d, 1, "h"), "component id h already in use"),
+        (lambda d: twist_blow_up(d, 2, {"h": 1}), "twist sign must be"),
+        (lambda d: add_cancelling_pair(d, "12", ("d", "n")),
+         "pair ids d, n unavailable"),
+        (lambda d: add_cancelling_pair(d, "12", ("n", "n")),
+         "pair ids n, n unavailable"),
+        (lambda d: add_cancelling_pair(d, "23", ("h",)),
+         "pair id h unavailable"),
+        (lambda d: add_cancelling_pair(d, "34"),
+         "unknown cancelling pair kind '34'"),
+        (lambda d: cancel_pair(d, None, "q"), "q is not a 0-framed 2-handle"),
+        (lambda d: cancel_pair(d, None, "d"), "d is not a 0-framed 2-handle"),
+        (lambda d: cancel_pair(d, None, "w"),
+         "w is geometrically linked with p"),
+        (lambda d: cancel_pair(d, "h", "z"), "h is not dotted"),
+        (lambda d: cancel_pair(d, "d", "p"), "p is not a 2-handle"),
+        (lambda d: cancel_pair(d, "d", "z"),
+         "d and z are not a geometric Hopf pair"),
+        (lambda d: cancel_pair(d, "p", "q"),
+         "p and q are not a geometric Hopf pair"),
+        (lambda d: dualize(d.with_links(
+            {}, components=d.components + (Component("r", "parenframed", 1),))),
+         "diagram already contains paren-framed components"),
+        (lambda d: dualize(d.with_links(
+            {}, components=d.components + (Component("m_h", "dotted"),))),
+         "meridian id m_h collides with a component")])
+    def test_refused(self, move, message):
+        with pytest.raises(MoveError) as e:
+            move(self.base())
+        assert str(e.value).startswith(message)
+
+    def test_fresh_ids_skip_taken_ones(self):
+        d = self.base()  # holds e
+        d = blow_up(d, 1)
+        assert d.ids()[-1] == "e2"
+        d = twist_blow_up(blow_up(d, -1), 1, {"h": 1})
+        assert d.ids()[-2:] == ("e3", "e4")
+        d = add_cancelling_pair(add_cancelling_pair(d, "12"), "12")
+        assert d.ids()[-4:] == ("dpair", "hpair", "dpair2", "hpair2")
+        d = add_cancelling_pair(d, "23")
+        assert d.ids()[-1] == "hpair3"
 
 
 class TestBlockwiseInvariants:

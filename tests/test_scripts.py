@@ -33,14 +33,15 @@ HOPF = lambda: diagram(("a", "framed", 0), ("b", "framed", 0),
 
 class TestCommandTable:
     def test_one_row_per_form(self):
-        assert len({(f.op, f.kinds) for f in COMMANDS}) == len(COMMANDS) == 14
+        assert len({(f.op, f.kinds) for f in COMMANDS}) == len(COMMANDS) == 16
         for f in COMMANDS:
             assert f.usage.split()[0] == f.op
             assert (f.move is None) != (f.check is None)
 
     def test_assertions_read_the_snapshot(self):
         assert {f.op for f in COMMANDS if f.check is not None} == {
-            "assert-homology", "assert-euler", "assert-signature"}
+            "assert-homology", "assert-euler", "assert-signature",
+            "assert-count", "assert-kind"}
 
 
 class TestApplyCommand:
@@ -181,6 +182,34 @@ class TestRunScript:
         assert not result.ok and result.failure.index == 1
         assert detail in result.failure.detail
         assert result.final == HOPF() and len(result.steps) == 2
+
+    @pytest.mark.parametrize("command, detail", [
+        (("assert-count", "threehandles", 2), "threehandles = 0, expected 2"),
+        (("assert-count", "hidden1", 1), "hidden1 = 0, expected 1"),
+        (("assert-kind", "a", "dotted"), "kind of a = framed, expected dotted"),
+        (("assert-kind", "zz", "framed"), "unknown component 'zz'"),
+        (("assert-count", "fivehandles", 0), "assert-count needs: "),
+        (("assert-kind", "a", "wavy"), "assert-kind needs: ")])
+    def test_failed_count_and_kind_assertions(self, command, detail):
+        result = run_script(HOPF(), script(command, ("blowup", 1, "e")))
+        assert not result.ok and result.failure.index == 1
+        assert result.failure.detail.startswith(detail)
+        assert result.final == HOPF() and len(result.steps) == 2
+
+    def test_count_and_kind_assertions_read_the_current_diagram(self):
+        s = script(("assert-count", "threehandles", 0),
+                   ("addpair", "23", "hx"),
+                   ("assert-count", "threehandles", 1),
+                   ("assert-count", "fourhandles", 0),
+                   ("assert-kind", "hx", "framed"),
+                   ("swap", "hx"),
+                   ("assert-kind", "hx", "dotted"),
+                   ("dualize",),
+                   ("assert-count", "hidden1", 1),
+                   ("assert-kind", "hx", "parenframed"))
+        result = run_script(HOPF(), s)
+        assert result.ok, result.failure
+        assert sum(st.detail == "assertion holds" for st in result.steps) == 7
 
     def test_dual_side_reported_only_after_dualize(self):
         d = diagram(("a", "framed", 0), three_handles=0)

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from ribboncalc import (STANDARD_CAP, AccessoryLoop, Cap, Command, Finger,
-                        MiddleError, MiddleLevelData, MoveError, MoveScript,
-                        ParseError, RibbonDescriptor, TreeEdge,
+from ribboncalc import (STANDARD_CAP, AccessoryLoop, Cap, Command, Component,
+                        DiagramError, Finger, KirbyDiagram, MiddleError,
+                        MiddleLevelData, MoveError, MoveScript, ParseError,
+                        RibbonDescriptor, TreeEdge,
                         make_descriptor, parse_diagram, parse_middle,
                         parse_ribbon, parse_script, parse_tree,
                         serialize_diagram, serialize_middle, serialize_ribbon,
@@ -83,7 +84,7 @@ class TestDiagramErrors:
         text = ("diagram x\ncomponent a framed 0\ncomponent b framed 0\n"
                 "link a b 1 1\nlink b a 1 1\n")
         e = self.error(text)
-        assert e.line == 5 and "duplicate link" in e.message
+        assert e.line == 5 and e.message == "repeated link pair (a, b)"
 
     def test_comment_lines_still_counted(self):
         e = self.error("diagram x\n# filler\n# filler\nbogus keyword\n")
@@ -92,6 +93,159 @@ class TestDiagramErrors:
     def test_malformed_integer(self):
         assert "framing" in self.error(
             "diagram x\ncomponent a framed two\n").message
+
+
+class TestDiagramRules:
+    """``KirbyDiagram`` and ``Component`` judge the rules; the parser puts
+    their errors on the line of the entry that breaks one."""
+
+    def error(self, text):
+        with pytest.raises(ParseError) as e:
+            parse_diagram(text)
+        return e.value
+
+    @pytest.mark.parametrize("line, message", [
+        ("component a dotted 3", "dotted component a carries a framing"),
+        ("component a framed label x", "component a needs a framing"),
+        ("component a parenframed", "component a needs a framing"),
+        ("component a wavy", "unknown component kind 'wavy'"),
+        ("component a wavy x", "malformed framing token 'x'"),
+        ("component a framed 0 kink", "unexpected token 'kink'"),
+        ("component a", "component needs an id and a kind")])
+    def test_component_rule_on_its_line(self, line, message):
+        e = self.error(f"diagram x\ncomponent b framed 1\n\n{line}\n")
+        assert (e.line, e.message) == (4, message)
+
+    @pytest.mark.parametrize("links, line, message", [
+        ("link a b 1 1\nlink a z 1 1\n", 6,
+         "link references unknown component z"),
+        ("link z a 1 1\n", 5, "link references unknown component z"),
+        ("link b b 0 2\n", 5, "self-linking entry for b"),
+        ("link a b 1 1\nlink b a 1 1\n", 6, "repeated link pair (a, b)"),
+        ("link b a 0 0\nlink a b 1 1\n", 6, "repeated link pair (a, b)")])
+    def test_link_rule_on_its_line(self, links, line, message):
+        e = self.error("diagram x\ncomponent a framed 0\n# c\n"
+                       "component b dotted\n" + links)
+        assert (e.line, e.message) == (line, message)
+
+    def test_duplicate_component_on_the_later_line(self):
+        e = self.error("diagram x\ncomponent a dotted\nlink a b 1 1\n"
+                       "component b framed 0\ncomponent a framed 1\n")
+        assert (e.line, e.message) == (5, "duplicate component id a")
+
+    def test_rule_error_loses_to_a_later_syntax_error(self):
+        e = self.error("diagram x\ncomponent a dotted\ncomponent a dotted\n"
+                       "threehandles two\n")
+        assert (e.line, e.message) == (4, "malformed count 'two'")
+
+    def test_link_may_precede_its_components(self):
+        d = parse_diagram("diagram x\nlink b a 1 1\ncomponent a framed 0\n"
+                          "component b dotted\n")
+        assert d.links == ((("a", "b"), 1, 1),)
+        assert serialize_diagram(d) == ("diagram x\ncomponent a framed 0\n"
+                                        "component b dotted\nlink a b 1 1\n")
+
+    def test_zero_link_lines_are_dropped(self):
+        d = parse_diagram("diagram x\ncomponent a framed 0\n"
+                          "component b framed 0\nlink a b 0 0\n")
+        assert d.links == () and "link" not in serialize_diagram(d)
+
+
+class TestCanonicalLinks:
+    """Values built through the API round-trip through text (they did not
+    when a (0, 0) entry or an out-of-order entry was kept as given)."""
+
+    def comps(self):
+        return (Component("b", "framed", 0), Component("a", "framed", 1),
+                Component("c", "dotted"))
+
+    def test_zero_entry_dropped(self):
+        d = KirbyDiagram("x", self.comps(), ((("a", "b"), 0, 0),
+                                             (("a", "c"), 1, 1)))
+        assert d.links == ((("a", "c"), 1, 1),)
+        assert parse_diagram(serialize_diagram(d)) == d
+
+    def test_entries_sorted_by_position(self):
+        entries = ((("a", "c"), 1, 1), (("b", "c"), 2, 2), (("a", "b"), 1, 3))
+        d = KirbyDiagram("x", self.comps(), entries)
+        assert d.links == (entries[2], entries[1], entries[0])
+        assert parse_diagram(serialize_diagram(d)) == d
+        assert d == KirbyDiagram("x", self.comps(), entries[::-1])
+
+    def test_with_links_agrees_with_the_constructor(self):
+        d = KirbyDiagram("x", self.comps()).with_links(
+            {("c", "a"): (1, 1), ("b", "a"): (0, 0), ("c", "b"): (2, 2)})
+        assert d.links == ((("b", "c"), 2, 2), (("a", "c"), 1, 1))
+
+    @pytest.mark.parametrize("links, entry", [
+        (((("a", "c"), 1, 1), (("a", "a"), 0, 2)), ("link", 1)),
+        (((("a", "z"), 1, 1),), ("link", 0)),
+        (((("c", "a"), 1, 1),), ("link", 0)),
+        (((("a", "c"), 1, 1), (("b", "c"), 0, 0), (("a", "c"), 0, 0)),
+         ("link", 2))])
+    def test_errors_name_the_entry(self, links, entry):
+        with pytest.raises(DiagramError) as e:
+            KirbyDiagram("x", self.comps(), links)
+        assert e.value.entry == entry and isinstance(e.value, ValueError)
+
+    def test_duplicate_component_names_the_entry(self):
+        with pytest.raises(DiagramError) as e:
+            KirbyDiagram("x", self.comps() + (Component("a", "dotted"),))
+        assert e.value.entry == ("component", 3)
+
+
+class TestUnwritableDiagrams:
+    """serialize_diagram refuses a value its text would read back changed."""
+
+    def one(self, **kw):
+        comp = Component(kw.pop("cid", "a"), "framed", 0, kw.pop("label", None))
+        return KirbyDiagram(kw.pop("name", "x"), (comp,), **kw)
+
+    @pytest.mark.parametrize("kw", [
+        {"name": "two words"}, {"name": "x#1"}, {"name": ""},
+        {"cid": "a b"}, {"cid": "a#"}, {"cid": "a\n"},
+        {"label": "left # kink"}, {"label": "left  kink"},
+        {"label": " left"}, {"label": "left\tkink"},
+        {"notes": ("ok", "# hidden")}, {"notes": ("two  spaces",)},
+        {"notes": ("trailing ",)}])
+    def test_refused(self, kw):
+        with pytest.raises(ValueError):
+            serialize_diagram(self.one(**kw))
+
+    @pytest.mark.parametrize("kw", [
+        {"label": "left kink"}, {"label": ""}, {"label": "label x"},
+        {"notes": ("", "kept as is")}, {"cid": "label"}])
+    def test_writable_values_round_trip(self, kw):
+        d = self.one(**kw)
+        assert parse_diagram(serialize_diagram(d)) == d
+
+
+class TestHeadersAndCounts:
+    """The positioned errors of missing, repeated and short lines."""
+
+    @pytest.mark.parametrize("parse, text, line, message", [
+        (parse_diagram, "", 1, "missing 'diagram NAME' header"),
+        (parse_diagram, "# only a comment\n", 1,
+         "missing 'diagram NAME' header"),
+        (parse_diagram, "diagram x\n\ndiagram y\n", 3,
+         "duplicate diagram header"),
+        (parse_diagram, "diagram x y\n", 1, "diagram header needs a name"),
+        (parse_diagram, "diagram x\nhidden1\n", 2, "hidden1 needs a count"),
+        (parse_tree, "tree t\nnode r\nroot r\ntree t\nnode r\nroot r\n",
+         4, "duplicate tree name t"),
+        (parse_middle, "", 1, "missing 'middle' header"),
+        (parse_middle, "pairs 1\n", 1, "expected 'middle' header first"),
+        (parse_middle, "middle\npairs 1\nloop l1\n", 3,
+         "loop needs an id and at least one finger"),
+        (parse_ribbon, "middle\npairs 1\ncap w1\n", 3,
+         "cap needs: cap ID standard|tree NAME"),
+        (parse_script, "", 1, "missing 'script NAME' header"),
+        (parse_script, "script s\nscript t\n", 2, "duplicate script header"),
+        (parse_script, "script\n", 1, "script header needs a name")])
+    def test_positioned(self, parse, text, line, message):
+        with pytest.raises(ParseError) as e:
+            parse(text)
+        assert (e.value.line, e.value.message) == (line, message)
 
 
 class TestTreeRoundTrip:
@@ -252,6 +406,15 @@ class TestMiddleAndRibbon:
         for _ in range(200):
             r = random_nonpositive_descriptor(rng)
             assert parse_ribbon(serialize_ribbon(r)) == r
+
+    def test_distinct_trees_sharing_a_name_are_not_serialized(self):
+        m = MiddleLevelData(2, (Finger("f1", 1, 2, "w1"),
+                                Finger("f2", 2, 1, "w2")))
+        plus = parse_tree("tree t\nnode r\nroot r\nedge r r +\n")
+        minus = parse_tree("tree t\nnode r\nroot r\nedge r r -\n")
+        r = make_descriptor(m, {"w1": Cap(plus), "w2": Cap(minus)})
+        with pytest.raises(ValueError, match="distinct trees share the name t"):
+            serialize_ribbon(r)
 
     def test_cap_lines_rejected_in_plain_middle(self):
         with pytest.raises(ParseError, match="ribbon documents"):
@@ -498,8 +661,12 @@ class TestScriptRoundTrip:
             Command("assert-euler", (2,)),
             Command("assert-signature", (-1,)),
             Command("assert-geom", ("a", "b", 0)),
+            Command("assert-count", ("hidden1", 2)),
+            Command("assert-kind", ("a", "parenframed")),
         ))
         assert parse_script(serialize_script(s)) == s
+        assert serialize_script(s).endswith(
+            "\nassert-count hidden1 2\nassert-kind a parenframed\n")
 
 
     def test_strand_named_twice_is_not_serialized(self):
@@ -542,7 +709,9 @@ class TestScriptErrors:
         "slide a b", "slide a b + c", "blowdown", "swap a b", "addpair 12 a",
         "addpair 23 a b", "cancel", "cancel a b c", "dualize now",
         "twistblowup + e", "assert-homology plus", "assert-euler",
-        "assert-signature 1 2", "assert-geom a b"])
+        "assert-signature 1 2", "assert-geom a b", "assert-count hidden1",
+        "assert-count twohandles 1", "assert-kind a", "assert-kind a wavy",
+        "assert-kind a dotted x"])
     def test_wrong_token_count_names_the_usage(self, line):
         e = self.error(f"script s\n\n{line}\n")
         assert e.line == 3 and e.message.startswith(f"{line.split()[0]} needs: ")
