@@ -51,14 +51,37 @@ class ParseError(Exception):
         self.message = message
 
 
+# About how many characters of text _lines splits at once.
+_CHUNK = 1 << 16
+
+
 def _lines(text: str):
     """A lazy iterator of ``(line number, tokens)`` over the lines that hold
-    a token; a comment runs from '#' to the end of its line.  One split per
-    line, in C: no Python frame runs per line of a document without '#'."""
-    rows = text.splitlines()
-    if "#" in text:
-        rows = [raw.split("#", 1)[0] for raw in rows]
+    a token; a comment runs from '#' to the end of its line.  Lines and
+    their numbers are those of ``text.splitlines()``, but the text is split
+    a piece of about ``_CHUNK`` characters at a time, each piece ending just
+    after a newline (no line separator spans one), so no list of every line
+    of a longer text is held.  A text of at most one piece is split at once,
+    without the chaining.  One split per line, in C: no Python frame runs
+    per line of a piece without '#'."""
+    rows = (_rows(text) if len(text) <= _CHUNK
+            else chain.from_iterable(map(_rows, _pieces(text))))
     return filter(itemgetter(1), enumerate(map(str.split, rows), 1))
+
+
+def _pieces(text: str):
+    start, size = 0, len(text)
+    while start < size:
+        end = text.find("\n", start + _CHUNK - 1) + 1 or size
+        yield text[start:end]
+        start = end
+
+
+def _rows(piece: str) -> list[str]:
+    rows = piece.splitlines()
+    if "#" in piece:
+        rows = [raw.split("#", 1)[0] for raw in rows]
+    return rows
 
 
 def _int(tok: str, n: int, what: str) -> int:
@@ -148,6 +171,20 @@ def _text(x: str, what: str, words: bool = False) -> str:
     return x
 
 
+def _words(*groups) -> None:
+    """Raise ValueError for the first id of ``groups``, pairs of a noun and
+    ids, that does not read back unchanged as one token.  One scan in C of
+    the ids joined decides; ``_text`` names the offender only when it
+    fails."""
+    id_lists = [ids for _, ids in groups]
+    joined = "".join(chain.from_iterable(id_lists))
+    if ("#" in joined or joined.split() != [joined]
+            or not all(map(all, id_lists))):
+        for what, ids in groups:
+            for x in ids:
+                _text(x, what)
+
+
 def serialize_diagram(d: KirbyDiagram) -> str:
     """Canonical text; raises ValueError for a name, id, label or note that
     the text cannot carry and read back unchanged."""
@@ -189,15 +226,20 @@ def _tree_block(name, line, nodes, root, edges, finite) -> SignedTree:
         raise ParseError(line, str(exc)) from None
 
 
+def _undeclared(nid: str, n: int):
+    raise ParseError(n, f"edge references undeclared node {nid}")
+
+
 def _parse_tree_blocks(text: str, stop_at: str | None = None):
     """The tree blocks of ``text`` by name, and its lines from the first
     ``stop_at`` line on, still to be read (None when there is none)."""
     trees: dict[str, SignedTree] = {}
     lines = _lines(text)
     # The open block: name (None when there is none), header line, node
-    # ids (a dict keeps their order), root, edges and the finite flag.
+    # ids (a dict of each id to itself keeps their order and lends edges
+    # the declared strings), root, edges and the finite flag.
     name = header = root = None
-    nodes: dict[str, None] = {}
+    nodes: dict[str, str] = {}
     edges: list[TreeEdge] = []
     finite = False
     for n, toks in lines:
@@ -205,11 +247,10 @@ def _parse_tree_blocks(text: str, stop_at: str | None = None):
         if kw == "edge" and name is not None:
             if len(toks) != 4:
                 raise ParseError(n, "edge needs: edge PARENT CHILD SIGN")
+            # The edge holds the declared id strings, not its line's copies.
             _, parent, child, sign = toks
-            if parent not in nodes:
-                raise ParseError(n, f"edge references undeclared node {parent}")
-            if child not in nodes:
-                raise ParseError(n, f"edge references undeclared node {child}")
+            parent = nodes.get(parent) or _undeclared(parent, n)
+            child = nodes.get(child) or _undeclared(child, n)
             # The sign is +1 or -1, so the edge skips TreeEdge's check.
             edges.append(tuple.__new__(TreeEdge, (
                 parent, child, _SIGNS.get(sign) or _sign(sign, n))))
@@ -217,7 +258,7 @@ def _parse_tree_blocks(text: str, stop_at: str | None = None):
             for nid in toks[1:]:
                 if nid in nodes:
                     raise ParseError(n, f"duplicate node id {nid}")
-                nodes[nid] = None
+                nodes[nid] = nid
         elif kw == stop_at or kw == "tree":
             if name is not None:
                 trees[name] = _tree_block(name, header, nodes, root, edges,
@@ -247,6 +288,18 @@ def _parse_tree_blocks(text: str, stop_at: str | None = None):
 
 
 def serialize_tree(t: SignedTree) -> str:
+    """Canonical text; raises ValueError for a tree name or node id that
+    the text cannot carry and read back unchanged."""
+    _words(*_tree_words(t))
+    return _tree_text(t)
+
+
+def _tree_words(t: SignedTree):
+    # The root and the edge endpoints are declared nodes.
+    return ("tree name", (t.name,)), ("node id", t.nodes)
+
+
+def _tree_text(t: SignedTree) -> str:
     out = [f"tree {t.name}"]
     if t.finite:
         out.append("finite")
@@ -254,7 +307,8 @@ def serialize_tree(t: SignedTree) -> str:
     out.append(f"root {t.root}")
     for parent, child, sign in t.edges:
         out.append(f"edge {parent} {child} {'+' if sign == 1 else '-'}")
-    return "\n".join(out) + "\n"
+    out.append("")  # the text ends with a newline, and is not copied for it
+    return "\n".join(out)
 
 
 # -- middle data and ribbon descriptors ----------------------------------
@@ -355,27 +409,47 @@ def parse_ribbon(text: str) -> RibbonDescriptor:
 
 
 def serialize_middle(m: MiddleLevelData) -> str:
+    """Canonical text; raises ValueError for a finger, whitney or loop id
+    that the text cannot carry and read back unchanged."""
+    _words(*_middle_words(m))
+    return _middle_text(m)
+
+
+def _middle_words(m: MiddleLevelData):
+    # Loops name declared fingers.
+    return (("finger id", [f.id for f in m.fingers]),
+            ("whitney id", [f.whitney for f in m.fingers]),
+            ("loop id", [l.id for l in m.accessory_loops]))
+
+
+def _middle_text(m: MiddleLevelData) -> str:
     out = ["middle", f"pairs {m.pairs}"]
-    for f in m.fingers:
-        out.append(f"finger {f.id} {f.from_a} {f.through_b} {f.whitney}")
-    for l in m.accessory_loops:
-        out.append(f"loop {l.id} " + " ".join(l.fingers))
-    return "\n".join(out) + "\n"
+    out += [f"finger {f.id} {f.from_a} {f.through_b} {f.whitney}"
+            for f in m.fingers]
+    out += [f"loop {l.id} " + " ".join(l.fingers) for l in m.accessory_loops]
+    out.append("")  # the text ends with a newline, and is not copied for it
+    return "\n".join(out)
 
 
 def serialize_ribbon(r: RibbonDescriptor) -> str:
+    """Canonical text; raises ValueError for distinct trees of one name and
+    for a name or id that the text cannot carry and read back unchanged."""
     trees: dict[str, SignedTree] = {}
     for _, cap in r.caps:
-        if cap.tree is not None:
-            prev = trees.get(cap.tree.name)
-            if prev is not None and prev != cap.tree:
-                raise ValueError(
-                    f"distinct trees share the name {cap.tree.name}")
-            trees[cap.tree.name] = cap.tree
-    out = [serialize_tree(t) for t in trees.values()]
-    out.append(serialize_middle(r.middle))
-    out.extend(f"cap {cid} standard\n" if cap.standard
-               else f"cap {cid} tree {cap.tree.name}\n" for cid, cap in r.caps)
+        t = cap.tree
+        if t is not None:
+            # Caps of one parsed tree share it: only another object of
+            # the name is compared, field by field.
+            prev = trees.setdefault(t.name, t)
+            if prev is not t and prev != t:
+                raise ValueError(f"distinct trees share the name {t.name}")
+    # Cap ids are the whitney and loop ids.
+    _words(*chain.from_iterable(map(_tree_words, trees.values())),
+           *_middle_words(r.middle))
+    out = [_tree_text(t) for t in trees.values()]
+    out.append(_middle_text(r.middle))
+    out += [f"cap {cid} standard\n" if cap.standard
+            else f"cap {cid} tree {cap.tree.name}\n" for cid, cap in r.caps]
     return "".join(out)
 
 
@@ -447,14 +521,18 @@ def parse_script(text: str) -> MoveScript:
 
 
 def serialize_script(s: MoveScript) -> str:
-    """Canonical text; raises MoveError for a command that fits no row."""
-    out = [f"script {s.name}"]
+    """Canonical text; raises MoveError for a command that fits no row and
+    ValueError for a name or argument that the text cannot carry and read
+    back unchanged."""
+    lines = []
     for cmd in s.commands:
         toks = [cmd.op]
         for kind, value in zip(form_of(cmd).kinds, cmd.args):
             toks += _WRITE.get(kind, _WRITE[ID])(value)
-        out.append(" ".join(toks))
-    return "\n".join(out) + "\n"
+        lines.append(toks)
+    _words(("script name", (s.name,)),
+           *(("command argument", toks[1:]) for toks in lines))
+    return "\n".join([f"script {s.name}", *map(" ".join, lines), ""])
 
 
 # -- any document --------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 
 class TreeError(Exception):
@@ -38,6 +39,10 @@ class TreeEdge(namedtuple("TreeEdge", "parent child sign")):
     @classmethod
     def _make(cls, iterable) -> TreeEdge:  # also serves _replace
         return cls(*iterable)
+
+
+# An edge's parent, child and sign, as C callables for map().
+_parent, _child, _sign = itemgetter(0), itemgetter(1), itemgetter(2)
 
 
 @dataclass(frozen=True)
@@ -145,15 +150,18 @@ class SignedTree:
 def validate_tree(t: SignedTree) -> list[str]:
     """Every rule ``t`` breaks, as messages in a fixed order.
 
-    Set sizes decide whether a rule holds; the per-node loops that name
-    the offenders run only when one fails.
+    One node-sized set does the work: the declared ids, then the ids not
+    yet reached from the root.  Set sizes decide whether a rule holds; the
+    per-node loops that name the offenders, and the set of edge children,
+    run only when one fails.
     """
     out = []
     nodes, root, edges = t.nodes, t.root, t.edges
-    nodeset = set(nodes)
-    if len(nodeset) != len(nodes):
+    unreached = set(nodes)
+    distinct = len(unreached) == len(nodes)
+    if not distinct:
         out.append(f"tree {t.name}: duplicate node ids")
-    if root not in nodeset:
+    if root not in unreached:
         out.append(f"tree {t.name}: root {root} not declared")
         return out
     # A TreeEdge checks its sign when it is made; any other value, a plain
@@ -162,15 +170,15 @@ def validate_tree(t: SignedTree) -> list[str]:
         bad = next(e for e in edges if type(e) is not TreeEdge)
         out.append(f"tree {t.name}: edge {bad!r} is not a TreeEdge")
         return out
-    parents, children, signs = zip(*edges) if edges else ((), (), ())
-    if not {1, -1}.issuperset(signs):
+    if not {1, -1}.issuperset(map(_sign, edges)):
         bad = next(e for e in edges if e.sign not in (1, -1))
         out.append(f"tree {t.name}: edge {bad.parent}->{bad.child} has "
                    f"sign {bad.sign!r}, not +1 or -1")
         return out
-    if not (nodeset.issuperset(parents) and nodeset.issuperset(children)):
+    if not (unreached.issuperset(map(_parent, edges))
+            and unreached.issuperset(map(_child, edges))):
         for e in edges:
-            if e.parent not in nodeset or e.child not in nodeset:
+            if e.parent not in unreached or e.child not in unreached:
                 out.append(f"tree {t.name}: edge {e.parent}->{e.child} "
                            "references an undeclared node")
                 return out
@@ -178,30 +186,32 @@ def validate_tree(t: SignedTree) -> list[str]:
     # node when each parent is listed before its out-edges, as in a tower
     # from truncate and in its text; only nodes it leaves unreached cost a
     # breadth-first walk of the out-index from the nodes it did reach.
-    reach = {root}
-    add = reach.add
-    for parent, child in zip(parents, children):
-        if parent in reach:
-            add(child)
-    if len(reach) != len(nodeset):
+    unreached.discard(root)
+    reach = unreached.discard
+    for parent, child, _ in edges:
+        if parent not in unreached:
+            reach(child)
+    if unreached:
         index = t._out_index
-        queue = list(reach)
+        queue = [n for n in nodes if n not in unreached]
         for v in queue:  # the loop sees nodes appended below
             for e in index.get(v, ()):
-                child = e.child
-                if child not in reach:
-                    add(child)
-                    queue.append(child)
-        if len(reach) != len(nodeset):
-            out.extend(f"tree {t.name}: node {n} unreachable from root"
-                       for n in nodes if n not in reach)
+                if e.child in unreached:
+                    reach(e.child)
+                    queue.append(e.child)
+        out.extend(f"tree {t.name}: node {n} unreachable from root"
+                   for n in nodes if n in unreached)
+    if distinct and not unreached:
+        # Every non-root node was reached as a child, so it has an incoming
+        # edge; a tower is then a tree iff it has one edge fewer than nodes.
+        if t.finite and len(edges) != len(nodes) - 1:
+            out.append(f"tree {t.name}: tower contains back-edges")
+        return out
     # Each non-root node has an incoming edge.
-    covered = set(children)
-    if len(covered) - (root in covered) != len(nodeset) - 1:
-        out.extend(f"tree {t.name}: node {n} has no incoming edge"
-                   for n in nodes if n != root and n not in covered)
-    if t.finite and (root in covered
-                     or len(covered) != len(children)
+    covered = set(map(_child, edges))
+    out.extend(f"tree {t.name}: node {n} has no incoming edge"
+               for n in nodes if n != root and n not in covered)
+    if t.finite and (root in covered or len(covered) != len(edges)
                      or len(edges) != len(nodes) - 1):
         out.append(f"tree {t.name}: tower contains back-edges")
     return out

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import fields
+from operator import itemgetter
 
 from ribboncalc import (AccessoryLoop, Cap, Component, Finger, KirbyDiagram,
                         MiddleLevelData, ParseError, STANDARD_CAP, SignedTree,
@@ -298,6 +299,15 @@ def oracle_truncate(t: SignedTree, n: int, node_budget: int) -> SignedTree:
         level = below
     return SignedTree(f"{t.name}^{n}", tuple(nodes), t.root, tuple(edges),
                       finite=True)
+
+
+def oracle_lines(text: str):
+    """``textio._lines`` as it read before it split a piece of the text at
+    a time: one list of every line of the document."""
+    rows = text.splitlines()
+    if "#" in text:
+        rows = [raw.split("#", 1)[0] for raw in rows]
+    return filter(itemgetter(1), enumerate(map(str.split, rows), 1))
 
 
 def oracle_parse_tree_blocks(lines, stop_at=None):

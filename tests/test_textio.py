@@ -7,16 +7,16 @@ import pytest
 from ribboncalc import (STANDARD_CAP, AccessoryLoop, Cap, Command, Component,
                         DiagramError, Finger, KirbyDiagram, MiddleError,
                         MiddleLevelData, MoveError, MoveScript, ParseError,
-                        RibbonDescriptor, TreeEdge,
+                        RibbonDescriptor, SignedTree, TreeEdge, chplus,
                         make_descriptor, parse_diagram, parse_middle,
                         parse_ribbon, parse_script, parse_tree,
                         serialize_diagram, serialize_middle, serialize_ribbon,
                         serialize_script, serialize_tree)
 from ribboncalc import textio
-from ribboncalc.corpus import corpus_text
+from ribboncalc.corpus import corpus_names, corpus_text
 from ribboncalc.trees import DEFAULT_PAIR_BUDGET
 
-from genlib import (oracle_parse_tree_blocks, random_diagram,
+from genlib import (oracle_lines, oracle_parse_tree_blocks, random_diagram,
                     random_nonpositive_descriptor, random_script, random_tree)
 
 
@@ -220,6 +220,110 @@ class TestUnwritableDiagrams:
         assert parse_diagram(serialize_diagram(d)) == d
 
 
+class TestUnwritableIds:
+    """serialize_tree, serialize_middle, serialize_ribbon and
+    serialize_script refuse a name or id that their text would read back
+    changed, and name it."""
+
+    @staticmethod
+    def refused(serialize, value, message):
+        with pytest.raises(ValueError) as e:
+            serialize(value)
+        assert str(e.value) == f"{message} cannot be written as text"
+
+    @staticmethod
+    def tree(name="t", node="a"):
+        return SignedTree(name, ("r", node), "r", (TreeEdge("r", node, 1),))
+
+    @pytest.mark.parametrize("kw, message", [
+        ({"name": "t#x"}, "tree name 't#x'"),
+        ({"name": "t x"}, "tree name 't x'"),
+        ({"node": "a b"}, "node id 'a b'"), ({"node": ""}, "node id ''"),
+        ({"node": "a\x1c"}, "node id 'a\\x1c'"),
+        ({"node": "a\u2028"}, "node id 'a\\u2028'")])
+    def test_tree(self, kw, message):
+        self.refused(serialize_tree, self.tree(**kw), message)
+
+    @staticmethod
+    def middle(fid="f", wid="w", lid="l"):
+        return MiddleLevelData(1, (Finger(fid, 1, 1, wid),),
+                               (AccessoryLoop(lid, (fid,)),))
+
+    @pytest.mark.parametrize("kw, message", [
+        ({"fid": "f 1"}, "finger id 'f 1'"), ({"wid": "w#"}, "whitney id 'w#'"),
+        ({"lid": "l\tx"}, "loop id 'l\\tx'"), ({"lid": ""}, "loop id ''")])
+    def test_middle(self, kw, message):
+        self.refused(serialize_middle, self.middle(**kw), message)
+
+    @pytest.mark.parametrize("tree, m, message", [
+        ({"name": "c h"}, {}, "tree name 'c h'"),
+        ({"node": "a\x85"}, {}, "node id 'a\\x85'"),
+        ({}, {"wid": "w x"}, "whitney id 'w x'")])
+    def test_ribbon(self, tree, m, message):
+        m = self.middle(**m)
+        r = RibbonDescriptor(m, tuple((cid, Cap(self.tree(**tree)))
+                                      for cid in m.cap_ids()))
+        self.refused(serialize_ribbon, r, message)
+
+    @pytest.mark.parametrize("name, command, message", [
+        ("s", Command("blowup", (1, "e x")), "command argument 'e x'"),
+        ("s", Command("twistblowup", (-1, "e", (("a b", 1),))),
+         "command argument 'a b:1'"),
+        ("s", Command("blowdown", ("#e",)), "command argument '#e'"),
+        ("s t", Command("dualize"), "script name 's t'")])
+    def test_script(self, name, command, message):
+        self.refused(serialize_script, MoveScript(name, (command,)), message)
+
+    @pytest.mark.parametrize("cid", ["label", "\u00e9", "\u200b", "a:b"])
+    def test_writable_ids_round_trip(self, cid):
+        t = self.tree(cid, cid)
+        assert parse_tree(serialize_tree(t)) == t
+        m = self.middle(cid, cid + "w", cid + "l")
+        assert parse_middle(serialize_middle(m)) == m
+        r = RibbonDescriptor(m, tuple((k, Cap(chplus(cid)))
+                                      for k in m.cap_ids()))
+        assert parse_ribbon(serialize_ribbon(r)) == r
+        s = MoveScript(cid, (Command("blowup", (1, cid)),))
+        assert parse_script(serialize_script(s)) == s
+
+
+class TestLexerOracle:
+    """_lines against genlib's oracle_lines, the lexer that split the whole
+    document at once, with pieces cut a few characters long so that every
+    line separator and '#' falls at, just before and just after a cut."""
+
+    SEPARATORS = ("\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e",
+                  "\x85", "\u2028", "\u2029")
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 7])
+    def test_separators_around_the_cuts(self, monkeypatch, chunk):
+        monkeypatch.setattr(textio, "_CHUNK", chunk)
+        for sep in self.SEPARATORS:
+            for k in range(2 * chunk + 2):
+                for tail in ("", "#", " # c", "x#"):
+                    text = ("a" * k + tail + sep + "b c" + sep + sep + tail
+                            + "d" + "\n" + "e" * k + sep + "f")
+                    assert (list(textio._lines(text))
+                            == list(oracle_lines(text))), repr(text)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8])
+    def test_random_texts(self, monkeypatch, chunk):
+        monkeypatch.setattr(textio, "_CHUNK", chunk)
+        rng = random.Random(chunk)
+        words = ("a", "bb", " ", "\t", "#", "# c", "x#y", "", "\n")
+        for _ in range(300):
+            text = "".join(rng.choice(words) + rng.choice(self.SEPARATORS)
+                           for _ in range(rng.randint(0, 12)))
+            text += rng.choice(("", "z", "\r", "#", "z #"))
+            assert list(textio._lines(text)) == list(oracle_lines(text))
+
+    def test_documents_parse_the_same_in_small_pieces(self, monkeypatch):
+        texts = [corpus_text(name) for name in corpus_names()]
+        values = [textio.parse_any(text) for text in texts]
+        monkeypatch.setattr(textio, "_CHUNK", 3)
+        assert [textio.parse_any(text) for text in texts] == values
+
+
 class TestHeadersAndCounts:
     """The positioned errors of missing, repeated and short lines."""
 
@@ -415,6 +519,18 @@ class TestMiddleAndRibbon:
         r = make_descriptor(m, {"w1": Cap(plus), "w2": Cap(minus)})
         with pytest.raises(ValueError, match="distinct trees share the name t"):
             serialize_ribbon(r)
+
+    def test_equal_trees_of_one_name_are_written_once(self):
+        # Two objects, one tree: compared field by field, and accepted.
+        m = MiddleLevelData(2, (Finger("f1", 1, 2, "w1"),
+                                Finger("f2", 2, 1, "w2")))
+        text = "tree t\nnode r\nroot r\nedge r r +\n"
+        first, second = parse_tree(text), parse_tree(text)
+        assert first is not second
+        r = make_descriptor(m, {"w1": Cap(first), "w2": Cap(second)})
+        out = serialize_ribbon(r)
+        assert out.splitlines().count("tree t") == 1
+        assert parse_ribbon(out) == r
 
     def test_cap_lines_rejected_in_plain_middle(self):
         with pytest.raises(ParseError, match="ribbon documents"):

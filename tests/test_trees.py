@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -557,6 +558,31 @@ class TestDeepInputs:
         assert float(elapsed) < 10.0, f"{float(elapsed):.1f}s"
         assert int(chars) < 8_000_000
         assert int(rss_kb) < 300 * 1024, f"peak RSS {int(rss_kb) // 1024} MB"
+
+    def test_binary_tower_parse_memory(self):
+        # The text of the 65 535-node binary tower is 2.3 MB.  Parsing it
+        # once peaked at 27.9 MB traced and kept a 16.7 MB tower, when each
+        # edge held its own copies of two id strings and the whole document
+        # was split into one list of lines.
+        binary = tree(["r"], "r", [("r", "r", 1), ("r", "r", -1)])
+        text = serialize_tree(truncate(binary, 15))
+        # Measured from a baseline, so tracing already on (-X tracemalloc)
+        # neither counts in nor is turned off.
+        outer = tracemalloc.is_tracing()
+        if not outer:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            back = parse_tree(text)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not outer:
+                tracemalloc.stop()
+        retained, peak = retained - base, peak - base
+        assert len(back.nodes) == 2 ** 16 - 1
+        assert peak < 20e6, f"traced peak {peak / 1e6:.1f} MB"
+        assert retained < 12e6, f"retained tower {retained / 1e6:.1f} MB"
 
     def test_linear_growth(self):
         binary = tree(["r"], "r", [("r", "r", 1), ("r", "r", -1)])
