@@ -157,17 +157,16 @@ def _torsion_sum(chains) -> tuple[int, ...]:
 def symmetric_signature(matrix: list[list[int]]) -> int:
     """Signature of a symmetric integer matrix, computed exactly.
 
-    Uses congruence elimination over the integers.  A nonzero diagonal
-    entry p = a[k][k] is a pivot: it contributes sign(p), and the remaining
-    block becomes sign(p)*(p*a[i][j] - a[i][k]*a[k][j]), which is |p| times
-    the Schur complement.  When the remaining diagonal vanishes, a nonzero
-    entry b at (i0, j0) spans a hyperbolic plane contributing 0, and the
-    remaining block becomes sign(b)*(b*a[i][j] - a[i][i0]*a[j0][j]
-    - a[i][j0]*a[i0][j]), which is |b| times the Schur complement.  After
-    each step the block is divided by the gcd of its entries.  Positive
-    scaling keeps the inertia (Sylvester's law), and the block stays a
-    primitive multiple of a matrix of minors of the input, so its entries
-    stay as small as in Bareiss elimination.
+    Fraction-free (Bareiss) congruence elimination over the integers.  With
+    ``prev`` the previous pivot (1 at first), the trailing block is always
+    ``prev`` times the Schur complement of the eliminated rows, and its
+    entries are minors of a matrix congruent to the input.  A nonzero
+    diagonal entry p of the block is a pivot: the complement's pivot is
+    p / prev, so it adds sign(p) * sign(prev), and the rest of the block
+    becomes (p*a[i][j] - a[i][k]*a[k][j]) / prev, an exact division.  When
+    the whole diagonal is zero but some entry b = a[i0][j0] is not, adding
+    row and column j0 to row and column i0 is a unimodular congruence that
+    makes a[i0][i0] = 2b, the next pivot.  A zero block adds nothing.
     """
     n = len(matrix)
     a = [list(map(int, row)) for row in matrix]
@@ -177,42 +176,22 @@ def symmetric_signature(matrix: list[list[int]]) -> int:
         for j in range(i):
             if row[j] != a[j][i]:
                 raise ValueError("matrix is not symmetric")
-    sig = 0
+    sig, prev = 0, 1
     while a:
-        piv = next((k for k, row in enumerate(a) if row[k]), None)
-        if piv is not None:
-            p = a[piv][piv]
-            s = 1 if p > 0 else -1
-            sig += s
-            del a[piv]
-            u = [row.pop(piv) for row in a]
-            su = [s * x for x in u]
-            p = abs(p)
-            a = [[p * x - ui * y for x, y in zip(row, su)]
-                 for row, ui in zip(a, u)]
-        else:
-            i0, j0 = next(((i, j) for i, row in enumerate(a)
-                           for j, x in enumerate(row) if x), (None, None))
-            if i0 is None:
+        k = next((k for k, row in enumerate(a) if row[k]), None)
+        if k is None:
+            k, j0 = next(((i, j) for i, row in enumerate(a)
+                          for j, x in enumerate(row) if x), (None, None))
+            if k is None:
                 break  # remaining block is zero
-            b = a[i0][j0]
-            s = 1 if b > 0 else -1
-            keep = [k for k in range(len(a)) if k != i0 and k != j0]
-            u = [a[k][i0] for k in keep]
-            w = [a[k][j0] for k in keep]
-            su = [s * x for x in u]
-            sw = [s * x for x in w]
-            b = abs(b)
-            a = [[b * a[i][j] - ui * y - wi * z
-                  for j, y, z in zip(keep, sw, su)]
-                 for i, ui, wi in zip(keep, u, w)]
-        g = 0
-        for row in a:
-            g = gcd(g, *row)
-            if g == 1:
-                break
-        if g == 0:
-            break  # remaining block is zero
-        if g > 1:
-            a = [[x // g for x in row] for row in a]
+            a[k] = [x + y for x, y in zip(a[k], a[j0])]
+            for row in a:
+                row[k] += row[j0]
+        p = a[k][k]
+        sig += 1 if (p > 0) == (prev > 0) else -1
+        del a[k]
+        u = [row.pop(k) for row in a]
+        a = [[(p * x - ui * y) // prev for x, y in zip(row, u)]
+             for row, ui in zip(a, u)]
+        prev = p
     return sig

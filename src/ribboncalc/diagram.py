@@ -11,6 +11,7 @@ Diagrams are immutable values; every move returns a new diagram.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import itemgetter
@@ -74,6 +75,68 @@ def _pair(i: str, j: str) -> tuple[str, str]:
     return (i, j) if i <= j else (j, i)
 
 
+class _Block:
+    """A linked block of a diagram: ``ids``, its members in component
+    order; ``links``, the diagram's link entries with nonzero alg among
+    them (only their pair and alg are read); and ``rows``, its linking
+    matrix as a tuple of rows.  Never changed once built, and compared by
+    identity: a memo may key on the record itself."""
+
+    __slots__ = ("ids", "links", "rows")
+
+    def __init__(self) -> None:
+        self.ids: list[str] = []
+        self.links: list = []
+
+
+def _regroup(ids, entries, by_id) -> tuple[list[_Block], dict[str, _Block]]:
+    """The linked blocks of ``ids``, given in component order, and the block
+    of each id.  ``entries`` are the link entries with nonzero alg among
+    ``ids``; two ids share a block when a chain of them joins the two.
+    Blocks come in the order of their first id, their matrices filled from
+    their own entries and the components in ``by_id``.  O(ids + entries)
+    besides the zeros of the matrices: a merge moves the smaller group into
+    the larger."""
+    group: dict = {c: [c] for c in ids}
+    for (i, j), _, _ in entries:
+        gi, gj = group[i], group[j]
+        if gi is not gj:
+            if len(gi) < len(gj):
+                gi, gj = gj, gi
+            gi += gj
+            for c in gj:
+                group[c] = gi
+    blocks = []
+    for c in ids:
+        g = group[c]
+        if type(g) is list:  # c is the first member of its block
+            rec = _Block()
+            for member in g:
+                group[member] = rec
+            blocks.append(rec)
+        group[c].ids.append(c)
+    for e in entries:
+        group[e[0][0]].links.append(e)
+    for rec in blocks:
+        rec.rows = tuple(map(tuple, _fill(by_id, rec.ids, rec.links)))
+    return blocks, group
+
+
+def _fill(by_id, ids, entries) -> list[list[int]]:
+    """The linking matrix of ``ids``, in their order, from the framings of
+    the components in ``by_id`` and those of ``entries`` whose ends are
+    both among ``ids``."""
+    local = {cid: r for r, cid in enumerate(ids)}
+    m = [[0] * len(ids) for _ in ids]
+    for r, cid in enumerate(ids):
+        m[r][r] = by_id[cid].framing or 0
+    for (i, j), a, _ in entries:
+        x, y = local.get(i), local.get(j)
+        if x is not None and y is not None:
+            m[x][y] = m[y][x] = a
+    return m
+
+
 @dataclass(frozen=True)
 class KirbyDiagram:
     """A framed link with dotted circles, plus 3-/4-handle bookkeeping.
@@ -125,11 +188,16 @@ class KirbyDiagram:
         links = tuple(e for _, e in keyed)
         if links != self.links:
             object.__setattr__(self, "links", links)
+        object.__setattr__(self, "_at", at)
 
     # -- queries ---------------------------------------------------------
 
     def ids(self) -> tuple[str, ...]:
         return tuple(c.id for c in self.components)
+
+    @cached_property
+    def _at(self) -> dict[str, int]:
+        return {c.id: k for k, c in enumerate(self.components)}
 
     @cached_property
     def _by_id(self) -> dict[str, Component]:
@@ -175,33 +243,40 @@ class KirbyDiagram:
         return [c.id for c in self.components if c.kind in kinds]
 
     @cached_property
-    def _partition(self) -> tuple[dict[str, int], list[int],
-                                  list[tuple[int, int, int]]]:
-        """Linked blocks of all components, shared by every invariant of
-        this value: each id's position, each position's block (the position
-        of the block's root), and the nonzero ``(x, y, alg)`` link entries
-        by position.  Read it, never mutate it."""
-        at = {c.id: k for k, c in enumerate(self.components)}
-        root = list(range(len(at)))
-
-        def find(k: int) -> int:
-            while root[k] != k:
-                root[k] = root[root[k]]
-                k = root[k]
-            return k
-
-        entries = []
-        for (i, j), a, _ in self.links:
-            if a:
-                x, y = at[i], at[j]
-                entries.append((x, y, a))
-                root[find(x)] = find(y)
-        return at, [find(k) for k in range(len(root))], entries
+    def _blocks(self) -> tuple[list[_Block], dict[str, _Block]]:
+        """The linked blocks of all components and the block of each id,
+        shared by every invariant of this value: read them, never mutate
+        them.  A move's result starts from its parent's blocks
+        (``_carry``, see :meth:`_derive`): it keeps every block that holds
+        no touched component and regroups only the others."""
+        carry = self.__dict__.pop("_carry", None)
+        if carry is None:
+            return _regroup(self.ids(), [e for e in self.links if e[1]],
+                            self._by_id)
+        (blocks, block_of), touched, gone, entries = carry
+        hit: list[_Block] = []
+        for cid in touched + gone:
+            rec = block_of.get(cid)
+            if rec is not None and rec not in hit:
+                hit.append(rec)
+        ids = {cid for rec in hit for cid in rec.ids}
+        ids.update(touched)
+        ids.difference_update(gone)
+        links = [e for rec in hit for e in rec.links if e[0] not in entries
+                 and e[0][0] not in gone and e[0][1] not in gone]
+        links += [e for e in entries.values() if e is not None and e[1]]
+        fresh, fresh_of = _regroup(sorted(ids, key=self._at.__getitem__),
+                                   links, self._by_id)
+        block_of = dict(block_of)
+        for cid in gone:
+            del block_of[cid]
+        block_of.update(fresh_of)
+        return [rec for rec in blocks if rec not in hit] + fresh, block_of
 
     def _link_blocks(self, ids, split: bool = True) -> list[list[list[int]]]:
         """Linking matrices of the linked blocks of ``ids``.
 
-        The blocks restrict the partition of all components, cached on this
+        The blocks restrict the blocks of all components, cached on this
         value, to ``ids``: two ids share a block when a chain of nonzero
         algebraic links joins them, possibly through components outside
         ``ids``.  Such a block may be coarser than the linked blocks of
@@ -209,26 +284,15 @@ class KirbyDiagram:
         the returned matrices up to a permutation.  Blocks come in the
         order of their first id, and a block keeps the order of ``ids``.
         With ``split=False`` all of ``ids`` is one block; no ids give one
-        empty block.  Filling reads each link once: O(len(ids) + links)
-        besides the zeros of the blocks.
+        empty block.
         """
-        at, block_of, entries = self._partition
-        local = {at[cid]: k for k, cid in enumerate(ids)}
-        groups: dict[int, list[int]] = {}
-        for x, k in local.items():
-            groups.setdefault(block_of[x] if split else 0, []).append(k)
-        blocks = []
-        where = [(0, 0)] * len(ids)  # (block, row within it) of each id
-        for b, members in enumerate(groups.values()):
-            blocks.append([[0] * len(members) for _ in members])
-            for r, k in enumerate(members):
-                where[k] = (b, r)
-                blocks[b][r][r] = self._by_id[ids[k]].framing or 0
-        for x, y, a in entries:
-            if x in local and y in local:
-                (b, r), (_, c) = where[local[x]], where[local[y]]
-                blocks[b][r][c] = blocks[b][c][r] = a
-        return blocks or [[]]
+        block_of = self._blocks[1]
+        groups: dict = {}
+        for cid in ids:
+            groups.setdefault(block_of[cid] if split else None, []).append(cid)
+        return [_fill(self._by_id, members, [e for e in self.links if e[1]]
+                      if rec is None else rec.links)
+                for rec, members in groups.items()] or [[]]
 
     # -- construction helpers -------------------------------------------
 
@@ -241,8 +305,79 @@ class KirbyDiagram:
             components=self.components if components is None else components,
             **changes)
 
-    def _mutable(self) -> dict[tuple[str, str], tuple[int, int]]:
-        return dict(self._linkmap)
+    def _derive(self, components: tuple[Component, ...] | None = None,
+                changed: dict | None = None, touched: tuple = (),
+                gone: tuple = (), **fields) -> "KirbyDiagram":
+        """A move's result, built without the construction checks.
+
+        ``components`` (default: these) keeps the order of the components
+        it keeps, and appends new ones at the end; ``gone`` names those it
+        drops, whose links go too.  ``changed`` maps canonical link pairs
+        to their new ``(alg, geom)``; the result's links come out canonical
+        without a re-sort.  ``touched`` names every kept component whose
+        kind, framing or links change, and every new one: the linked
+        blocks that hold none of them, nor a dropped one, carry over.
+        ``fields`` are the other fields that change.
+        """
+        comps = self.components if components is None else components
+        new = object.__new__(KirbyDiagram)
+        state = new.__dict__
+        state.update(name=self.name, components=comps,
+                     three_handles=self.three_handles,
+                     four_handles=self.four_handles,
+                     hidden_one_handles=self.hidden_one_handles,
+                     dual_flag=self.dual_flag, notes=self.notes)
+        state.update(fields)
+        links, linkmap = self.links, self._linkmap
+        if gone:
+            links = tuple(e for e in links
+                          if e[0][0] not in gone and e[0][1] not in gone)
+            linkmap = {p: v for p, v in linkmap.items()
+                       if p[0] not in gone and p[1] not in gone}
+        else:
+            at = self._at
+            if len(comps) > len(self.components):
+                at = dict(at)
+                for k in range(len(self.components), len(comps)):
+                    at[comps[k].id] = k
+            state["_at"] = at
+            if components is None:
+                state["_by_id"] = self._by_id
+        entries: dict = {}  # changed pair -> its new entry, None if dropped
+        if changed:
+            linkmap = dict(linkmap)
+            fresh, dropped = [], False
+            for p, (a, g) in changed.items():
+                if a or g:
+                    e = entries[p] = (p, a, g)
+                    if p not in linkmap:
+                        fresh.append(e)
+                    linkmap[p] = (a, g)
+                elif linkmap.pop(p, None) is not None:
+                    entries[p], dropped = None, True
+            out = list(links)
+            if len(entries) > len(fresh):
+                out = [entries.get(e[0], e) for e in out]
+                if dropped:
+                    out = [e for e in out if e is not None]
+            if fresh:
+                at = new._at
+
+                def position(e):
+                    x, y = at[e[0][0]], at[e[0][1]]
+                    return (x, y) if x < y else (y, x)
+
+                for e in fresh:
+                    insort(out, e, key=position)
+            links = tuple(out)
+        state["links"], state["_linkmap"] = links, linkmap
+        blocks = self.__dict__.get("_blocks")
+        if blocks is not None:
+            if touched or gone:
+                state["_carry"] = (blocks, touched, gone, entries)
+            else:
+                state["_blocks"] = blocks
+        return new
 
 
 def empty_diagram(name: str = "empty") -> KirbyDiagram:
@@ -284,33 +419,54 @@ def validate(d: KirbyDiagram) -> list[Violation]:
 # -- invariants ----------------------------------------------------------
 
 def euler_char(d: KirbyDiagram) -> int:
-    dotted = sum(1 for c in d.components if c.kind == DOTTED)
-    handles2 = sum(1 for c in d.components if c.kind != DOTTED)
+    dotted = [c.kind for c in d.components].count(DOTTED)
+    handles2 = len(d.components) - dotted
     return (1 - (dotted + d.hidden_one_handles) + handles2
             - d.three_handles + d.four_handles)
 
 
-def _per_block(tag: str, kernel, blocks, memo: dict | None) -> list:
-    """``kernel(m)`` for each block matrix ``m``, computed once per distinct
-    ``m``.  ``memo`` maps ``(tag, m as a tuple of tuples)`` to a result
-    already computed and gains every new one; None stands for an empty
-    dict."""
+_MISSING = object()
+
+
+def _per_block(tag: str, kernel, d: KirbyDiagram, kinds: tuple | None,
+               memo: dict | None) -> list:
+    """``kernel(m)`` for the matrix ``m`` of each linked block of ``d``,
+    restricted to the components of ``kinds`` (None: all of them); a block
+    with none of them is skipped.  ``memo`` maps ``(tag, block, kinds)``,
+    with the block record by identity, and ``(tag, m as a tuple of rows)``
+    to a result already computed and gains every new one: a block carried
+    over from an earlier diagram costs one lookup, and a new block with a
+    known matrix computes nothing.  None stands for an empty dict."""
     memo = {} if memo is None else memo
+    by_id = d._by_id
     out = []
-    for m in blocks:
-        key = (tag, tuple(map(tuple, m)))
-        if key not in memo:
-            memo[key] = kernel(m)
-        out.append(memo[key])
+    for rec in d._blocks[0]:
+        key = (tag, rec, kinds)
+        got = memo.get(key, _MISSING)
+        if got is _MISSING:
+            m = rec.rows
+            if kinds is not None:
+                keep = [r for r, cid in enumerate(rec.ids)
+                        if by_id[cid].kind in kinds]
+                if len(keep) < len(m):
+                    m = tuple(tuple([m[x][y] for y in keep]) for x in keep)
+            got = None
+            if m:
+                got = memo.get((tag, m))
+                if got is None:
+                    got = memo[tag, m] = kernel(list(map(list, m)))
+            memo[key] = got
+        if got is not None:
+            out.append(got)
     return out
 
 
 def signature(d: KirbyDiagram, memo: dict | None = None) -> int:
     """Signature of the framed and paren-framed linking matrix, summed over
-    its linked blocks.  A block matrix already in ``memo`` (see
+    its linked blocks.  A block already in ``memo`` (see
     :func:`ribboncalc.scripts.run_script`) is not computed again."""
-    return sum(_per_block("signature", symmetric_signature,
-                          d._link_blocks(d._ids_of(FRAMED, PAREN)), memo))
+    return sum(_per_block("signature", symmetric_signature, d,
+                          (FRAMED, PAREN), memo))
 
 
 def boundary_homology(d: KirbyDiagram, side: str = "plus",
@@ -320,20 +476,20 @@ def boundary_homology(d: KirbyDiagram, side: str = "plus",
     ``plus``: cokernel of the full linking matrix (dotted diagonals 0).
     ``minus``: cokernel of the paren-framed submatrix; requires a dual
     diagram.  The cokernel is the direct sum of the cokernels of the
-    matrix's linked blocks; a block matrix already in ``memo`` is not
-    computed again.  Both sides gain a free Z summand per hidden 1-handle.
+    matrix's linked blocks; a block already in ``memo`` is not computed
+    again.  Both sides gain a free Z summand per hidden 1-handle.
     The caveat flag is set when 3-handles exist: the reported group is the
     pre-3-handle boundary.
     """
     if side == "plus":
-        ids = d.ids()
+        kinds = None
     elif side == "minus":
         if not d.dual_flag:
             raise MoveError("minus boundary requires a dual decomposition")
-        ids = d._ids_of(PAREN)
+        kinds = (PAREN,)
     else:
         raise ValueError(f"unknown side {side!r}")
-    groups = _per_block("cokernel", cokernel, d._link_blocks(ids), memo)
+    groups = _per_block("cokernel", cokernel, d, kinds, memo)
     group = AbelianGroup(
         sum(g.free_rank for g in groups) + d.hidden_one_handles,
         _torsion_sum(g.torsion for g in groups))
@@ -341,6 +497,18 @@ def boundary_homology(d: KirbyDiagram, side: str = "plus",
 
 
 # -- moves ---------------------------------------------------------------
+
+def _check_unlinked(d: KirbyDiagram, xs: tuple[str, ...]) -> None:
+    """MoveError if a component of ``xs`` has geometric linking with one
+    outside ``xs``; it names the first such outside component in component
+    order, with the first of ``xs`` that meets it."""
+    at = d._at
+    hits = [(at[k], xs.index(x), x, k) for (i, j), _, g in d.links if g
+            for x, k in ((i, j), (j, i)) if x in xs and k not in xs]
+    if hits:
+        _, _, x, k = min(hits)
+        raise MoveError(f"{x} is geometrically linked with {k}")
+
 
 def handle_slide(d: KirbyDiagram, moving: str, over: str, sign: int) -> KirbyDiagram:
     """Band-sum ``moving`` with a framed parallel copy of ``over``."""
@@ -356,24 +524,25 @@ def handle_slide(d: KirbyDiagram, moving: str, over: str, sign: int) -> KirbyDia
     if o.kind == PAREN:
         raise MoveError(f"cannot slide over paren-framed component {over}")
     f_o = o.framing or 0
-    links = d._mutable()
-
-    def bump(i, j, da, dg):
-        key = _pair(i, j)
-        a, g = links.get(key, (0, 0))
-        links[key] = (a + da, g + dg)
-
-    for k in d.ids():
-        if k in (moving, over):
-            continue
-        bump(moving, k, sign * d.alg(over, k), d.geom(over, k))
-    bump(moving, over, sign * f_o, abs(f_o))
+    links = d._linkmap
+    changed = {}
+    # moving's row gains sign times over's row; every other entry stays.
+    for (i, j), a, g in d.links:
+        k = j if i == over else i if j == over else moving
+        if k != moving:
+            key = _pair(moving, k)
+            a0, g0 = links.get(key, (0, 0))
+            changed[key] = (a0 + sign * a, g0 + g)
+    key = _pair(moving, over)
+    a0, g0 = links.get(key, (0, 0))
+    changed[key] = (a0 + sign * f_o, g0 + abs(f_o))
     comps = d.components
     if m.kind == FRAMED:
-        new_f = m.framing + f_o + 2 * sign * d.alg(moving, over)
-        comps = tuple(replace(c, framing=new_f) if c.id == moving else c
-                      for c in comps)
-    return d.with_links(links, components=comps)
+        k = d._at[moving]
+        comps = comps[:k] + (Component(
+            moving, FRAMED, m.framing + f_o + 2 * sign * a0, m.label),
+        ) + comps[k + 1:]
+    return d._derive(comps, changed, (moving, over))
 
 
 def assert_geometric(d: KirbyDiagram, i: str, j: str, g: int) -> KirbyDiagram:
@@ -389,9 +558,7 @@ def assert_geometric(d: KirbyDiagram, i: str, j: str, g: int) -> KirbyDiagram:
         raise MoveError(f"geom[{i}][{j}] = {g} would drop below |alg| = {abs(a)}")
     if (g - a) % 2 != 0:
         raise MoveError(f"geom[{i}][{j}] = {g} has wrong parity against alg = {a}")
-    links = d._mutable()
-    links[_pair(i, j)] = (a, g)
-    return d.with_links(links)
+    return d._derive(changed={_pair(i, j): (a, g)})
 
 
 def _fresh_id(d: KirbyDiagram, base: str) -> str:
@@ -410,20 +577,16 @@ def blow_up(d: KirbyDiagram, sign: int, new_id: str | None = None) -> KirbyDiagr
     cid = new_id or _fresh_id(d, "e")
     if d.has(cid):
         raise MoveError(f"component id {cid} already in use")
-    comps = d.components + (Component(cid, FRAMED, sign),)
-    return replace(d, components=comps)
+    return d._derive(d.components + (Component(cid, FRAMED, sign),),
+                     touched=(cid,))
 
 
 def blow_down(d: KirbyDiagram, e: str) -> KirbyDiagram:
     c = d.component(e)
     if c.kind != FRAMED or c.framing not in (1, -1):
         raise MoveError(f"{e} is not a (+-1)-framed 2-handle")
-    for k in d.ids():
-        if k != e and d.geom(e, k) != 0:
-            raise MoveError(f"{e} is geometrically linked with {k}")
-    comps = tuple(x for x in d.components if x.id != e)
-    links = {p: v for p, v in d._linkmap.items() if e not in p}
-    return d.with_links(links, components=comps)
+    _check_unlinked(d, (e,))
+    return d._derive(tuple(x for x in d.components if x.id != e), gone=(e,))
 
 
 def twist_blow_up(d: KirbyDiagram, t: int, strands: dict[str, int],
@@ -450,24 +613,24 @@ def twist_blow_up(d: KirbyDiagram, t: int, strands: dict[str, int],
     eid = new_id or _fresh_id(d, "e")
     if d.has(eid):
         raise MoveError(f"component id {eid} already in use")
-    links = d._mutable()
+    links = d._linkmap
+    changed = {}
     listed = list(strands)
     for x in range(len(listed)):
         for y in range(x + 1, len(listed)):
             ci, cj = listed[x], listed[y]
             key = _pair(ci, cj)
             a, g = links.get(key, (0, 0))
-            links[key] = (a + t * strands[ci] * strands[cj],
-                          g + abs(strands[ci] * strands[cj]))
+            changed[key] = (a + t * strands[ci] * strands[cj],
+                            g + abs(strands[ci] * strands[cj]))
     for cid, m in strands.items():
         if m:
-            links[_pair(cid, eid)] = (t * m, abs(m))
+            changed[_pair(cid, eid)] = (t * m, abs(m))
     comps = tuple(
-        replace(c, framing=c.framing + t * strands[c.id] ** 2)
-        if c.id in strands and c.kind == FRAMED else c
-        for c in d.components)
-    comps = comps + (Component(eid, FRAMED, t),)
-    return d.with_links(links, components=comps)
+        Component(c.id, FRAMED, c.framing + t * strands[c.id] ** 2, c.label)
+        if c.id in strands else c for c in d.components)
+    return d._derive(comps + (Component(eid, FRAMED, t),), changed,
+                     tuple(listed) + (eid,))
 
 
 def zero_dot_swap(d: KirbyDiagram, c: str, note: str | None = None) -> KirbyDiagram:
@@ -488,8 +651,9 @@ def zero_dot_swap(d: KirbyDiagram, c: str, note: str | None = None) -> KirbyDiag
         notes = d.notes + ((note,) if note else ())
     else:
         raise MoveError(f"{c} is paren-framed; swap applies to dotted/0-framed")
-    comps = tuple(new if x.id == c else x for x in d.components)
-    return replace(d, components=comps, notes=notes)
+    k = d._at[c]
+    return d._derive(d.components[:k] + (new,) + d.components[k + 1:],
+                     touched=(c,), notes=notes)
 
 
 ONE_TWO = "12"
@@ -504,15 +668,13 @@ def add_cancelling_pair(d: KirbyDiagram, kind: str,
         if d.has(a) or d.has(b) or a == b:
             raise MoveError(f"pair ids {a}, {b} unavailable")
         comps = d.components + (Component(a, DOTTED), Component(b, FRAMED, 0))
-        links = d._mutable()
-        links[_pair(a, b)] = (1, 1)
-        return d.with_links(links, components=comps)
+        return d._derive(comps, {_pair(a, b): (1, 1)}, (a, b))
     if kind == TWO_THREE:
         (b,) = ids or (_fresh_id(d, "hpair"),)
         if d.has(b):
             raise MoveError(f"pair id {b} unavailable")
-        comps = d.components + (Component(b, FRAMED, 0),)
-        return replace(d, components=comps, three_handles=d.three_handles + 1)
+        return d._derive(d.components + (Component(b, FRAMED, 0),),
+                         touched=(b,), three_handles=d.three_handles + 1)
     raise MoveError(f"unknown cancelling pair kind {kind!r}")
 
 
@@ -526,15 +688,11 @@ def cancel_pair(d: KirbyDiagram, a: str | None, b: str) -> KirbyDiagram:
     if a is None:
         if cb.kind != FRAMED or cb.framing != 0:
             raise MoveError(f"{b} is not a 0-framed 2-handle")
-        for k in d.ids():
-            if k != b and d.geom(b, k) != 0:
-                raise MoveError(f"{b} is geometrically linked with {k}")
+        _check_unlinked(d, (b,))
         if d.three_handles < 1:
             raise MoveError("no 3-handle available to cancel against")
-        comps = tuple(x for x in d.components if x.id != b)
-        links = {p: v for p, v in d._linkmap.items() if b not in p}
-        out = d.with_links(links, components=comps)
-        return replace(out, three_handles=out.three_handles - 1)
+        return d._derive(tuple(x for x in d.components if x.id != b),
+                         gone=(b,), three_handles=d.three_handles - 1)
     ca = d.component(a)
     if ca.kind != DOTTED:
         raise MoveError(f"{a} is not dotted")
@@ -542,16 +700,9 @@ def cancel_pair(d: KirbyDiagram, a: str | None, b: str) -> KirbyDiagram:
         raise MoveError(f"{b} is not a 2-handle")
     if abs(d.alg(a, b)) != 1 or d.geom(a, b) != 1:
         raise MoveError(f"{a} and {b} are not a geometric Hopf pair")
-    for k in d.ids():
-        if k in (a, b):
-            continue
-        for x in (a, b):
-            if d.geom(x, k) != 0:
-                raise MoveError(f"{x} is geometrically linked with {k}")
-    comps = tuple(x for x in d.components if x.id not in (a, b))
-    links = {p: v for p, v in d._linkmap.items()
-             if a not in p and b not in p}
-    return d.with_links(links, components=comps)
+    _check_unlinked(d, (a, b))
+    return d._derive(tuple(x for x in d.components if x.id not in (a, b)),
+                     gone=(a, b))
 
 
 def dualize(d: KirbyDiagram) -> KirbyDiagram:
@@ -559,7 +710,8 @@ def dualize(d: KirbyDiagram) -> KirbyDiagram:
 
     The diagram is assumed closed up with one 0- and one 4-handle; 3-handles
     of the original become hidden 1-handles of the dual, and original dotted
-    circles become the dual's (counted, invisible) 3-handles.
+    circles become the dual's (counted, invisible) 3-handles.  Every
+    component changes, so the result is built and checked like a new value.
     """
     if d.dual_flag:
         raise MoveError("diagram is already a dual decomposition")
@@ -571,23 +723,22 @@ def dualize(d: KirbyDiagram) -> KirbyDiagram:
             comps.append(Component(c.id, PAREN, 0, c.label))
         else:
             comps.append(Component(c.id, PAREN, -(c.framing or 0), c.label))
-    links = {p: (-a, g) for p, (a, g) in d._linkmap.items()}
-    meridians = []
+    links = [(p, -a, g) for p, a, g in d.links]
     for c in d.components:
         if c.kind == FRAMED:
             mid = f"m_{c.id}"
             if d.has(mid):
                 raise MoveError(f"meridian id {mid} collides with a component")
-            meridians.append(Component(mid, FRAMED, 0))
-            links[_pair(mid, c.id)] = (1, 1)
+            comps.append(Component(mid, FRAMED, 0))
+            links.append((_pair(mid, c.id), 1, 1))
     dotted = sum(1 for c in d.components if c.kind == DOTTED)
-    out = KirbyDiagram(
+    return KirbyDiagram(
         name=f"{d.name}*",
-        components=tuple(comps) + tuple(meridians),
+        components=tuple(comps),
+        links=tuple(links),
         three_handles=dotted,
         four_handles=1,
         hidden_one_handles=d.three_handles,
         dual_flag=True,
         notes=d.notes,
     )
-    return out.with_links(links)

@@ -253,6 +253,15 @@ class RibbonDescriptor:
         return self.caps_by_id[cid]
 
 
+def _derived(cls, **fields):
+    """A value of the frozen dataclass ``cls`` made only from parts of
+    values already checked, in a way that keeps every rule: every field is
+    set as given, and ``__post_init__`` does not check them again."""
+    value = object.__new__(cls)
+    value.__dict__.update(fields)
+    return value
+
+
 def make_descriptor(middle: MiddleLevelData,
                     caps: dict[str, Cap]) -> RibbonDescriptor:
     return RibbonDescriptor(

@@ -173,9 +173,11 @@ def run_script(d: KirbyDiagram, script: MoveScript) -> ScriptResult:
 
     The invariants of each diagram are computed once: an assertion, or a
     move that fails, reports the snapshot of the diagram it left unchanged.
-    A move changes only the linked blocks it touches, so one memo of block
-    results, kept for this call only, serves every snapshot: the signature
-    and the cokernel of each distinct block matrix are computed once.
+    A move's result keeps the linked blocks of its parent that the move
+    did not touch, so one memo of block results, kept for this call only,
+    serves every snapshot: a kept block costs one lookup, and the
+    signature and the cokernel of each distinct block matrix are computed
+    once.
     """
     memo: dict = {}
     state = _snapshot(0, None, True, "initial", d, memo)

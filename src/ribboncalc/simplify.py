@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .middle import (Finger, MiddleLevelData, RibbonDescriptor, STANDARD_CAP,
-                     excess_rows, finger_graph, is_positive_ribbon)
+                     _derived, excess_rows, finger_graph, is_positive_ribbon)
 from .trees import kuga_blowup_cost, prune_depth
 
 
@@ -106,7 +106,9 @@ def replace_nonpositive_caps(
         blowups += cost
         k = max(k, prune_depth(cap.tree))
         caps[cid] = STANDARD_CAP
-    out = RibbonDescriptor(r.middle, tuple((cid, caps[cid]) for cid, _ in r.caps))
+    # The same ids in the same order, some capped by a standard handle.
+    out = _derived(RibbonDescriptor, middle=r.middle,
+                   caps=tuple((cid, caps[cid]) for cid, _ in r.caps))
     return out, steps, blowups, k
 
 
@@ -201,7 +203,10 @@ def stabilization_plan(r: RibbonDescriptor) -> StabilizationPlan:
             steps.append(CancelFinger(f.id, f.whitney))
         else:
             rest.append(f)
-    result = norman_eliminate(MiddleLevelData(m.pairs, tuple(rest)))
+    # Some of the checked fingers and no loops: still valid middle data.
+    result = norman_eliminate(_derived(MiddleLevelData, pairs=m.pairs,
+                                       fingers=tuple(rest),
+                                       accessory_loops=()))
     if not result.ok:
         live = {f.id for f in rest}
         loops = [l.id for l in m.accessory_loops

@@ -188,11 +188,21 @@ def _words(*groups) -> None:
 def serialize_diagram(d: KirbyDiagram) -> str:
     """Canonical text; raises ValueError for a name, id, label or note that
     the text cannot carry and read back unchanged."""
-    out = [f"diagram {_text(d.name, 'diagram name')}"]
+    # One scan decides whether the name and the ids can be written; when
+    # one cannot, each is checked in turn below, so the error names the
+    # first offender in the order of the text, a label included.
+    try:
+        _words(("diagram name", (d.name,)),
+               ("component id", [c.id for c in d.components]))
+        words = True
+    except ValueError:
+        words = False
+    out = [f"diagram {d.name if words else _text(d.name, 'diagram name')}"]
     if d.dual_flag:
         out.append("dual")
     for c in d.components:
-        parts = ["component", _text(c.id, "component id"), c.kind]
+        parts = ["component", c.id if words else _text(c.id, "component id"),
+                 c.kind]
         if c.kind != DOTTED:
             parts.append(str(c.framing))
         if c.label is not None:
@@ -541,10 +551,13 @@ def parse_any(text: str):
     """``(kind, value)`` for a document, its kind chosen by the first
     keyword: ``diagram``, ``tree``, ``middle`` or ``script``, or ``ribbon``
     for tree blocks and a middle block, or a middle block with caps."""
-    keywords = [toks[0] for _, toks in _lines(text)]
-    first = keywords[0] if keywords else ""
-    if (first == "tree" and "middle" in keywords
-            or first == "middle" and "cap" in keywords):
+    first = next(_lines(text), (0, [""]))[1][0]
+    # Only a tree or middle document is read on, and only as far as the
+    # keyword that makes it a ribbon descriptor (C iterators, no list); a
+    # text without that word anywhere cannot hold it.
+    more = {"tree": "middle", "middle": "cap"}.get(first)
+    if more is not None and more in text and more in map(
+            itemgetter(0), map(itemgetter(1), _lines(text))):
         return "ribbon", parse_ribbon(text)
     parser = {"diagram": parse_diagram, "tree": parse_tree,
               "middle": parse_middle, "script": parse_script}.get(first)

@@ -87,6 +87,45 @@ def block_sum(rng: random.Random, parts) -> KirbyDiagram:
     return d.with_links(links)
 
 
+def oracle_link_blocks(d: KirbyDiagram, ids, split: bool = True):
+    """``(ids, matrix)`` of each linked block of ``ids``, from scratch.
+
+    A union-find over the nonzero algebraic links of all components
+    partitions them; the partition restricted to ``ids`` gives the blocks,
+    in the order of their first id, each in the order of ``ids``, and each
+    matrix is filled from the link entries.  With ``split=False`` all of
+    ``ids`` is one block; no ids give one empty block."""
+    at = {c.id: k for k, c in enumerate(d.components)}
+    root = list(range(len(at)))
+
+    def find(k: int) -> int:
+        while root[k] != k:
+            root[k] = root[root[k]]
+            k = root[k]
+        return k
+
+    entries = []
+    for (i, j), a, _ in d.links:
+        if a:
+            x, y = at[i], at[j]
+            entries.append((x, y, a))
+            root[find(x)] = find(y)
+    groups: dict[int, list[str]] = {}
+    for cid in ids:
+        groups.setdefault(find(at[cid]) if split else 0, []).append(cid)
+    blocks = []
+    for members in groups.values():
+        local = {at[cid]: r for r, cid in enumerate(members)}
+        m = [[0] * len(members) for _ in members]
+        for r, cid in enumerate(members):
+            m[r][r] = d.component(cid).framing or 0
+        for x, y, a in entries:
+            if x in local and y in local:
+                m[local[x]][local[y]] = m[local[y]][local[x]] = a
+        blocks.append((members, m))
+    return blocks or [([], [])]
+
+
 def framed_ids(d: KirbyDiagram) -> list[str]:
     return [c.id for c in d.components if c.kind == FRAMED]
 

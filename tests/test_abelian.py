@@ -97,6 +97,35 @@ def eigenvalue_signature(m):
     return sum(1 for v in nonzero if v > 0) - sum(1 for v in nonzero if v < 0)
 
 
+def charpoly_signature(m):
+    """sympy's exact characteristic polynomial read by Descartes' rule of
+    signs: the eigenvalues of a symmetric matrix are real, so the sign
+    changes of p(x) count the positive ones and those of p(-x) the
+    negative ones."""
+    coeffs = DomainMatrix.from_list(m, ZZ).charpoly()
+    n = len(coeffs) - 1
+
+    def changes(cs):
+        signs = [c > 0 for c in cs if c]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return changes(coeffs) - changes(
+        [c * (-1) ** (n - k) for k, c in enumerate(coeffs)])
+
+
+def shuffled_block_sum(rng, blocks):
+    """The block sum of ``blocks``, rows and columns permuted alike."""
+    n = sum(map(len, blocks))
+    m = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            m[at + i][at:at + len(b)] = row
+        at += len(b)
+    order = rng.sample(range(n), n)
+    return [[m[i][j] for j in order] for i in order]
+
+
 def elapsed(fn, *args):
     start = time.perf_counter()
     result = fn(*args)
@@ -345,6 +374,34 @@ class TestSymmetricSignature:
                 assert symmetric_signature(m) == fraction_signature(m)
         m = [[1, 1, 1], [1, 1, 1], [1, 1, 0]]
         assert symmetric_signature(m) == fraction_signature(m) == 0
+
+    def test_block_sums_against_fractions_and_sympy(self):
+        # Blocks of every kind interleaved, up to n = 60: dense and sparse,
+        # all-zero diagonals (each pivot made by a congruence), and rank
+        # deficient ones (the elimination stops at a zero block).
+        rng = random.Random(19)
+        cases = []
+        for n in list(range(1, 13)) * 3 + [20, 30, 40, 60]:
+            blocks = []
+            while sum(map(len, blocks)) < n:
+                size = min(n - sum(map(len, blocks)), rng.randint(1, 12))
+                kind = rng.randrange(3)
+                if kind == 2:  # rank at most 2
+                    u = [rng.randint(-2, 2) for _ in range(size)]
+                    v = [rng.randint(-2, 2) for _ in range(size)]
+                    blocks.append([[x * y - z * w for y, w in zip(u, v)]
+                                   for x, z in zip(u, v)])
+                else:
+                    blocks.append(random_symmetric(
+                        rng, size, rng.choice((1, 3, 9)),
+                        density=rng.choice((0.4, 1.0)),
+                        zero_diagonal=kind == 1))
+            cases.append(shuffled_block_sum(rng, blocks))
+        cases.append(random_symmetric(rng, 60, 3, zero_diagonal=True))
+        for m in cases:
+            sig = symmetric_signature(m)
+            assert sig == charpoly_signature(m), m
+            assert sig == fraction_signature(m), m
 
     def test_n60_against_eigenvalues(self):
         rng = random.Random(63)

@@ -13,7 +13,10 @@ from ribboncalc import (AbelianGroup, Component, ForbiddenMove, KirbyDiagram,
                         signature, symmetric_signature, twist_blow_up,
                         validate, zero_dot_swap)
 
-from genlib import block_sum, dense_cluster, random_diagram
+from ribboncalc.abelian import _torsion_sum
+
+from genlib import (block_sum, dense_cluster, oracle_link_blocks,
+                    random_diagram)
 
 
 def unknot(framing, name="u"):
@@ -625,3 +628,118 @@ class TestBlockwiseInvariants:
                          tuple(t for t in plus.torsion for _ in range(k))),
             AbelianGroup(k * minus.free_rank,
                          tuple(t for t in minus.torsion for _ in range(k))))
+
+
+def random_move(rng, d, n):
+    """One move on ``d``, mostly on its own ids; many of them fail."""
+    ids = d.ids()
+
+    def cid():
+        return rng.choice(ids) if ids and rng.random() < 0.9 else f"x{n}"
+
+    def made(prefix):  # a component that an earlier move added
+        return rng.choice([i for i in ids if i[0] == prefix] or [f"x{n}"])
+
+    moves = (
+        lambda: handle_slide(d, cid(), cid(), rng.choice((1, -1))),
+        lambda: handle_slide(d, cid(), cid(), rng.choice((1, -1))),
+        lambda: handle_slide(d, cid(), cid(), rng.choice((1, -1))),
+        lambda: blow_up(d, rng.choice((1, -1)), f"e{n}"),
+        lambda: blow_down(d, cid()),
+        lambda: blow_down(d, made("e")),
+        lambda: twist_blow_up(d, rng.choice((1, -1)), {
+            cid(): rng.choice((1, -1, 2, 0)) for _ in range(3)}, f"t{n}"),
+        lambda: zero_dot_swap(d, cid()),
+        lambda: add_cancelling_pair(d, "12", (f"d{n}", f"h{n}")),
+        lambda: add_cancelling_pair(d, "23", (f"z{n}",)),
+        lambda: cancel_pair(d, cid(), cid()),
+        lambda: cancel_pair(d, None, cid()),
+        lambda: cancel_pair(d, None, made("z")),
+        lambda: cancel_pair(d, *(lambda a: (a, "h" + a[1:]))(made("d"))),
+        lambda: assert_geometric(d, cid(), cid(), rng.randint(0, 3)),
+        lambda: dualize(d))
+    return rng.choice(moves)()
+
+
+def oracle_invariants(d):
+    """sigma and H1+- summed over the blocks of ``oracle_link_blocks``."""
+    def blocks(kinds):
+        return [m for _, m in oracle_link_blocks(
+            d, [c.id for c in d.components if c.kind in kinds]) if m]
+
+    def h1(kinds):
+        groups = [cokernel(m) for m in blocks(kinds)]
+        return AbelianGroup(
+            sum(g.free_rank for g in groups) + d.hidden_one_handles,
+            _torsion_sum(g.torsion for g in groups))
+
+    return (sum(symmetric_signature(m)
+                for m in blocks(("framed", "parenframed"))),
+            h1(("dotted", "framed", "parenframed")),
+            h1(("parenframed",)) if d.dual_flag else None)
+
+
+class TestMoveResults:
+    """A move's result is built without the construction checks and keeps
+    its parent's linked blocks that hold no component it touched."""
+
+    def check(self, e, memo):
+        rebuilt = KirbyDiagram(e.name, e.components, e.links,
+                               e.three_handles, e.four_handles,
+                               e.hidden_one_handles, e.dual_flag, e.notes)
+        assert e == rebuilt and e.links == rebuilt.links
+        assert e._linkmap == rebuilt._linkmap
+        assert e._at == rebuilt._at and e._by_id == rebuilt._by_id
+        blocks, block_of = e._blocks
+        got = sorted((rec.ids, [list(row) for row in rec.rows])
+                     for rec in blocks)
+        assert got == sorted(b for b in oracle_link_blocks(e, e.ids())
+                             if b[0])
+        assert block_of == {cid: rec for rec in blocks for cid in rec.ids}
+        want = oracle_invariants(e)
+        assert invariants(e) == want
+        assert (signature(e, memo), boundary_homology(e, "plus", memo)[0],
+                boundary_homology(e, "minus", memo)[0] if e.dual_flag
+                else None) == want
+
+    def test_random_move_chains_match_the_oracle(self):
+        rng = random.Random(19)
+        applied = failed = carried = 0
+        for k in range(150):
+            d = random_diagram(rng, max_components=7)
+            if k % 2:
+                d = dualize(d)
+            memo = {}
+            self.check(d, memo)
+            for n in range(14):
+                before = dict(vars(d))
+                try:
+                    e = random_move(rng, d, n)
+                except MoveError:
+                    failed += 1
+                    # A failed move may fill a cache, but changes nothing.
+                    assert all(vars(d)[k] is v for k, v in before.items())
+                    continue
+                applied += 1
+                carried += "_carry" in vars(e)
+                # Now and then a result's blocks are left uncomputed, so
+                # the next move's result regroups from scratch.
+                if rng.random() < 0.8 or len(e.components) > 16:
+                    self.check(e, memo)
+                d = e
+                if len(d.components) > 16:
+                    break
+        assert applied > 600 and failed > 300 and carried > 400
+
+    def test_untouched_blocks_are_the_parents(self):
+        rng = random.Random(3)
+        d = block_sum(rng, [dense_cluster(rng, 5, dotted=1)] * 3)
+        d._blocks
+        ids = [c.id for c in d.components if c.kind == "framed"
+               and c.id.endswith(".0")]
+        e = handle_slide(d, ids[0], ids[1], 1)
+        kept = [rec for rec in e._blocks[0] if rec in d._blocks[0]]
+        assert sorted(len(rec.ids) for rec in kept) == [5, 5]
+        assert "_carry" not in vars(e)  # the parent's blocks are let go
+        f = assert_geometric(e, ids[0], ids[1], e.geom(ids[0], ids[1]))
+        assert f._blocks is e._blocks

@@ -6,11 +6,12 @@ from dataclasses import replace
 
 import pytest
 
+import ribboncalc.simplify
 from ribboncalc import (AccessoryLoop, Cap, Finger, MiddleError,
-                        MiddleLevelData, STANDARD_CAP, chplus, excess_rows,
-                        is_positive_ribbon, make_descriptor, norman_eliminate,
-                        norman_trick_step, stabilization_plan, verify_plan,
-                        StabilizationError)
+                        MiddleLevelData, RibbonDescriptor, STANDARD_CAP,
+                        chplus, excess_rows, is_positive_ribbon,
+                        make_descriptor, norman_eliminate, norman_trick_step,
+                        stabilization_plan, verify_plan, StabilizationError)
 from ribboncalc.simplify import (CancelFinger, CancelPair, NormanTrick,
                                  Outcome, ReplaceCap, StabilizationPlan,
                                  VerifyResult, replace_nonpositive_caps)
@@ -136,6 +137,30 @@ class TestReplaceCaps:
         assert steps == [ReplaceCap("w2", 1)]
         assert blowups == 1 and k == 1
         assert out.cap("w2").standard and out.cap("w1").positive
+
+
+class TestDerivedValues:
+    """The planner builds two values from parts of checked ones without
+    checking them again; each equals the value the public constructor
+    builds from the same fields, and that constructor accepts it."""
+
+    def test_equal_the_publicly_built_values(self, monkeypatch):
+        seen = []
+        real = ribboncalc.simplify.norman_eliminate
+        monkeypatch.setattr(ribboncalc.simplify, "norman_eliminate",
+                            lambda m: seen.append(m) or real(m))
+        rng = random.Random(19)
+        for _ in range(150):
+            r = random_nonpositive_descriptor(rng)
+            out, _, _, _ = replace_nonpositive_caps(r)
+            public = RibbonDescriptor(out.middle, out.caps)
+            assert out == public and out.caps_by_id == public.caps_by_id
+            seen.clear()
+            stabilization_plan(r)
+            (m,) = seen
+            public = MiddleLevelData(m.pairs, m.fingers, m.accessory_loops)
+            assert m == public and not m.accessory_loops
+            assert m.fingers_by_id == public.fingers_by_id
 
 
 class TestBreakLoops:

@@ -220,6 +220,23 @@ class TestUnwritableDiagrams:
         assert parse_diagram(serialize_diagram(d)) == d
 
 
+    @pytest.mark.parametrize("name, comps, message", [
+        ("x", (("a", "bad # label"), ("b c", None)), "label 'bad # label'"),
+        ("x", (("a", None), ("b c", "bad # label")), "component id 'b c'"),
+        ("x y", (("a b", None),), "diagram name 'x y'"),
+        ("x", (("a", "fine"), ("b", None), ("c#", " lead")),
+         "component id 'c#'"),
+        ("x", (("a", "fine"), ("b", "  two")), "label '  two'")])
+    def test_names_the_first_offender(self, name, comps, message):
+        # In the order of the text: the name, then the id and the label of
+        # each component.
+        d = KirbyDiagram(name, tuple(Component(cid, "framed", 0, label)
+                                     for cid, label in comps))
+        with pytest.raises(ValueError) as e:
+            serialize_diagram(d)
+        assert str(e.value) == f"{message} cannot be written as text"
+
+
 class TestUnwritableIds:
     """serialize_tree, serialize_middle, serialize_ribbon and
     serialize_script refuse a name or id that their text would read back
@@ -322,6 +339,46 @@ class TestLexerOracle:
         values = [textio.parse_any(text) for text in texts]
         monkeypatch.setattr(textio, "_CHUNK", 3)
         assert [textio.parse_any(text) for text in texts] == values
+
+
+def oracle_parse_any(text):
+    """parse_any's rule, read off a list of every line's keyword."""
+    keywords = [toks[0] for _, toks in oracle_lines(text)]
+    first = keywords[0] if keywords else ""
+    if (first == "tree" and "middle" in keywords
+            or first == "middle" and "cap" in keywords):
+        return "ribbon", parse_ribbon(text)
+    if first not in ("diagram", "tree", "middle", "script"):
+        raise ParseError(1, f"cannot determine document type from {first!r}")
+    return first, PARSERS[first](text)
+
+
+class TestParseAny:
+    """parse_any reads only the first keyword, and past it only tree and
+    middle documents, as far as the keyword that makes them a ribbon
+    descriptor."""
+
+    @staticmethod
+    def outcome(parse, text):
+        try:
+            return parse(text)
+        except ParseError as exc:
+            return exc.line, exc.message
+
+    def test_agrees_with_a_whole_keyword_list(self):
+        from test_cli_fuzz import documents, mutate
+        rng = random.Random(19)
+        docs = documents(rng)
+        texts = [text for _, text in docs] + [
+            "", "# only\n", "cap x\n", "tree t\nnode r # middle\nroot r\n",
+            "tree middle\nnode r\nroot r\n", "middle\npairs 1 # cap\n"]
+        texts += [mutate(rng, docs[k % len(docs)][1]) for k in range(600)]
+        kinds = set()
+        for text in texts:
+            got = self.outcome(textio.parse_any, text)
+            assert got == self.outcome(oracle_parse_any, text), text
+            kinds.add(got[0])
+        assert {"diagram", "tree", "middle", "ribbon", "script", 1} <= kinds
 
 
 class TestHeadersAndCounts:

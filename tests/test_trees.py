@@ -19,7 +19,8 @@ from ribboncalc import (SignedTree, SizeLimit, TreeEdge, TreeError, chplus,
                         validate_tree)
 
 from ribboncalc.corpus import corpus_names, corpus_text
-from ribboncalc.textio import parse_ribbon, parse_tree, serialize_tree
+from ribboncalc.textio import (parse_any, parse_ribbon, parse_tree,
+                               serialize_tree)
 
 from genlib import (BROKEN_TREE_KINDS, broken_tree, oracle_frontier_negatives,
                     oracle_is_positive, oracle_longest_positive_path,
@@ -559,6 +560,24 @@ class TestDeepInputs:
         assert int(chars) < 8_000_000
         assert int(rss_kb) < 300 * 1024, f"peak RSS {int(rss_kb) // 1024} MB"
 
+    @staticmethod
+    def traced(parse, text):
+        """``parse(text)`` with the traced bytes it retains and its traced
+        peak, measured from a baseline, so tracing already on
+        (-X tracemalloc) neither counts in nor is turned off."""
+        outer = tracemalloc.is_tracing()
+        if not outer:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            value = parse(text)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not outer:
+                tracemalloc.stop()
+        return value, retained - base, peak - base
+
     def test_binary_tower_parse_memory(self):
         # The text of the 65 535-node binary tower is 2.3 MB.  Parsing it
         # once peaked at 27.9 MB traced and kept a 16.7 MB tower, when each
@@ -566,23 +585,18 @@ class TestDeepInputs:
         # was split into one list of lines.
         binary = tree(["r"], "r", [("r", "r", 1), ("r", "r", -1)])
         text = serialize_tree(truncate(binary, 15))
-        # Measured from a baseline, so tracing already on (-X tracemalloc)
-        # neither counts in nor is turned off.
-        outer = tracemalloc.is_tracing()
-        if not outer:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            back = parse_tree(text)
-            retained, peak = tracemalloc.get_traced_memory()
-        finally:
-            if not outer:
-                tracemalloc.stop()
-        retained, peak = retained - base, peak - base
+        back, retained, peak = self.traced(parse_tree, text)
         assert len(back.nodes) == 2 ** 16 - 1
         assert peak < 20e6, f"traced peak {peak / 1e6:.1f} MB"
         assert retained < 12e6, f"retained tower {retained / 1e6:.1f} MB"
+        # parse_any picks the parser from the first keyword and reads on
+        # only as far as a middle line; a list of every line's keyword
+        # took its peak to 22.6 MB.
+        (kind, value), _, any_peak = self.traced(parse_any, text)
+        assert kind == "tree" and value == back
+        assert any_peak < 1.1 * peak, (
+            f"traced peak {any_peak / 1e6:.1f} MB against "
+            f"{peak / 1e6:.1f} MB for parse_tree")
 
     def test_linear_growth(self):
         binary = tree(["r"], "r", [("r", "r", 1), ("r", "r", -1)])
