@@ -8,11 +8,11 @@ product certificates.
 
 from .abelian import AbelianGroup, cokernel, smith_invariants, symmetric_signature
 from .diagram import (Component, DiagramError, DOTTED, FRAMED, ForbiddenMove,
-                      KirbyDiagram, MoveError, PAREN, Violation,
-                      add_cancelling_pair, assert_geometric, blow_down,
-                      blow_up, boundary_homology, cancel_pair, dualize,
-                      empty_diagram, euler_char, handle_slide, signature,
-                      twist_blow_up, validate, zero_dot_swap)
+                      KirbyDiagram, MoveError, PAREN, add_cancelling_pair,
+                      assert_geometric, blow_down, blow_up,
+                      boundary_homology, cancel_pair, dualize, empty_diagram,
+                      euler_char, handle_slide, signature, twist_blow_up,
+                      zero_dot_swap)
 from .middle import (AccessoryLoop, Cap, Finger, FingerGraph, MiddleLevelData,
                      MiddleError, PositivityDecision, RibbonDescriptor,
                      STANDARD_CAP, excess_rows, finger_graph,

@@ -36,7 +36,8 @@ class ForbiddenMove(MoveError):
 
 class DiagramError(ValueError):
     """A broken rule of a diagram; ``entry``, ``("component", k)`` or
-    ``("link", k)``, names the k-th component or link that breaks it."""
+    ``("link", k)``, names the k-th component or link that breaks it, and
+    ``(field, 0)`` names a negative count field."""
 
     def __init__(self, message: str, entry: tuple[str, int]):
         super().__init__(message)
@@ -62,13 +63,6 @@ class Component:
             raise ValueError(f"dotted component {self.id} carries a framing")
         if self.kind != DOTTED and self.framing is None:
             raise ValueError(f"component {self.id} needs a framing")
-
-
-@dataclass(frozen=True)
-class Violation:
-    code: str
-    subjects: tuple[str, ...]
-    message: str
 
 
 def _pair(i: str, j: str) -> tuple[str, str]:
@@ -160,10 +154,14 @@ class KirbyDiagram:
 
     def __post_init__(self) -> None:
         at: dict[str, int] = {}
-        for k, c in enumerate(self.components):
+        comps = self.components
+        for k, c in enumerate(comps):
             if c.id in at:
                 raise DiagramError(f"duplicate component id {c.id}",
                                    ("component", k))
+            if c.kind == PAREN and not self.dual_flag:
+                raise DiagramError(f"{c.id} is paren-framed but dual_flag "
+                                   "is unset", ("component", k))
             at[c.id] = k
         pairs = set()
         keyed = []  # (positions in order, entry): sorted by the positions
@@ -181,9 +179,26 @@ class KirbyDiagram:
                 raise DiagramError(f"repeated link pair ({i}, {j})",
                                    ("link", k))
             pairs.add((i, j))
-            if a or g:
+            if g < 0:
+                raise DiagramError(f"geom[{i}][{j}] = {g} is negative",
+                                   ("link", k))
+            if abs(a) > g:
+                raise DiagramError(f"|alg[{i}][{j}]| = {abs(a)} exceeds "
+                                   f"geom = {g}", ("link", k))
+            if (g - a) % 2:
+                raise DiagramError(f"geom[{i}][{j}] = {g} and alg = {a} "
+                                   "differ mod 2", ("link", k))
+            if g:
                 x, y = at[i], at[j]
+                if a and comps[x].kind == DOTTED == comps[y].kind:
+                    raise DiagramError(f"dotted circles {i}, {j} have "
+                                       f"alg = {a}", ("link", k))
                 keyed.append(((x, y) if x < y else (y, x), entry))
+        for field in COUNTS.values():
+            count = getattr(self, field)
+            if count < 0:
+                raise DiagramError(f"{field} = {count} is negative",
+                                   (field, 0))
         keyed.sort(key=itemgetter(0))
         links = tuple(e for _, e in keyed)
         if links != self.links:
@@ -234,13 +249,11 @@ class KirbyDiagram:
 
     def linking_matrix(self) -> list[list[int]]:
         """Full symmetric matrix, dotted diagonal entries as 0."""
-        return self._link_blocks(self.ids(), split=False)[0]
+        return _fill(self._by_id, self.ids(), self.links)
 
     def framed_submatrix(self) -> list[list[int]]:
-        return self._link_blocks(self._ids_of(FRAMED, PAREN), split=False)[0]
-
-    def _ids_of(self, *kinds: str) -> list[str]:
-        return [c.id for c in self.components if c.kind in kinds]
+        return _fill(self._by_id, [c.id for c in self.components
+                                   if c.kind != DOTTED], self.links)
 
     @cached_property
     def _blocks(self) -> tuple[list[_Block], dict[str, _Block]]:
@@ -272,27 +285,6 @@ class KirbyDiagram:
             del block_of[cid]
         block_of.update(fresh_of)
         return [rec for rec in blocks if rec not in hit] + fresh, block_of
-
-    def _link_blocks(self, ids, split: bool = True) -> list[list[list[int]]]:
-        """Linking matrices of the linked blocks of ``ids``.
-
-        The blocks restrict the blocks of all components, cached on this
-        value, to ``ids``: two ids share a block when a chain of nonzero
-        algebraic links joins them, possibly through components outside
-        ``ids``.  Such a block may be coarser than the linked blocks of
-        ``ids`` alone, but the matrix of ``ids`` is still the block sum of
-        the returned matrices up to a permutation.  Blocks come in the
-        order of their first id, and a block keeps the order of ``ids``.
-        With ``split=False`` all of ``ids`` is one block; no ids give one
-        empty block.
-        """
-        block_of = self._blocks[1]
-        groups: dict = {}
-        for cid in ids:
-            groups.setdefault(block_of[cid] if split else None, []).append(cid)
-        return [_fill(self._by_id, members, [e for e in self.links if e[1]]
-                      if rec is None else rec.links)
-                for rec, members in groups.items()] or [[]]
 
     # -- construction helpers -------------------------------------------
 
@@ -382,38 +374,6 @@ class KirbyDiagram:
 
 def empty_diagram(name: str = "empty") -> KirbyDiagram:
     return KirbyDiagram(name=name)
-
-
-# -- validation ----------------------------------------------------------
-
-def validate(d: KirbyDiagram) -> list[Violation]:
-    """Every violated type invariant, with the offending pair."""
-    out: list[Violation] = []
-    kinds = {c.id: c.kind for c in d.components}
-    for (i, j), a, g in d.links:
-        if g < 0:
-            out.append(Violation("negative-geometric", (i, j),
-                                 f"geom[{i}][{j}] = {g} is negative"))
-        if abs(a) > g:
-            out.append(Violation("magnitude", (i, j),
-                                 f"|alg[{i}][{j}]| = {abs(a)} exceeds geom = {g}"))
-        if (g - a) % 2 != 0:
-            out.append(Violation("parity", (i, j),
-                                 f"geom[{i}][{j}] = {g} and alg = {a} differ mod 2"))
-        if kinds[i] == DOTTED and kinds[j] == DOTTED and a != 0:
-            out.append(Violation("dotted-dotted", (i, j),
-                                 f"dotted circles {i}, {j} have alg = {a}"))
-    if any(c.kind == PAREN for c in d.components) and not d.dual_flag:
-        paren = next(c.id for c in d.components if c.kind == PAREN)
-        out.append(Violation("paren-without-dual", (paren,),
-                             f"{paren} is paren-framed but dual_flag is unset"))
-    for count, label in ((d.three_handles, "three_handles"),
-                         (d.four_handles, "four_handles"),
-                         (d.hidden_one_handles, "hidden_one_handles")):
-        if count < 0:
-            out.append(Violation("negative-count", (label,),
-                                 f"{label} = {count} is negative"))
-    return out
 
 
 # -- invariants ----------------------------------------------------------
@@ -715,8 +675,6 @@ def dualize(d: KirbyDiagram) -> KirbyDiagram:
     """
     if d.dual_flag:
         raise MoveError("diagram is already a dual decomposition")
-    if any(c.kind == PAREN for c in d.components):
-        raise MoveError("diagram already contains paren-framed components")
     comps: list[Component] = []
     for c in d.components:
         if c.kind == DOTTED:

@@ -341,8 +341,7 @@ def verify_plan(r: RibbonDescriptor, p: StabilizationPlan) -> VerifyResult:
         return VerifyResult(False, None,
                             f"sphere pairs {sorted(spheres)} were never "
                             "cancelled")
-    # Every loop crosses a finger and every cap is a finger's or a loop's,
-    # so once the fingers are gone no loop and no cap is left.
-    if fingers:
-        return VerifyResult(False, None, "fingers remain at the end")
+    # No finger is left: each lies on pairs in 1..pairs, and a pair is
+    # cancelled only once its fingers are gone.  Every loop crosses a finger
+    # and every cap is a finger's or a loop's, so no loop and no cap is left.
     return VerifyResult(True)

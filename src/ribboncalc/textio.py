@@ -13,12 +13,15 @@ Grammar summary ('#' starts a comment, blank lines ignored):
 
 A component line is ``component ID KIND [FRAMING] [label TEXT]``.  A
 diagram must satisfy the rules that :class:`ribboncalc.diagram.Component`
-and :class:`ribboncalc.diagram.KirbyDiagram` check when built; ``link b
-a`` reads as ``link a b``, and a link may come before its components.  A
-ribbon-descriptor document is a sequence of tree blocks followed by one
-middle block with its cap lines.  A tree block must satisfy every rule of
-:func:`ribboncalc.trees.validate_tree`.  The middle block and its caps
-must satisfy the rules that :class:`ribboncalc.middle.MiddleLevelData` and
+and :class:`ribboncalc.diagram.KirbyDiagram` check when built (among them
+|ALG| <= GEOM, GEOM = ALG mod 2, ALG 0 between dotted circles, paren-framed
+components only after ``dual``, and N >= 0); a count line appears at most
+once, ``link b a`` reads as ``link a b``, and a link may come before its
+components.  A ribbon-descriptor document is a sequence of tree blocks
+followed by one middle block with its cap lines.  A tree block must satisfy
+every rule of :func:`ribboncalc.trees.validate_tree`.  The middle block and
+its caps must satisfy the rules that
+:class:`ribboncalc.middle.MiddleLevelData` and
 :class:`ribboncalc.middle.RibbonDescriptor` check when built (among them
 1 <= K <= DEFAULT_PAIR_BUDGET and FROM, THRU in 1..K).  For diagrams and
 middle data the parser checks only the syntax and reports a broken rule on
@@ -110,6 +113,7 @@ def parse_diagram(text: str) -> KirbyDiagram:
     counts: dict[str, int] = {}
     dual = False
     notes: list[str] = []
+    # Line numbers of the entries by keyword, and of each count by field.
     where: dict[str, list[int]] = {"component": [], "link": []}
     for n, toks in _lines(text):
         kw = toks[0]
@@ -145,9 +149,13 @@ def parse_diagram(text: str) -> KirbyDiagram:
                           _int(toks[3], n, "linking number"),
                           _int(toks[4], n, "geometric count")))
         elif kw in COUNTS:
+            field = COUNTS[kw]
             if len(toks) != 2:
                 raise ParseError(n, f"{kw} needs a count")
-            counts[COUNTS[kw]] = _int(toks[1], n, "count")
+            if field in counts:
+                raise ParseError(n, f"duplicate {kw} line")
+            counts[field] = _int(toks[1], n, "count")
+            where[field] = [n]
         elif kw == "note":
             notes.append(" ".join(toks[1:]))
         else:
@@ -394,9 +402,9 @@ def _parse_middle_block(lines, trees):
 
 def _positioned(exc: MiddleError | DiagramError, where,
                 order=None) -> ParseError:
-    """``exc`` on the line of its entry: the k-th line of the entry's
-    keyword in ``where``, the k-th after ``order`` for a cap; line 1 for
-    no entry."""
+    """``exc`` on the line of its entry ``(kind, k)``: the k-th line of
+    ``kind`` in ``where``, the k-th after ``order`` for a cap; line 1 for no
+    entry."""
     if exc.entry is None:
         return ParseError(1, str(exc))
     kind, k = exc.entry

@@ -44,9 +44,26 @@ class TestCheck:
 
     def test_invalid_diagram(self, files, capsys):
         bad = "diagram b\ncomponent a framed 0\ncomponent b framed 0\nlink a b 2 1\n"
-        code, out, _ = run(capsys, "check", files("b.diagram", bad))
-        assert code == 1
-        assert "violation" in out and "ok: false" in out
+        code, out, err = run(capsys, "check", files("b.diagram", bad))
+        assert code == 2 and out == ""
+        assert "parse error" in err
+        assert "line 4: |alg[a][b]| = 2 exceeds geom = 1" in err
+
+    @pytest.mark.parametrize("line, message", [
+        ("link a b 0 -2", "geom[a][b] = -2 is negative"),
+        ("link a b 3 1", "|alg[a][b]| = 3 exceeds geom = 1"),
+        ("link a b 1 2", "geom[a][b] = 2 and alg = 1 differ mod 2"),
+        ("link a d 1 1", "dotted circles a, d have alg = 1"),
+        ("component p parenframed 1", "p is paren-framed but dual_flag is "
+                                      "unset"),
+        ("fourhandles -1", "four_handles = -1 is negative")])
+    def test_broken_rule_is_exit_two_on_its_line(self, files, capsys, line,
+                                                 message):
+        text = ("diagram b\ncomponent a dotted\ncomponent b framed 0\n"
+                f"component d dotted\n{line}\nnote end\n")
+        code, out, err = run(capsys, "check", files("b.diagram", text))
+        assert code == 2 and out == ""
+        assert err == f"parse error: line 5: {message}\n"
 
     def test_parse_error_is_exit_two(self, files, capsys):
         code, _, err = run(capsys, "check", files("x.diagram", "gibberish\n"))

@@ -5,13 +5,14 @@ import time
 
 import pytest
 
-from ribboncalc import (AbelianGroup, Component, ForbiddenMove, KirbyDiagram,
-                        MoveError, add_cancelling_pair, assert_geometric,
-                        blow_down, blow_up, boundary_homology, cancel_pair,
-                        cokernel, dualize, empty_diagram, euler_char,
+from ribboncalc import (AbelianGroup, Component, DiagramError, ForbiddenMove,
+                        KirbyDiagram, MoveError, add_cancelling_pair,
+                        assert_geometric, blow_down, blow_up,
+                        boundary_homology, cancel_pair, cokernel, dualize,
+                        empty_diagram, euler_char,
                         handle_slide, parse_diagram, serialize_diagram,
                         signature, symmetric_signature, twist_blow_up,
-                        validate, zero_dot_swap)
+                        zero_dot_swap)
 
 from ribboncalc.abelian import _torsion_sum
 
@@ -33,47 +34,67 @@ def h1plus(d):
 
 
 class TestValidate:
+    """A diagram that breaks a linking or count rule cannot be built; the
+    DiagramError names the entry that breaks it."""
+
+    def two(self, *links, kinds=("framed", "framed"), **fields):
+        return KirbyDiagram("x", tuple(
+            Component(cid, kind, None if kind == "dotted" else 0)
+            for cid, kind in zip("ab", kinds)), links, **fields)
+
+    def refused(self, message, entry, *links, **kw):
+        with pytest.raises(DiagramError) as e:
+            self.two(*links, **kw)
+        assert str(e.value) == message and e.value.entry == entry
+
     def test_empty_is_clean(self):
-        assert validate(empty_diagram()) == []
+        assert empty_diagram() == KirbyDiagram("empty")
 
     def test_magnitude_violation(self):
-        d = KirbyDiagram(name="x", components=(
-            Component("a", "framed", 0), Component("b", "framed", 0)))
-        d = d.with_links({("a", "b"): (2, 0)})
-        codes = {v.code for v in validate(d)}
-        assert "magnitude" in codes and "parity" not in codes
+        self.refused("|alg[a][b]| = 3 exceeds geom = 1", ("link", 0),
+                     (("a", "b"), 3, 1))
+        # with_links builds through the constructor too.
+        with pytest.raises(DiagramError, match=r"= 2 exceeds geom = 0$"):
+            self.two().with_links({("a", "b"): (2, 0)})
 
     def test_parity_violation(self):
-        d = KirbyDiagram(name="x", components=(
-            Component("a", "framed", 0), Component("b", "framed", 0)))
-        d = d.with_links({("a", "b"): (1, 2)})
-        assert {v.code for v in validate(d)} == {"parity"}
+        self.refused("geom[a][b] = 2 and alg = 1 differ mod 2", ("link", 0),
+                     (("a", "b"), 1, 2))
+        self.refused("geom[a][b] = 1 and alg = 0 differ mod 2", ("link", 0),
+                     (("a", "b"), 0, 1))
 
     def test_dotted_dotted_linking(self):
-        d = KirbyDiagram(name="x", components=(
-            Component("a", "dotted"), Component("b", "dotted")))
-        d = d.with_links({("a", "b"): (1, 1)})
-        assert "dotted-dotted" in {v.code for v in validate(d)}
+        self.refused("dotted circles a, b have alg = 1", ("link", 0),
+                     (("a", "b"), 1, 1), kinds=("dotted", "dotted"))
+        # Geometric linking without algebraic linking is allowed.
+        assert self.two((("a", "b"), 0, 2),
+                        kinds=("dotted", "dotted")).geom("a", "b") == 2
 
     def test_negative_geometric_and_counts(self):
-        d = KirbyDiagram(name="x", components=(
-            Component("a", "framed", 0), Component("b", "framed", 0)),
-            three_handles=-1, hidden_one_handles=-2)
-        d = d.with_links({("a", "b"): (0, -2)})
-        assert [(v.code, v.subjects) for v in validate(d)] == [
-            ("negative-geometric", ("a", "b")), ("magnitude", ("a", "b")),
-            ("negative-count", ("three_handles",)),
-            ("negative-count", ("hidden_one_handles",))]
+        self.refused("geom[a][b] = -2 is negative", ("link", 0),
+                     (("a", "b"), 0, -2))
+        for field in ("three_handles", "four_handles", "hidden_one_handles"):
+            self.refused(f"{field} = -1 is negative", (field, 0),
+                         **{field: -1})
+        # The links are judged before the counts.
+        self.refused("geom[a][b] = -2 is negative", ("link", 0),
+                     (("a", "b"), 0, -2), three_handles=-1)
 
     def test_paren_requires_dual_flag(self):
-        d = KirbyDiagram(name="x",
-                         components=(Component("p", "parenframed", 2),))
-        assert "paren-without-dual" in {v.code for v in validate(d)}
+        self.refused("b is paren-framed but dual_flag is unset",
+                     ("component", 1), kinds=("framed", "parenframed"))
+        assert self.two(kinds=("framed", "parenframed"), dual_flag=True)
 
     def test_random_diagrams_are_clean(self):
         rng = random.Random(7)
         for _ in range(100):
-            assert validate(random_diagram(rng)) == []
+            d = random_diagram(rng)
+            for e in (d, dualize(d)):
+                kind = {c.id: c.kind for c in e.components}
+                for (i, j), a, g in e.links:
+                    assert abs(a) <= g and (g - a) % 2 == 0
+                    assert a == 0 or kind[i] != "dotted" or kind[j] != "dotted"
+                assert e.dual_flag or "parenframed" not in kind.values()
 
 
 class TestLinkPairs:
@@ -498,9 +519,8 @@ class TestMovePreconditions:
          "d and z are not a geometric Hopf pair"),
         (lambda d: cancel_pair(d, "p", "q"),
          "p and q are not a geometric Hopf pair"),
-        (lambda d: dualize(d.with_links(
-            {}, components=d.components + (Component("r", "parenframed", 1),))),
-         "diagram already contains paren-framed components"),
+        (lambda d: dualize(dualize(d)),
+         "diagram is already a dual decomposition"),
         (lambda d: dualize(d.with_links(
             {}, components=d.components + (Component("m_h", "dotted"),))),
          "meridian id m_h collides with a component")])
@@ -550,10 +570,13 @@ class TestBlockwiseInvariants:
     def test_one_block_per_dense_cluster(self):
         rng = random.Random(3)
         d = block_sum(rng, [dense_cluster(rng, 10 - k) for k in range(5)])
-        blocks = d._link_blocks(d.ids())
-        assert sorted(len(b) for b in blocks) == [6, 7, 8, 9, 10]
-        assert d._link_blocks(d.ids(), split=False) == [d.linking_matrix()]
-        assert d._link_blocks([], split=False) == [[]]
+        blocks = d._blocks[0]
+        assert sorted(len(rec.ids) for rec in blocks) == [6, 7, 8, 9, 10]
+        assert sorted((rec.ids, [list(row) for row in rec.rows])
+                      for rec in blocks) == sorted(
+                          oracle_link_blocks(d, d.ids()))
+        assert oracle_link_blocks(d, d.ids(), split=False) == [
+            (list(d.ids()), d.linking_matrix())]
 
     def test_framed_clusters_joined_through_a_dotted_circle(self):
         # a-b and c-e link only among themselves; the dotted x links a and
@@ -565,8 +588,12 @@ class TestBlockwiseInvariants:
             Component("e", "framed", 4))).with_links({
                 ("a", "b"): (1, 1), ("c", "e"): (3, 3),
                 ("a", "x"): (1, 1), ("c", "x"): (2, 2)})
-        assert d._link_blocks(["a", "b", "c", "e"]) == [
-            [[2, 1, 0, 0], [1, -3, 0, 0], [0, 0, 1, 3], [0, 0, 3, 4]]]
+        (rec,) = d._blocks[0]
+        assert rec.ids == ["a", "b", "x", "c", "e"]
+        memo = {}
+        signature(d, memo)
+        assert [key[1] for key in memo if len(key) == 2] == [
+            ((2, 1, 0, 0), (1, -3, 0, 0), (0, 0, 1, 3), (0, 0, 3, 4))]
         assert invariants(d) == dense_invariants(d)
         assert invariants(dualize(d)) == dense_invariants(dualize(d))
 
@@ -680,14 +707,21 @@ def oracle_invariants(d):
 
 
 class TestMoveResults:
-    """A move's result is built without the construction checks and keeps
-    its parent's linked blocks that hold no component it touched."""
+    """A move's result is built without the construction checks, keeps
+    every rule they check, and keeps its parent's linked blocks that hold
+    no component it touched."""
 
-    def check(self, e, memo):
+    def rebuild(self, e):
+        """``e`` built again through the public constructor, which raises
+        DiagramError for a broken rule."""
         rebuilt = KirbyDiagram(e.name, e.components, e.links,
                                e.three_handles, e.four_handles,
                                e.hidden_one_handles, e.dual_flag, e.notes)
         assert e == rebuilt and e.links == rebuilt.links
+        return rebuilt
+
+    def check(self, e, memo):
+        rebuilt = self.rebuild(e)
         assert e._linkmap == rebuilt._linkmap
         assert e._at == rebuilt._at and e._by_id == rebuilt._by_id
         blocks, block_of = e._blocks
@@ -726,6 +760,8 @@ class TestMoveResults:
                 # the next move's result regroups from scratch.
                 if rng.random() < 0.8 or len(e.components) > 16:
                     self.check(e, memo)
+                else:
+                    self.rebuild(e)
                 d = e
                 if len(d.components) > 16:
                     break

@@ -14,7 +14,7 @@ LOADED = ("import sys; sys.path.insert(0, sys.argv[1]); "
 
 def test_import_loads_only_stdlib_modules():
     root = str(Path(ribboncalc.__file__).resolve().parent.parent)
-    proc = subprocess.run([sys.executable, "-I", "-c", LOADED, root],
+    proc = subprocess.run([sys.executable, "-I", "-B", "-c", LOADED, root],
                           capture_output=True, text=True, check=True)
     loaded = {name.split(".")[0] for name in proc.stdout.split()}
     assert "ribboncalc" in loaded

@@ -66,7 +66,7 @@ class TestDiagramDot:
     def test_kinds_get_distinct_shapes(self):
         d = KirbyDiagram(name="d", components=(
             Component("a", "dotted"), Component("b", "framed", -1),
-            Component("p", "parenframed", 0)))
+            Component("p", "parenframed", 0)), dual_flag=True)
         d = d.with_links({("b", "p"): (0, 2)})
         dot = diagram_dot(d)
         assert '"a" [shape=circle label="a (dot)"];' in dot

@@ -13,7 +13,8 @@ from ribboncalc import (AbelianGroup, Command, Component, KirbyDiagram,
                         boundary_homology, euler_char, run_script, signature,
                         trace_lines)
 
-from genlib import block_sum, dense_cluster, random_diagram
+from genlib import (block_sum, dense_cluster, oracle_link_blocks,
+                    random_diagram)
 
 
 def diagram(*comps, links=None, **kw):
@@ -224,6 +225,10 @@ def matrix_key(m):
     return tuple(map(tuple, m))
 
 
+def ids_of(d, *kinds):
+    return [c.id for c in d.components if c.kind in kinds]
+
+
 def diagrams_of(d, result):
     """The diagram each step of ``result`` reports on, replayed from ``d``:
     only an applied move changes it."""
@@ -293,11 +298,12 @@ class TestBlockMemo:
         want = {"cokernel": set(), "symmetric_signature": set()}
         blocks_read = 0
         for e in diagrams_of(d, result):
-            sides = [e.ids()] + ([e._ids_of(PAREN)] if e.dual_flag else [])
+            sides = [e.ids()] + ([ids_of(e, PAREN)] if e.dual_flag else [])
             for kernel, ids in ([("cokernel", ids) for ids in sides]
                                 + [("symmetric_signature",
-                                    e._ids_of(FRAMED, PAREN))]):
-                blocks = [matrix_key(m) for m in e._link_blocks(ids)]
+                                    ids_of(e, FRAMED, PAREN))]):
+                blocks = [matrix_key(m)
+                          for _, m in oracle_link_blocks(e, ids) if m]
                 want[kernel].update(blocks)
                 blocks_read += len(blocks)
         for kernel, calls in seen.items():

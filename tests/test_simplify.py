@@ -436,6 +436,17 @@ class TestVerifyPlanTampering:
         assert not result.ok and result.failing_step == 0
         assert "still carries fingers" in result.reason
 
+    def test_pairs_cancelled_before_their_fingers(self):
+        # A plan that leaves fingers behind fails at a CancelPair step: a
+        # finger lies on two pairs, and every pair must be cancelled.
+        steps = tuple(s for s in self.plan.steps
+                      if not isinstance(s, (NormanTrick, CancelFinger)))
+        first = next(k for k, s in enumerate(steps)
+                     if isinstance(s, CancelPair))
+        result = verify_plan(self.r, replace(self.plan, steps=steps))
+        assert not result.ok and result.failing_step == first
+        assert "still carries fingers" in result.reason
+
     def test_wrong_witness_loop(self):
         m = middle(1, [("f1", 1, 1, "w1")], [("l1", ["f1"])])
         r = make_descriptor(m, {"w1": CHP, "l1": CHP})

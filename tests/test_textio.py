@@ -14,6 +14,7 @@ from ribboncalc import (STANDARD_CAP, AccessoryLoop, Cap, Command, Component,
                         serialize_script, serialize_tree)
 from ribboncalc import textio
 from ribboncalc.corpus import corpus_names, corpus_text
+from ribboncalc.diagram import COUNTS
 from ribboncalc.trees import DEFAULT_PAIR_BUDGET
 
 from genlib import (oracle_lines, oracle_parse_tree_blocks, random_diagram,
@@ -111,7 +112,9 @@ class TestDiagramRules:
         ("component a wavy", "unknown component kind 'wavy'"),
         ("component a wavy x", "malformed framing token 'x'"),
         ("component a framed 0 kink", "unexpected token 'kink'"),
-        ("component a", "component needs an id and a kind")])
+        ("component a", "component needs an id and a kind"),
+        ("component a parenframed 2",
+         "a is paren-framed but dual_flag is unset")])
     def test_component_rule_on_its_line(self, line, message):
         e = self.error(f"diagram x\ncomponent b framed 1\n\n{line}\n")
         assert (e.line, e.message) == (4, message)
@@ -122,11 +125,38 @@ class TestDiagramRules:
         ("link z a 1 1\n", 5, "link references unknown component z"),
         ("link b b 0 2\n", 5, "self-linking entry for b"),
         ("link a b 1 1\nlink b a 1 1\n", 6, "repeated link pair (a, b)"),
-        ("link b a 0 0\nlink a b 1 1\n", 6, "repeated link pair (a, b)")])
+        ("link b a 0 0\nlink a b 1 1\n", 6, "repeated link pair (a, b)"),
+        ("link a b 1 1\nlink a b 0 -2\n", 6, "repeated link pair (a, b)"),
+        ("link a b 0 -2\n", 5, "geom[a][b] = -2 is negative"),
+        ("link b a 3 1\n", 5, "|alg[a][b]| = 3 exceeds geom = 1"),
+        ("link a b -1 0\n", 5, "|alg[a][b]| = 1 exceeds geom = 0"),
+        ("link a b 1 2\n", 5, "geom[a][b] = 2 and alg = 1 differ mod 2"),
+        ("link a b 0 3\n", 5, "geom[a][b] = 3 and alg = 0 differ mod 2")])
     def test_link_rule_on_its_line(self, links, line, message):
         e = self.error("diagram x\ncomponent a framed 0\n# c\n"
                        "component b dotted\n" + links)
         assert (e.line, e.message) == (line, message)
+
+    def test_dotted_circles_do_not_link_algebraically(self):
+        text = ("diagram x\ncomponent a dotted\ncomponent b dotted\n"
+                "component c framed 0\nlink a c 1 1\nlink a b {} 2\n")
+        assert parse_diagram(text.format(0)).geom("a", "b") == 2
+        e = self.error(text.format(-2))
+        assert (e.line, e.message) == (6, "dotted circles a, b have alg = -2")
+
+    @pytest.mark.parametrize("kw, field", list(COUNTS.items()))
+    def test_negative_count_on_its_line(self, kw, field):
+        e = self.error(f"diagram x\ncomponent a framed 0\n{kw} -1\n"
+                       "note after\n")
+        assert (e.line, e.message) == (3, f"{field} = -1 is negative")
+
+    @pytest.mark.parametrize("kw", list(COUNTS))
+    def test_repeated_count_line(self, kw):
+        # The last line used to win silently.
+        e = self.error(f"diagram x\n{kw} 2\ncomponent a framed 0\n{kw} 3\n")
+        assert (e.line, e.message) == (4, f"duplicate {kw} line")
+        e = self.error(f"diagram x\n{kw} 0\n{kw} 0\n")
+        assert (e.line, e.message) == (3, f"duplicate {kw} line")
 
     def test_duplicate_component_on_the_later_line(self):
         e = self.error("diagram x\ncomponent a dotted\nlink a b 1 1\n"
