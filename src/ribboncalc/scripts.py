@@ -123,10 +123,17 @@ COMMANDS = (
 )
 
 
+def quoted(tok: str) -> str:
+    """``tok`` as an error quotes it: past 40 characters, cut and sized."""
+    return (repr(tok) if len(tok) <= 40
+            else f"{tok[:40]!r}... ({len(tok)} characters)")
+
+
 def form_error(op: str) -> str:
     """What is wrong with a command of this op that fits none of its rows."""
     usages = " | ".join(f.usage for f in COMMANDS if f.op == op)
-    return f"{op} needs: {usages}" if usages else f"unknown command {op!r}"
+    return (f"{op} needs: {usages}" if usages
+            else f"unknown command {quoted(op)}")
 
 
 def form_of(cmd: Command) -> Form:

@@ -19,15 +19,17 @@ components only after ``dual``, and N >= 0); a count line appears at most
 once, ``link b a`` reads as ``link a b``, and a link may come before its
 components.  A ribbon-descriptor document is a sequence of tree blocks
 followed by one middle block with its cap lines.  A tree block must satisfy
-every rule of :func:`ribboncalc.trees.validate_tree`.  The middle block and
-its caps must satisfy the rules that
+the rules of :func:`ribboncalc.trees.validate_tree` (distinct node ids,
+declared root and endpoints, ...); a node line may follow its edges.  The
+middle block and its caps must satisfy the rules that
 :class:`ribboncalc.middle.MiddleLevelData` and
 :class:`ribboncalc.middle.RibbonDescriptor` check when built (among them
-1 <= K <= DEFAULT_PAIR_BUDGET and FROM, THRU in 1..K).  For diagrams and
-middle data the parser checks only the syntax and reports a broken rule on
-the line of the entry that breaks it (line 1 for a missing cap).  Scripts
-are a ``script NAME`` header followed by one command per line, in one of
-the forms of :data:`ribboncalc.scripts.COMMANDS`.
+1 <= K <= DEFAULT_PAIR_BUDGET and FROM, THRU in 1..K).  The parsers check
+only the syntax; when a block ends, a broken rule is reported on the line
+of the entry that breaks it, found by lexing again (a rule of a whole tree
+on its header line, a missing cap on line 1).  Scripts are a ``script
+NAME`` header followed by one command per line, in one of the forms of
+:data:`ribboncalc.scripts.COMMANDS`.
 
 Round-trip law: ``parse(serialize(v)) == v`` and ``serialize(parse(text))``
 is canonical; a serializer raises ValueError for a value it cannot write.
@@ -43,7 +45,7 @@ from .diagram import (COUNTS, Component, DiagramError, DOTTED, KirbyDiagram,
 from .middle import (AccessoryLoop, Cap, Finger, MiddleError,
                      MiddleLevelData, RibbonDescriptor, STANDARD_CAP)
 from .scripts import (ABSENT, COMMANDS, ID, INT, INTS, SIGN, STRANDS,
-                      Command, Form, MoveScript, form_error, form_of)
+                      Command, Form, MoveScript, form_error, form_of, quoted)
 from .trees import SignedTree, TreeEdge, TreeError
 
 
@@ -91,7 +93,7 @@ def _int(tok: str, n: int, what: str) -> int:
     try:
         return int(tok)
     except ValueError:
-        raise ParseError(n, f"malformed {what} {tok!r}") from None
+        raise ParseError(n, f"malformed {what} {quoted(tok)}") from None
 
 
 _SIGNS = {"+": 1, "+1": 1, "-": -1, "-1": -1}  # sign token -> sign
@@ -100,7 +102,7 @@ _SIGNS = {"+": 1, "+1": 1, "-": -1, "-1": -1}  # sign token -> sign
 def _sign(tok: str, n: int) -> int:
     sign = _SIGNS.get(tok)
     if sign is None:
-        raise ParseError(n, f"malformed sign {tok!r}")
+        raise ParseError(n, f"malformed sign {quoted(tok)}")
     return sign
 
 
@@ -113,8 +115,6 @@ def parse_diagram(text: str) -> KirbyDiagram:
     counts: dict[str, int] = {}
     dual = False
     notes: list[str] = []
-    # Line numbers of the entries by keyword, and of each count by field.
-    where: dict[str, list[int]] = {"component": [], "link": []}
     for n, toks in _lines(text):
         kw = toks[0]
         if kw == "diagram":
@@ -136,7 +136,7 @@ def parse_diagram(text: str) -> KirbyDiagram:
                 framing = _int(rest[0], n, "framing token")
                 rest = rest[1:]
             if rest and rest[0] != "label":
-                raise ParseError(n, f"unexpected token {rest[0]!r}")
+                raise ParseError(n, f"unexpected token {quoted(rest[0])}")
             label = " ".join(rest[1:]) if rest else None
             try:
                 comps.append(Component(toks[1], toks[2], framing, label))
@@ -155,20 +155,17 @@ def parse_diagram(text: str) -> KirbyDiagram:
             if field in counts:
                 raise ParseError(n, f"duplicate {kw} line")
             counts[field] = _int(toks[1], n, "count")
-            where[field] = [n]
         elif kw == "note":
             notes.append(" ".join(toks[1:]))
         else:
-            raise ParseError(n, f"unknown keyword {kw!r}")
-        if kw in where:
-            where[kw].append(n)
+            raise ParseError(n, f"unknown keyword {quoted(kw)}")
     if name is None:
         raise ParseError(1, "missing 'diagram NAME' header")
     try:
         return KirbyDiagram(name, tuple(comps), tuple(links), dual_flag=dual,
                             notes=tuple(notes), **counts)
     except DiagramError as exc:
-        raise _positioned(exc, where) from None
+        raise _positioned(exc, text, 1) from None
 
 
 def _text(x: str, what: str, words: bool = False) -> str:
@@ -234,18 +231,14 @@ def parse_tree(text: str) -> SignedTree:
     return next(iter(trees.values()))
 
 
-def _tree_block(name, line, nodes, root, edges, finite) -> SignedTree:
-    """The tree of a finished block whose header is on ``line``."""
+def _tree_block(text, header, name, nodes, root, edges, finite):
+    """The tree of a finished block of ``text`` headed on line ``header``."""
     if root is None:
-        raise ParseError(line, f"tree {name} has no root")
+        raise ParseError(header, f"tree {name} has no root")
     try:
         return SignedTree(name, tuple(nodes), root, tuple(edges), finite)
-    except TreeError as exc:  # a rule of validate_tree, at the header
-        raise ParseError(line, str(exc)) from None
-
-
-def _undeclared(nid: str, n: int):
-    raise ParseError(n, f"edge references undeclared node {nid}")
+    except TreeError as exc:  # a rule of validate_tree, on its entry's line
+        raise _positioned(exc, text, header) from None
 
 
 def _parse_tree_blocks(text: str, stop_at: str | None = None):
@@ -253,11 +246,11 @@ def _parse_tree_blocks(text: str, stop_at: str | None = None):
     ``stop_at`` line on, still to be read (None when there is none)."""
     trees: dict[str, SignedTree] = {}
     lines = _lines(text)
-    # The open block: name (None when there is none), header line, node
-    # ids (a dict of each id to itself keeps their order and lends edges
-    # the declared strings), root, edges and the finite flag.
+    # The open block: name (None when there is none), header line, ids, a
+    # dict that lends edges the declared ids, root, edges, finite flag.
     name = header = root = None
-    nodes: dict[str, str] = {}
+    nodes: list[str] = []
+    ids: dict[str, str] = {}
     edges: list[TreeEdge] = []
     finite = False
     for n, toks in lines:
@@ -267,20 +260,18 @@ def _parse_tree_blocks(text: str, stop_at: str | None = None):
                 raise ParseError(n, "edge needs: edge PARENT CHILD SIGN")
             # The edge holds the declared id strings, not its line's copies.
             _, parent, child, sign = toks
-            parent = nodes.get(parent) or _undeclared(parent, n)
-            child = nodes.get(child) or _undeclared(child, n)
             # The sign is +1 or -1, so the edge skips TreeEdge's check.
             edges.append(tuple.__new__(TreeEdge, (
-                parent, child, _SIGNS.get(sign) or _sign(sign, n))))
+                ids.get(parent, parent), ids.get(child, child),
+                _SIGNS.get(sign) or _sign(sign, n))))
         elif kw == "node" and name is not None:
             for nid in toks[1:]:
-                if nid in nodes:
-                    raise ParseError(n, f"duplicate node id {nid}")
-                nodes[nid] = nid
+                nodes.append(nid)
+                ids[nid] = nid
         elif kw == stop_at or kw == "tree":
             if name is not None:
-                trees[name] = _tree_block(name, header, nodes, root, edges,
-                                          finite)
+                trees[name] = _tree_block(text, header, name, nodes, root,
+                                          edges, finite)
                 name = None
             if kw == stop_at:
                 return trees, chain([(n, toks)], lines)
@@ -289,7 +280,7 @@ def _parse_tree_blocks(text: str, stop_at: str | None = None):
             if toks[1] in trees:
                 raise ParseError(n, f"duplicate tree name {toks[1]}")
             name, header, root = toks[1], n, None
-            nodes, edges, finite = {}, [], False
+            nodes, ids, edges, finite = [], {}, [], False
         elif name is None:
             raise ParseError(n, "expected 'tree NAME' header first")
         elif kw == "root":
@@ -299,9 +290,10 @@ def _parse_tree_blocks(text: str, stop_at: str | None = None):
         elif kw == "finite":
             finite = True
         else:
-            raise ParseError(n, f"unknown keyword {kw!r}")
+            raise ParseError(n, f"unknown keyword {quoted(kw)}")
     if name is not None:
-        trees[name] = _tree_block(name, header, nodes, root, edges, finite)
+        trees[name] = _tree_block(text, header, name, nodes, root, edges,
+                                  finite)
     return trees, None
 
 
@@ -332,23 +324,20 @@ def _tree_text(t: SignedTree) -> str:
 # -- middle data and ribbon descriptors ----------------------------------
 
 def parse_middle(text: str) -> MiddleLevelData:
-    m, caps, _ = _parse_middle_block(_lines(text), {})
+    m, caps = _parse_middle_block(text, _lines(text), {})
     if caps:
         raise ParseError(1, "cap lines belong to ribbon documents")
     return m
 
 
-def _parse_middle_block(lines, trees):
-    """Middle data over the tree blocks ``trees``, its ``(id, cap)`` lines
-    in file order (caps naming one tree share one Cap), and the line
-    numbers of its entries by keyword."""
+def _parse_middle_block(text, lines, trees):
+    """Middle data from the ``lines`` of ``text`` over the tree blocks
+    ``trees``, and its ``(id, cap)`` lines in file order (sharing Caps)."""
     caps_by_tree = {name: Cap(t) for name, t in trees.items() if not t.finite}
     pairs = None
     fingers: list[Finger] = []
     loops: list[AccessoryLoop] = []
     caps: list[tuple[str, Cap]] = []
-    where: dict[str, list[int]] = {"pairs": [], "finger": [], "loop": [],
-                                   "cap": []}
     started = False
     for n, toks in lines:
         kw = toks[0]
@@ -378,17 +367,16 @@ def _parse_middle_block(lines, trees):
                 caps.append((toks[1], STANDARD_CAP))
             elif toks[2] == "tree" and len(toks) == 4:
                 if toks[3] not in trees:
-                    raise ParseError(n, f"cap references unknown tree {toks[3]}")
+                    raise ParseError(n, "cap references unknown tree "
+                                        f"{quoted(toks[3])}")
                 if toks[3] not in caps_by_tree:
-                    raise ParseError(n, f"cap names tree {toks[3]}, a finite "
-                                        "tower, not a Casson handle")
+                    raise ParseError(n, f"cap names tree {quoted(toks[3])}, "
+                                        "a finite tower, not a Casson handle")
                 caps.append((toks[1], caps_by_tree[toks[3]]))
             else:
                 raise ParseError(n, f"malformed cap line")
         else:
-            raise ParseError(n, f"unknown keyword {kw!r}")
-        if kw in where:
-            where[kw].append(n)
+            raise ParseError(n, f"unknown keyword {quoted(kw)}")
     if not started:
         raise ParseError(1, "missing 'middle' header")
     if pairs is None:
@@ -396,26 +384,32 @@ def _parse_middle_block(lines, trees):
     try:
         m = MiddleLevelData(pairs, tuple(fingers), tuple(loops))
     except MiddleError as exc:
-        raise _positioned(exc, where) from None
-    return m, caps, where
+        raise _positioned(exc, text, 1) from None
+    return m, caps
 
 
-def _positioned(exc: MiddleError | DiagramError, where,
-                order=None) -> ParseError:
-    """``exc`` on the line of its entry ``(kind, k)``: the k-th line of
-    ``kind`` in ``where``, the k-th after ``order`` for a cap; line 1 for no
-    entry."""
+def _positioned(exc: DiagramError | MiddleError | TreeError, text: str,
+                start: int, order=None) -> ParseError:
+    """``exc`` on its entry's line, lexing ``text`` again from its block's
+    first line ``start``: the k-th id across ``node`` lines, the order[k]-th
+    cap, a count's line or the k-th line of the kind; no entry: ``start``."""
     if exc.entry is None:
-        return ParseError(1, str(exc))
+        return ParseError(start, str(exc))
     kind, k = exc.entry
-    return ParseError(where[kind][order[k] if kind == "cap" else k], str(exc))
+    k = order[k] if kind == "cap" else k
+    kw = next((kw for kw, field in COUNTS.items() if field == kind), kind)
+    for n, toks in _lines(text):
+        if n >= start and toks[0] == kw:
+            k -= len(toks) - 1 if kw == "node" else 1
+            if k < 0:
+                return ParseError(n, str(exc))
 
 
 def parse_ribbon(text: str) -> RibbonDescriptor:
     trees, rest = _parse_tree_blocks(text, stop_at="middle")
     if rest is None:
         raise ParseError(1, "ribbon document has no middle block")
-    m, caps, where = _parse_middle_block(rest, trees)
+    m, caps = _parse_middle_block(text, rest, trees)
     # The caps in canonical order: that of cap_ids, unknown ids last.
     rank = {cid: k for k, cid in enumerate(m.cap_ids())}
     ranks = [rank.get(cid, len(rank)) for cid, _ in caps]
@@ -423,7 +417,7 @@ def parse_ribbon(text: str) -> RibbonDescriptor:
     try:
         return RibbonDescriptor(m, tuple(caps[k] for k in order))
     except MiddleError as exc:
-        raise _positioned(exc, where, order) from None
+        raise _positioned(exc, text, 1, order) from None
 
 
 def serialize_middle(m: MiddleLevelData) -> str:
@@ -478,7 +472,7 @@ def _strands(toks: list[str], n: int) -> tuple[tuple[str, int], ...]:
     for tok in toks:
         cid, colon, mult = tok.rpartition(":")
         if not colon:
-            raise ParseError(n, f"malformed strand token {tok!r}")
+            raise ParseError(n, f"malformed strand token {quoted(tok)}")
         if cid in strands:
             raise ParseError(n, f"strand {cid} named twice")
         strands[cid] = _int(mult, n, "multiplicity")
@@ -570,5 +564,6 @@ def parse_any(text: str):
     parser = {"diagram": parse_diagram, "tree": parse_tree,
               "middle": parse_middle, "script": parse_script}.get(first)
     if parser is None:
-        raise ParseError(1, f"cannot determine document type from {first!r}")
+        raise ParseError(1, "cannot determine document type from "
+                            f"{quoted(first)}")
     return first, parser(text)

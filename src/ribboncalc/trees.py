@@ -15,7 +15,11 @@ from operator import itemgetter
 
 
 class TreeError(Exception):
-    pass
+    """A broken tree rule or a refused query; ``entry`` names the offender."""
+
+    def __init__(self, message: str, entry: tuple[str, int] | None = None):
+        super().__init__(message)
+        self.entry = entry
 
 
 class SizeLimit(TreeError):
@@ -26,13 +30,14 @@ class TreeEdge(namedtuple("TreeEdge", "parent child sign")):
     """An immutable ``(parent, child, sign)`` record, sign +1 or -1.
 
     A tuple, so equality and hashing run in C; it equals the plain tuple of
-    its fields.  The constructor, ``_make`` and ``_replace`` check the sign.
+    its fields.  The constructor, ``_make`` and ``_replace`` check the sign,
+    an exact ``int``.
     """
 
     __slots__ = ()
 
     def __new__(cls, parent: str, child: str, sign: int):
-        if sign not in (1, -1):
+        if type(sign) is not int or sign not in (1, -1):
             raise ValueError("edge sign must be +1 or -1")
         return tuple.__new__(cls, (parent, child, sign))
 
@@ -62,8 +67,7 @@ class SignedTree:
     finite: bool = False
 
     def __post_init__(self) -> None:
-        for v in validate_tree(self):
-            raise TreeError(v)
+        validate_tree(self)
 
     @cached_property
     def _out_index(self) -> dict[str, tuple[TreeEdge, ...]]:
@@ -147,41 +151,43 @@ class SignedTree:
         return total
 
 
-def validate_tree(t: SignedTree) -> list[str]:
-    """Every rule ``t`` breaks, as messages in a fixed order.
-
-    One node-sized set does the work: the declared ids, then the ids not
-    yet reached from the root.  Set sizes decide whether a rule holds; the
-    per-node loops that name the offenders, and the set of edge children,
-    run only when one fails.
-    """
-    out = []
-    nodes, root, edges = t.nodes, t.root, t.edges
+def validate_tree(t: SignedTree) -> None:
+    """Raise :class:`TreeError` for the first rule ``t`` breaks, with its
+    entry, ``("node", k)`` for the k-th id, ``("edge", k)``, ``("root", 0)``
+    or None for the whole tree: distinct ids, a declared root, ``TreeEdge``
+    edges with int signs +1 or -1, declared endpoints, every node reachable
+    from the root, and no back-edges in a tower.  The rules before it make
+    reachability give each non-root node an incoming edge, so a tower of N
+    reached nodes is a tree exactly when it has N-1 edges.  A set of the ids
+    not yet reached and C passes over the edge columns decide each rule."""
+    name, nodes, root, edges = t.name, t.nodes, t.root, t.edges
     unreached = set(nodes)
-    distinct = len(unreached) == len(nodes)
-    if not distinct:
-        out.append(f"tree {t.name}: duplicate node ids")
+    if len(unreached) != len(nodes):
+        seen: set[str] = set()  # add() returns None: k is the first repeat
+        k = next(k for k, n in enumerate(nodes) if n in seen or seen.add(n))
+        raise TreeError(f"tree {name}: duplicate node ids", ("node", k))
     if root not in unreached:
-        out.append(f"tree {t.name}: root {root} not declared")
-        return out
+        raise TreeError(f"tree {name}: root {root} not declared", ("root", 0))
     # A TreeEdge checks its sign when it is made; any other value, a plain
     # tuple included, is refused here.
     if not {TreeEdge}.issuperset(map(type, edges)):
-        bad = next(e for e in edges if type(e) is not TreeEdge)
-        out.append(f"tree {t.name}: edge {bad!r} is not a TreeEdge")
-        return out
-    if not {1, -1}.issuperset(map(_sign, edges)):
-        bad = next(e for e in edges if e.sign not in (1, -1))
-        out.append(f"tree {t.name}: edge {bad.parent}->{bad.child} has "
-                   f"sign {bad.sign!r}, not +1 or -1")
-        return out
+        k = next(k for k, e in enumerate(edges) if type(e) is not TreeEdge)
+        raise TreeError(f"tree {name}: edge {edges[k]!r} is not a TreeEdge",
+                        ("edge", k))
+    # True and 1.0 equal 1, so the types are checked before the values.
+    if not ({int}.issuperset(map(type, map(_sign, edges)))
+            and {1, -1}.issuperset(map(_sign, edges))):
+        k, (a, b, sign) = next((k, e) for k, e in enumerate(edges)
+                               if type(e.sign) is not int
+                               or e.sign not in (1, -1))
+        raise TreeError(f"tree {name}: edge {a}->{b} has sign {sign!r}, not "
+                        "+1 or -1", ("edge", k))
     if not (unreached.issuperset(map(_parent, edges))
             and unreached.issuperset(map(_child, edges))):
-        for e in edges:
-            if e.parent not in unreached or e.child not in unreached:
-                out.append(f"tree {t.name}: edge {e.parent}->{e.child} "
-                           "references an undeclared node")
-                return out
+        k, (a, b, _) = next((k, e) for k, e in enumerate(edges)
+                            if not unreached.issuperset(e[:2]))
+        raise TreeError(f"tree {name}: edge {a}->{b} references an "
+                        "undeclared node", ("edge", k))
     # Reachability from the root.  One pass in edge order reaches every
     # node when each parent is listed before its out-edges, as in a tower
     # from truncate and in its text; only nodes it leaves unreached cost a
@@ -199,22 +205,11 @@ def validate_tree(t: SignedTree) -> list[str]:
                 if e.child in unreached:
                     reach(e.child)
                     queue.append(e.child)
-        out.extend(f"tree {t.name}: node {n} unreachable from root"
-                   for n in nodes if n in unreached)
-    if distinct and not unreached:
-        # Every non-root node was reached as a child, so it has an incoming
-        # edge; a tower is then a tree iff it has one edge fewer than nodes.
-        if t.finite and len(edges) != len(nodes) - 1:
-            out.append(f"tree {t.name}: tower contains back-edges")
-        return out
-    # Each non-root node has an incoming edge.
-    covered = set(map(_child, edges))
-    out.extend(f"tree {t.name}: node {n} has no incoming edge"
-               for n in nodes if n != root and n not in covered)
-    if t.finite and (root in covered or len(covered) != len(edges)
-                     or len(edges) != len(nodes) - 1):
-        out.append(f"tree {t.name}: tower contains back-edges")
-    return out
+        if unreached:
+            n = next(n for n in nodes if n in unreached)
+            raise TreeError(f"tree {name}: node {n} unreachable from root")
+    if t.finite and len(edges) != len(nodes) - 1:
+        raise TreeError(f"tree {name}: tower contains back-edges")
 
 
 def chplus(name: str = "chplus") -> SignedTree:
@@ -312,8 +307,8 @@ def truncate(t: SignedTree, n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> S
     depth n; the levels below it are empty and are not visited.  The node
     budget is checked once per level, before the level is built.
     """
-    if n < 1:
-        raise TreeError("truncation depth must be >= 1")
+    if type(n) is not int or n < 1:
+        raise TreeError("truncation depth must be an int >= 1")
     get = t._out_index.get
     new = tuple.__new__  # the signs come from valid edges: skip the check
     prefix = f"{t.root}."

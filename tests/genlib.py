@@ -350,8 +350,10 @@ def oracle_lines(text: str):
 
 
 def oracle_parse_tree_blocks(lines, stop_at=None):
-    """The tree-block parser as it read before it kept the open block in
-    local variables, over ``(line number, text)`` pairs."""
+    """The tree-block parser's contract over ``(line number, text)`` pairs:
+    syntax errors in file order, and at the end of each block the first
+    message of ``oracle_validate_tree`` on its entry's line.  The oracle
+    keeps the line of every declared id, edge and root line to find it."""
     trees: dict[str, SignedTree] = {}
     cur: dict | None = None
 
@@ -362,18 +364,38 @@ def oracle_parse_tree_blocks(lines, stop_at=None):
             return -1
         raise ParseError(n, f"malformed sign {tok!r}")
 
+    def rule_line(message):
+        """The line of the entry that ``message`` names in the open block:
+        the first repeated id, the root, the first edge with an undeclared
+        endpoint, or the header for a rule of the whole tree."""
+        declared = set()
+        if message.endswith("duplicate node ids"):
+            for nid, n in cur["nodes"]:
+                if nid in declared:
+                    return n
+                declared.add(nid)
+        if message.endswith("not declared"):
+            return cur["root_line"]
+        if message.endswith("references an undeclared node"):
+            declared = {nid for nid, _ in cur["nodes"]}
+            for parent, child, _, n in cur["edges"]:
+                if parent not in declared or child not in declared:
+                    return n
+        return cur["line"]
+
     def finish():
         nonlocal cur
         if cur is None:
             return
         if cur["root"] is None:
             raise ParseError(cur["line"], f"tree {cur['name']} has no root")
-        try:
-            trees[cur["name"]] = SignedTree(cur["name"], tuple(cur["nodes"]),
-                                            cur["root"], tuple(cur["edges"]),
-                                            cur["finite"])
-        except TreeError as exc:
-            raise ParseError(cur["line"], str(exc)) from None
+        t = unvalidated([nid for nid, _ in cur["nodes"]], cur["root"],
+                        [e[:3] for e in cur["edges"]], cur["finite"],
+                        cur["name"])
+        messages = oracle_validate_tree(t)
+        if messages:
+            raise ParseError(rule_line(messages[0]), messages[0])
+        trees[cur["name"]] = t
         cur = None
 
     for k, (n, line) in enumerate(lines):
@@ -388,26 +410,21 @@ def oracle_parse_tree_blocks(lines, stop_at=None):
                 raise ParseError(n, "tree header needs a name")
             if toks[1] in trees:
                 raise ParseError(n, f"duplicate tree name {toks[1]}")
-            cur = {"name": toks[1], "nodes": {}, "root": None,
-                   "edges": [], "finite": False, "line": n}
+            cur = {"name": toks[1], "nodes": [], "root": None,
+                   "root_line": None, "edges": [], "finite": False,
+                   "line": n}
         elif cur is None:
             raise ParseError(n, "expected 'tree NAME' header first")
         elif kw == "node":
-            for nid in toks[1:]:
-                if nid in cur["nodes"]:
-                    raise ParseError(n, f"duplicate node id {nid}")
-                cur["nodes"][nid] = None
+            cur["nodes"] += [(nid, n) for nid in toks[1:]]
         elif kw == "root":
             if len(toks) != 2 or cur["root"] is not None:
                 raise ParseError(n, "malformed or duplicate root line")
-            cur["root"] = toks[1]
+            cur["root"], cur["root_line"] = toks[1], n
         elif kw == "edge":
             if len(toks) != 4:
                 raise ParseError(n, "edge needs: edge PARENT CHILD SIGN")
-            for x in toks[1:3]:
-                if x not in cur["nodes"]:
-                    raise ParseError(n, f"edge references undeclared node {x}")
-            cur["edges"].append(TreeEdge(toks[1], toks[2], sign(toks[3], n)))
+            cur["edges"].append((toks[1], toks[2], sign(toks[3], n), n))
         elif kw == "finite":
             cur["finite"] = True
         else:

@@ -65,6 +65,13 @@ class TestCheck:
         assert code == 2 and out == ""
         assert err == f"parse error: line 5: {message}\n"
 
+    def test_long_token_is_cut_in_the_message(self, files, capsys):
+        text = f"diagram b\ncomponent a framed {'7' * 5000}\n"
+        code, out, err = run(capsys, "check", files("b.diagram", text))
+        assert code == 2 and out == ""
+        assert err.startswith("parse error: line 2: malformed framing token")
+        assert "(5000 characters)" in err and len(err) < 120
+
     def test_parse_error_is_exit_two(self, files, capsys):
         code, _, err = run(capsys, "check", files("x.diagram", "gibberish\n"))
         assert code == 2

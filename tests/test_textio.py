@@ -7,8 +7,8 @@ import pytest
 from ribboncalc import (STANDARD_CAP, AccessoryLoop, Cap, Command, Component,
                         DiagramError, Finger, KirbyDiagram, MiddleError,
                         MiddleLevelData, MoveError, MoveScript, ParseError,
-                        RibbonDescriptor, SignedTree, TreeEdge, chplus,
-                        make_descriptor, parse_diagram, parse_middle,
+                        RibbonDescriptor, SignedTree, TreeEdge, TreeError,
+                        chplus, make_descriptor, parse_diagram, parse_middle,
                         parse_ribbon, parse_script, parse_tree,
                         serialize_diagram, serialize_middle, serialize_ribbon,
                         serialize_script, serialize_tree)
@@ -90,6 +90,40 @@ class TestDiagramErrors:
     def test_comment_lines_still_counted(self):
         e = self.error("diagram x\n# filler\n# filler\nbogus keyword\n")
         assert e.line == 4
+
+    def test_long_token_is_cut_in_the_message(self):
+        # The 5000 digits pass Python's int-string limit; the message keeps
+        # the first 40 and the length.
+        e = self.error(f"diagram x\ncomponent a framed {'7' * 5000}\n")
+        assert e.line == 2 and len(str(e)) < 120
+        assert e.message == (f"malformed framing token {'7' * 40!r}... "
+                             "(5000 characters)")
+
+    @pytest.mark.parametrize("parse, text", [
+        (parse_diagram, "diagram x\n{}\n"),
+        (parse_diagram, "diagram x\ncomponent a framed 0 {}\n"),
+        (parse_tree, "tree t\nnode r\nroot r\nedge r r {}\n"),
+        (parse_tree, "tree t\n{}\n"),
+        (parse_middle, "middle\npairs {}\n"),
+        (parse_ribbon, "tree t\nnode r\nroot r\nedge r r +\nmiddle\n"
+                       "pairs 1\nfinger f1 1 1 w1\ncap w1 tree {}\n"),
+        (parse_ribbon, "tree {}\nfinite\nnode r\nroot r\nmiddle\n"
+                       "pairs 1\nfinger f1 1 1 w1\ncap w1 tree {}\n"),
+        (parse_script, "script s\n{}\n"),
+        (parse_script, "script s\nslide a1 b1 {}\n"),
+        (parse_script, "script s\ntwistblowup + e {}\n"),
+        (parse_script, "script s\nassert-euler {}\n"),
+        (textio.parse_any, "{}\n")])
+    def test_every_echoed_token_is_cut(self, parse, text):
+        messages = []
+        for token in ("x", "x" * 5000):
+            with pytest.raises(ParseError) as e:
+                parse(text.format(token, token))
+            messages.append(e.value.message)
+        short, long = messages
+        assert long == short.replace(repr("x"), f"{'x' * 40!r}... "
+                                                "(5000 characters)")
+        assert long != short
 
     def test_malformed_integer(self):
         assert "framing" in self.error(
@@ -562,18 +596,22 @@ class TestTreeErrors:
         two = "tree t\nnode a\nroot a\ntree u\nnode b\nroot b\n"
         assert "exactly one" in self.error(two).message
 
-    # A rule of validate_tree used to escape as a raw TreeError with no
-    # line; it is now a ParseError on the tree's header line.
+    # A rule of validate_tree is a ParseError on the line of its entry,
+    # here the root line, or on the header line for a rule of the whole
+    # tree.
     TREE_RULES = [
         ("tree t\nnode a b\nroot a\n", "node b unreachable from root"),
         ("tree t\nnode a\nroot b\n", "root b not declared"),
         ("tree t\nfinite\nnode a b\nroot a\nedge a b +\nedge b a +\n",
          "tower contains back-edges")]
+    # The entry's line below the header, by message.
+    BELOW_HEADER = {"root b not declared": 2}
 
     @pytest.mark.parametrize("text, message", TREE_RULES)
     def test_tree_rule_is_positioned(self, text, message):
         e = self.error("# a tree\n" + text)
-        assert e.line == 2 and e.message == f"tree t: {message}"
+        assert e.line == 2 + self.BELOW_HEADER.get(message, 0)
+        assert e.message == f"tree t: {message}"
 
     @pytest.mark.parametrize("text, message", TREE_RULES)
     def test_tree_rule_in_a_ribbon_document(self, text, message):
@@ -581,8 +619,105 @@ class TestTreeErrors:
                + "middle\npairs 1\nfinger f1 1 1 w1\ncap w1 tree c\n")
         with pytest.raises(ParseError) as e:
             parse_ribbon(doc)
-        assert e.value.line == 5
+        assert e.value.line == 5 + self.BELOW_HEADER.get(message, 0)
         assert e.value.message == f"tree u: {message}"
+
+
+def _tree_lines(rng, name, finite, nodes, root, edges):
+    """A tree block's lines, its ids grouped on random node lines that come
+    before or after the edges, and the 0-based index among them of each
+    id, edge and root line: ``(lines, id_at, edge_at, root_at)``."""
+    groups, k = [], 0
+    while k < len(nodes):
+        size = rng.randint(1, 3)
+        groups.append("node " + " ".join(nodes[k:k + size]))
+        k += size
+    body = [f"root {root}"] + [f"edge {a} {b} {'+' if s == 1 else '-'}"
+                               for a, b, s in edges]
+    body = groups + body if rng.random() < 0.5 else body + groups
+    lines = [f"tree {name}"] + ["finite"] * finite + body
+    id_at = [i for i, x in enumerate(lines) if x.startswith("node ")
+             for _ in x.split()[1:]]
+    edge_at = [i for i, x in enumerate(lines) if x.startswith("edge ")]
+    return lines, id_at, edge_at, lines.index(f"root {root}")
+
+
+def _broken_trees(rng, t):
+    """Single-rule breaks of ``t``: ``(kind, nodes, root, edges)``."""
+    nodes, edges = list(t.nodes), [tuple(e) for e in t.edges]
+    k = rng.randrange(len(nodes))
+    yield ("repeated id", _insert(tuple(nodes), rng.randint(k + 1, len(nodes)),
+                                  nodes[k]), t.root, edges)
+    yield "undeclared root", nodes, "zz", edges
+    if edges:
+        k = rng.randrange(len(edges))
+        a, b, sign = edges[k]
+        bad = ("zz", b, sign) if rng.random() < 0.5 else (a, "zz", sign)
+        yield ("undeclared endpoint", nodes, t.root,
+               edges[:k] + [bad] + edges[k + 1:])
+    new = [f"u{i}" for i in range(rng.randint(1, 2))]
+    into = [(u, rng.choice(nodes), 1) for u in new if rng.random() < 0.5]
+    at = rng.randint(0, len(nodes))
+    yield ("unreachable node",
+           _insert(tuple(nodes), at, new[0]) + tuple(new[1:]), t.root,
+           edges + into)
+    if t.finite:
+        extra = (rng.choice(nodes), rng.choice(nodes), rng.choice((1, -1)))
+        yield ("back-edge", nodes, t.root,
+               _insert(tuple(edges), rng.randint(0, len(edges)), extra))
+
+
+class TestTreeRuleMessages:
+    """A broken tree rule reads the same from the parser as from the
+    constructor, and the parser puts it on the line of the entry the
+    constructor names: the header for a rule of the whole tree."""
+
+    ENTRY_KINDS = {"repeated id": "node", "undeclared root": "root",
+                   "undeclared endpoint": "edge", "unreachable node": None,
+                   "back-edge": None}
+
+    def test_seeded_mutants(self):
+        rng = random.Random(127)
+        seen: dict[str, int] = {}
+        for _ in range(150):
+            t = random_tree(rng, max_nodes=8, finite=rng.random() < 0.5)
+            for kind, nodes, root, edges in _broken_trees(rng, t):
+                with pytest.raises(TreeError) as built:
+                    SignedTree("u", tuple(nodes), root,
+                               tuple(TreeEdge(*e) for e in edges), t.finite)
+                entry = built.value.entry
+                assert (entry and entry[0]) == self.ENTRY_KINDS[kind], kind
+                lines, id_at, edge_at, root_at = _tree_lines(
+                    rng, "u", t.finite, list(nodes), root, edges)
+                # After a valid block, in a ribbon document, or alone.
+                before = (TREE_CHP.splitlines() if rng.random() < 0.5
+                          else ["# a tree"] * rng.randint(0, 2))
+                text = "\n".join(before + lines) + "\n"
+                at = {None: 0, "node": id_at, "edge": edge_at,
+                      "root": [root_at]}
+                line = 1 + len(before) + (
+                    at[entry[0]][entry[1]] if entry else 0)
+                with pytest.raises(ParseError) as parsed:
+                    if before and before[0] == "tree c":
+                        parse_ribbon(text + "middle\npairs 1\n"
+                                     "finger f1 1 1 w1\ncap w1 tree c\n")
+                    else:
+                        parse_tree(text)
+                assert parsed.value.message == str(built.value), (kind, text)
+                assert parsed.value.line == line, (kind, text)
+                seen[kind] = seen.get(kind, 0) + 1
+        assert len(seen) == 5 and min(seen.values()) >= 30, seen
+
+    def test_node_line_may_follow_the_edges_that_use_it(self):
+        later = parse_tree("tree t\nroot r\nedge r a +\nedge a r -\n"
+                           "node a\nnode r\n")
+        assert later == parse_tree("tree t\nnode a r\nroot r\n"
+                                   "edge r a +\nedge a r -\n")
+
+    def test_rule_error_loses_to_a_later_syntax_error(self):
+        with pytest.raises(ParseError) as e:
+            parse_tree("tree t\nnode r r\nroot r\nedge r r 2\n")
+        assert (e.value.line, e.value.message) == (4, "malformed sign '2'")
 
 
 class TestMiddleAndRibbon:

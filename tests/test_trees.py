@@ -53,6 +53,20 @@ def diamond_chain(d):
     return tree(v + a + b, "v0", edges + [(v[d], "v0", -1)])
 
 
+def first_message(t):
+    """The message ``validate_tree`` raises for ``t``, or None."""
+    try:
+        validate_tree(t)
+    except TreeError as exc:
+        return str(exc)
+    return None
+
+
+def oracle_first(t):
+    """The first message of ``oracle_validate_tree``, or None."""
+    return next(iter(oracle_validate_tree(t)), None)
+
+
 # Single negative self-kink at every level.
 CHMINUS = tree(["r"], "r", [("r", "r", -1)], name="chminus")
 # Positive kink followed by a negative one, repeating.
@@ -65,6 +79,13 @@ class TestTreeEdge:
     def test_sign_must_be_one_or_minus_one(self, sign):
         with pytest.raises(ValueError, match="sign must be"):
             TreeEdge("a", "b", sign)
+
+    @pytest.mark.parametrize("sign", [True, 1.0, -1.0, "+"])
+    def test_sign_must_be_an_int(self, sign):
+        with pytest.raises(ValueError, match="sign must be"):
+            TreeEdge("a", "b", sign)
+        with pytest.raises(ValueError, match="sign must be"):
+            TreeEdge("a", "b", 1)._replace(sign=sign)
 
     def test_replace_and_make_check_the_sign(self):
         e = TreeEdge("a", "b", 1)
@@ -92,16 +113,24 @@ class TestValidation:
         # A plain tuple equals a TreeEdge but has no sign check and no
         # field names; construction refuses it whatever its sign.
         for sign in (1, 5):
-            with pytest.raises(TreeError, match="is not a TreeEdge"):
+            with pytest.raises(TreeError, match="is not a TreeEdge") as e:
                 SignedTree("t", ("r", "a"), "r", (("r", "a", sign),))
-        with pytest.raises(TreeError, match="is not a TreeEdge"):
+            assert e.value.entry == ("edge", 0)
+        with pytest.raises(TreeError, match="is not a TreeEdge") as e:
             SignedTree("t", ("r", "a"), "r", (TreeEdge("r", "a", 1), "ra+"))
+        assert e.value.entry == ("edge", 1)
 
     def test_sign_column_is_checked(self):
-        # A TreeEdge made past its constructor still meets the sign rule.
-        bad = tuple.__new__(TreeEdge, ("r", "a", 5))
-        with pytest.raises(TreeError, match="r->a has sign 5, not"):
-            SignedTree("t", ("r", "a"), "r", (bad,))
+        # A TreeEdge made past its constructor still meets the sign rule,
+        # its type included: True and 1.0 equal 1 but are not ints.
+        good = TreeEdge("r", "a", 1)
+        for sign in (5, True, 1.0, -1.0, [1]):
+            bad = tuple.__new__(TreeEdge, ("a", "b", sign))
+            with pytest.raises(TreeError) as e:
+                SignedTree("t", ("r", "a", "b"), "r", (good, bad))
+            assert str(e.value) == (f"tree t: edge a->b has sign {sign!r}, "
+                                    "not +1 or -1")
+            assert e.value.entry == ("edge", 1)
 
     def test_duplicate_nodes(self):
         with pytest.raises(TreeError, match="duplicate"):
@@ -124,68 +153,82 @@ class TestValidation:
             tree(["a", "b"], "a", [("a", "b", 1), ("a", "b", 1)], finite=True)
 
     def test_every_message_in_order(self):
-        t = unvalidated(["a", "b", "c", "c", "d"], "a",
-                        [("a", "b", 1), ("b", "a", 1), ("c", "c", -1)],
-                        finite=True)
-        assert validate_tree(t) == [
-            "tree t: duplicate node ids",
-            "tree t: node c unreachable from root",
-            "tree t: node c unreachable from root",
-            "tree t: node d unreachable from root",
-            "tree t: node d has no incoming edge",
-            "tree t: tower contains back-edges"]
-        t = unvalidated(["a", "b"], "a", [("a", "b", 1), ("b", "z", 1)])
-        assert validate_tree(t) == [
-            "tree t: edge b->z references an undeclared node"]
-        assert validate_tree(unvalidated(["a"], "r", [])) == [
-            "tree t: root r not declared"]
+        # One tower breaks every rule; mending the reported one at a time
+        # brings up the next, with its entry, and then nothing.
+        def first(nodes, root, edges):
+            t = unvalidated(nodes, root, edges, finite=True)
+            with pytest.raises(TreeError) as e:
+                validate_tree(t)
+            assert str(e.value) == oracle_first(t)
+            return str(e.value), e.value.entry
+
+        nodes = ["a", "b", "c", "d"]
+        edges = [("a", "b", 1), ("b", "a", 1), ("c", "c", -1), ("b", "z", 1)]
+        assert first(nodes[:3] + ["b", "d"], "r", edges) == (
+            "tree t: duplicate node ids", ("node", 3))
+        assert first(nodes, "r", edges) == (
+            "tree t: root r not declared", ("root", 0))
+        assert first(nodes, "a", edges) == (
+            "tree t: edge b->z references an undeclared node", ("edge", 3))
+        edges.pop()
+        assert first(nodes, "a", edges) == (
+            "tree t: node c unreachable from root", None)
+        edges.append(("a", "c", 1))
+        assert first(nodes, "a", edges) == (
+            "tree t: node d unreachable from root", None)
+        edges.append(("c", "d", -1))
+        assert first(nodes, "a", edges) == (
+            "tree t: tower contains back-edges", None)
+        t = unvalidated(nodes, "a", [("a", "b", 1), ("a", "c", 1),
+                                     ("c", "d", -1)], finite=True)
+        assert validate_tree(t) is None
 
     def test_random_trees_validate(self):
         rng = random.Random(3)
         for _ in range(200):
-            assert validate_tree(random_tree(rng)) == []
+            assert validate_tree(random_tree(rng)) is None
 
 
 class TestAgainstOracles:
     """validate_tree and truncate against copies of their earlier versions
-    in genlib: the same messages in the same order, the same towers."""
+    in genlib: the first of the oracle's messages, the same towers."""
 
     def test_valid_trees(self):
         rng = random.Random(41)
         for _ in range(300):
             t = random_tree(rng, finite=rng.random() < 0.5)
-            assert validate_tree(t) == oracle_validate_tree(t) == []
+            assert validate_tree(t) is None and oracle_validate_tree(t) == []
             # Children listed before their parents.
             edges = list(t.edges)
             rng.shuffle(edges)
             shuffled = SignedTree(t.name, t.nodes, t.root, tuple(edges),
                                   t.finite)
-            assert validate_tree(shuffled) == []
+            assert validate_tree(shuffled) is None
 
     def test_child_edge_listed_before_its_parent_edge(self):
         t = tree(["a", "b", "c"], "a", [("b", "c", 1), ("a", "b", -1)],
                  finite=True)
-        assert validate_tree(t) == oracle_validate_tree(t) == []
+        assert first_message(t) is oracle_first(t) is None
         edges = [("b", "c", 1), ("c", "d", -1), ("a", "b", 1), ("d", "b", 1)]
         t = tree(["a", "b", "c", "d"], "a", edges)
-        assert validate_tree(t) == oracle_validate_tree(t) == []
+        assert first_message(t) is oracle_first(t) is None
 
     @pytest.mark.parametrize("kind", BROKEN_TREE_KINDS)
     def test_broken_one_way(self, kind):
         rng = random.Random(kind)
         for _ in range(200):
             t = broken_tree(rng, (kind,))
-            got = validate_tree(t)
-            assert got and got == oracle_validate_tree(t)
+            got = first_message(t)
+            assert got is not None and got == oracle_first(t)
 
     def test_undeclared_endpoint_reports_the_first_edge(self):
         rng = random.Random(43)
         seen = set()
         for _ in range(300):
             t = broken_tree(rng, ("parent", "child"))
-            got = validate_tree(t)
-            assert got == oracle_validate_tree(t) and len(got) == 1
-            seen.add(got[0].split()[3].startswith("x->"))
+            got = first_message(t)
+            assert [got] == oracle_validate_tree(t)
+            seen.add(got.split()[3].startswith("x->"))
         assert seen == {True, False}  # parent first, child first
 
     def test_broken_several_ways(self):
@@ -193,7 +236,8 @@ class TestAgainstOracles:
         for _ in range(600):
             kinds = rng.sample(BROKEN_TREE_KINDS, rng.randint(2, 4))
             t = broken_tree(rng, kinds)
-            assert validate_tree(t) == oracle_validate_tree(t)
+            got = first_message(t)
+            assert got is not None and got == oracle_first(t)
 
     def test_towers(self):
         rng = random.Random(53)
@@ -239,13 +283,12 @@ class TestTrustedEdgesAndReachability:
 
     def test_unreachable_two_cycle_in_a_tower(self):
         # Each node has one parent and the counts of a tower hold, so only
-        # reachability fails; the messages follow the declared node order.
+        # reachability fails; the first in declared node order is named.
         t = unvalidated(["r", "y", "a", "x"], "r",
                         [("r", "a", 1), ("x", "y", 1), ("y", "x", -1)],
                         finite=True)
-        assert validate_tree(t) == oracle_validate_tree(t) == [
-            "tree t: node y unreachable from root",
-            "tree t: node x unreachable from root"]
+        assert first_message(t) == oracle_first(t) == (
+            "tree t: node y unreachable from root")
         with pytest.raises(TreeError, match="node y unreachable"):
             SignedTree(t.name, t.nodes, t.root, t.edges, True)
 
@@ -358,6 +401,11 @@ class TestTruncate:
             ("r", "r.1", 1), ("r", "r.2", -1),
             ("r.1", "r.3", 1), ("r.1", "r.4", -1),
             ("r.2", "r.5", 1), ("r.2", "r.6", -1)]
+
+    @pytest.mark.parametrize("depth", ["3", True, 3.0, None])
+    def test_depth_must_be_an_int(self, depth):
+        with pytest.raises(TreeError, match="depth must be an int >= 1"):
+            truncate(chplus(), depth)
 
     def test_depth_must_be_positive(self):
         with pytest.raises(TreeError):
