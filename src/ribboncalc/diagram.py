@@ -58,7 +58,10 @@ class Component:
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
-            raise ValueError(f"unknown component kind {self.kind!r}")
+            from .scripts import quoted  # scripts imports this module
+            raise ValueError("unknown component kind " + (
+                quoted(self.kind) if type(self.kind) is str
+                else repr(self.kind)))
         if self.kind == DOTTED and self.framing is not None:
             raise ValueError(f"dotted component {self.id} carries a framing")
         if self.kind != DOTTED and self.framing is None:
@@ -157,7 +160,8 @@ class KirbyDiagram:
         comps = self.components
         for k, c in enumerate(comps):
             if c.id in at:
-                raise DiagramError(f"duplicate component id {c.id}",
+                from .scripts import quoted  # scripts imports this module
+                raise DiagramError(f"duplicate component id {quoted(c.id)}",
                                    ("component", k))
             if c.kind == PAREN and not self.dual_flag:
                 raise DiagramError(f"{c.id} is paren-framed but dual_flag "

@@ -10,7 +10,7 @@ finger contributes a cancelling pair, so only geometric counts vary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 from .trees import DEFAULT_PAIR_BUDGET, SignedTree, is_positive
@@ -30,7 +30,12 @@ class MiddleError(Exception):
         self.entry = entry
 
 
-@dataclass(frozen=True)
+def _wrong(what: str, value, kind: type) -> str:
+    """The message for a value of the wrong type; only its type is named."""
+    return f"{what} must be {kind.__name__}, not {type(value).__name__}"
+
+
+@dataclass(frozen=True, slots=True)
 class Finger:
     id: str
     from_a: int
@@ -53,10 +58,12 @@ class MiddleLevelData:
     """Sphere pairs, fingers and accessory loops.
 
     Construction raises MiddleError on the first broken rule: the pair
-    count lies in 1..DEFAULT_PAIR_BUDGET; finger ids and whitney ids are
-    unique and every finger's spheres lie in 1..pairs; loop ids are unique,
-    differ from every whitney id (the two would share one cap), and every
-    loop names declared fingers only.
+    count is an int in 1..DEFAULT_PAIR_BUDGET; the fingers and the loops
+    are tuples of Finger and AccessoryLoop values; finger ids and whitney
+    ids are unique strs and every finger's spheres are ints in 1..pairs;
+    loop ids are unique strs, differ from every whitney id (the two would
+    share one cap), and every loop names a tuple of declared fingers only.
+    A Finger is judged by the middle data that holds it.
     """
 
     pairs: int
@@ -64,32 +71,61 @@ class MiddleLevelData:
     accessory_loops: tuple[AccessoryLoop, ...] = ()
 
     def __post_init__(self) -> None:
-        pairs = self.pairs
+        pairs, fingers, loops = self.pairs, self.fingers, self.accessory_loops
+        if type(pairs) is not int:
+            raise MiddleError(_wrong("pair count", pairs, int), ("pairs", 0))
         if pairs < 1:
             raise MiddleError(f"pair count {pairs} must be positive",
                               ("pairs", 0))
         if pairs > DEFAULT_PAIR_BUDGET:
             raise MiddleError(f"pair count {pairs} exceeds the pair budget "
                               f"{DEFAULT_PAIR_BUDGET}", ("pairs", 0))
+        for what, values in (("fingers", fingers), ("loops", loops)):
+            if type(values) is not tuple:
+                raise MiddleError(_wrong(what, values, tuple))
         fids: set[str] = set()
         finger_of_whitney: dict[str, str] = {}
-        for k, f in enumerate(self.fingers):
-            if f.id in fids:
-                raise MiddleError(f"duplicate finger id {f.id}", ("finger", k))
-            if f.whitney in finger_of_whitney:
+        for k, f in enumerate(fingers):
+            if type(f) is not Finger:
+                raise MiddleError(_wrong("finger entry", f, Finger),
+                                  ("finger", k))
+            fid, a, b, wid = f.id, f.from_a, f.through_b, f.whitney
+            if (type(fid) is not str or type(a) is not int
+                    or type(b) is not int or type(wid) is not str):
+                raise MiddleError(next(
+                    _wrong(f"finger {what}", value, kind)
+                    for what, value, kind in (("id", fid, str),
+                                              ("sphere", a, int),
+                                              ("sphere", b, int),
+                                              ("whitney id", wid, str))
+                    if type(value) is not kind), ("finger", k))
+            if fid in fids:
+                raise MiddleError(f"duplicate finger id {fid}", ("finger", k))
+            if wid in finger_of_whitney:
                 raise MiddleError(
-                    f"duplicate whitney id {f.whitney} (finger "
-                    f"{finger_of_whitney[f.whitney]} has it)", ("finger", k))
-            if not (1 <= f.from_a <= pairs and 1 <= f.through_b <= pairs):
-                raise MiddleError(f"finger {f.id} references sphere outside "
+                    f"duplicate whitney id {wid} (finger "
+                    f"{finger_of_whitney[wid]} has it)", ("finger", k))
+            if not (1 <= a <= pairs and 1 <= b <= pairs):
+                raise MiddleError(f"finger {fid} references sphere outside "
                                   f"1..{pairs}", ("finger", k))
-            fids.add(f.id)
-            finger_of_whitney[f.whitney] = f.id
+            fids.add(fid)
+            finger_of_whitney[wid] = fid
         lids: set[str] = set()
-        for k, l in enumerate(self.accessory_loops):
+        for k, l in enumerate(loops):
+            if type(l) is not AccessoryLoop:
+                raise MiddleError(_wrong("loop entry", l, AccessoryLoop),
+                                  ("loop", k))
+            if type(l.id) is not str:
+                raise MiddleError(_wrong("loop id", l.id, str), ("loop", k))
+            if type(l.fingers) is not tuple:
+                raise MiddleError(_wrong(f"loop {l.id} fingers", l.fingers,
+                                         tuple), ("loop", k))
             if l.id in lids:
                 raise MiddleError(f"duplicate loop id {l.id}", ("loop", k))
             for fid in l.fingers:
+                if type(fid) is not str:
+                    raise MiddleError(_wrong(f"loop {l.id} finger", fid, str),
+                                      ("loop", k))
                 if fid not in fids:
                     raise MiddleError(f"loop {l.id} references undeclared "
                                       f"finger {fid}", ("loop", k))
@@ -115,8 +151,8 @@ class MiddleLevelData:
 
     def cap_ids(self) -> tuple[str, ...]:
         """The ids a cap assignment covers: whitney ids, then loop ids."""
-        return (tuple(f.whitney for f in self.fingers)
-                + tuple(l.id for l in self.accessory_loops))
+        return (tuple([f.whitney for f in self.fingers])
+                + tuple([l.id for l in self.accessory_loops]))
 
 
 def excess_rows(m: MiddleLevelData) -> dict[int, dict[int, int]]:
@@ -159,35 +195,48 @@ def finger_graph(m: MiddleLevelData) -> FingerGraph:
     every back edge it meets reports a cycle.  The search keeps its own
     stack, so long finger chains do not exhaust the interpreter's.
     """
-    edges = tuple((f.id, f.from_a, f.through_b) for f in m.fingers)
+    edges = tuple([(f.id, f.from_a, f.through_b) for f in m.fingers])
     succ: dict[int, set[int]] = {}
     for _, a, b in edges:
         succ.setdefault(a, set()).add(b)
     cycles: list[tuple[int, ...]] = []
     seen_cycles: set[frozenset[int]] = set()
     order: list[int] = []
-    state: dict[int, int] = {}  # 1: on the search path, 2: finished
+    state = [0] * (m.pairs + 1)  # 1: on the search path, 2: finished
     path: list[int] = []
-    # todo[0] yields the roots; todo[k] the successors of path[k - 1].
-    todo = [iter(range(1, m.pairs + 1))]
-    while todo:
-        w = next(todo[-1], None)
-        if w is None:
-            todo.pop()
-            if path:
+    for root in range(1, m.pairs + 1):
+        if state[root]:
+            continue
+        if root not in succ:  # a sink finishes at once
+            state[root] = 2
+            order.append(root)
+            continue
+        state[root] = 1
+        path.append(root)
+        # todo[k] yields the successors of path[k] still to visit.
+        todo = [iter(sorted(succ[root]))]
+        while todo:
+            for w in todo[-1]:
+                if not state[w]:
+                    if w not in succ:
+                        state[w] = 2
+                        order.append(w)
+                        continue
+                    state[w] = 1
+                    path.append(w)
+                    todo.append(iter(sorted(succ[w])))
+                    break
+                if state[w] == 1:
+                    cyc = tuple(path[path.index(w):])
+                    key = frozenset(cyc)
+                    if key not in seen_cycles:
+                        seen_cycles.add(key)
+                        cycles.append(cyc)
+            else:
+                todo.pop()
                 v = path.pop()
                 state[v] = 2
                 order.append(v)
-        elif state.get(w) == 1:
-            cyc = tuple(path[path.index(w):])
-            key = frozenset(cyc)
-            if key not in seen_cycles:
-                seen_cycles.add(key)
-                cycles.append(cyc)
-        elif w not in state:
-            state[w] = 1
-            path.append(w)
-            todo.append(iter(sorted(succ.get(w, ()))))
     return FingerGraph(nodes=tuple(range(1, m.pairs + 1)), edges=edges,
                        cycles=tuple(cycles), order=tuple(order))
 
@@ -201,8 +250,11 @@ class Cap:
     tree: SignedTree | None = None
 
     def __post_init__(self) -> None:
-        if self.tree is not None and self.tree.finite:
-            raise MiddleError(f"tree {self.tree.name} is a finite tower")
+        tree = self.tree
+        if tree is not None and type(tree) is not SignedTree:
+            raise MiddleError(_wrong("cap tree", tree, SignedTree))
+        if tree is not None and tree.finite:
+            raise MiddleError(f"tree {tree.name} is a finite tower")
 
     @property
     def standard(self) -> bool:
@@ -220,16 +272,31 @@ STANDARD_CAP = Cap()
 class RibbonDescriptor:
     """Middle-level data plus a total cap assignment.
 
-    ``caps`` maps every whitney id and every accessory loop id to a Cap,
-    each id once; construction raises MiddleError otherwise.
+    ``caps`` is a tuple of ``(id, Cap)`` pairs that maps every whitney id
+    and every accessory loop id to a Cap, each id once; construction raises
+    MiddleError otherwise.
     """
 
     middle: MiddleLevelData
     caps: tuple[tuple[str, Cap], ...] = ()
 
     def __post_init__(self) -> None:
+        if type(self.middle) is not MiddleLevelData:
+            raise MiddleError(_wrong("middle data", self.middle,
+                                     MiddleLevelData))
+        if type(self.caps) is not tuple:
+            raise MiddleError(_wrong("caps", self.caps, tuple))
         seen: set[str] = set()
-        for k, (cid, _) in enumerate(self.caps):
+        for k, entry in enumerate(self.caps):
+            if type(entry) is not tuple or len(entry) != 2:
+                raise MiddleError("cap entry is not an (id, Cap) pair",
+                                  ("cap", k))
+            cid, cap = entry
+            if type(cid) is not str:
+                raise MiddleError(_wrong("cap id", cid, str), ("cap", k))
+            if type(cap) is not Cap:
+                raise MiddleError(_wrong(f"cap for {cid}", cap, Cap),
+                                  ("cap", k))
             if cid in seen:
                 raise MiddleError(f"duplicate cap for {cid}", ("cap", k))
             seen.add(cid)
@@ -253,13 +320,33 @@ class RibbonDescriptor:
         return self.caps_by_id[cid]
 
 
-def _derived(cls, **fields):
-    """A value of the frozen dataclass ``cls`` made only from parts of
-    values already checked, in a way that keeps every rule: every field is
-    set as given, and ``__post_init__`` does not check them again."""
-    value = object.__new__(cls)
-    value.__dict__.update(fields)
-    return value
+def _trusted(cls):
+    """The trusted builder of the frozen dataclass ``cls``.
+
+    ``build(*fields)`` returns the value of ``cls`` with these fields, in
+    declaration order: it equals the value the constructor makes, but
+    neither ``__post_init__`` nor the frozen ``__setattr__`` runs.  Use it
+    only for values made from parts of checked values, or from tokens the
+    parser has read, in a way that keeps every rule.  Its body is generated
+    once per class from the field names, as ``dataclasses`` makes
+    ``__init__``: one slot store per field for a slots class, else one
+    dict for the instance's ``__dict__``."""
+    names = [f.name for f in fields(cls)]
+    scope = {"new": object.__new__, "cls": cls, "setd": object.__setattr__}
+    if "__slots__" in vars(cls):
+        scope.update((f"set_{n}", vars(cls)[n].__set__) for n in names)
+        body = "".join(f"\n    set_{n}(v, {n})" for n in names)
+    else:
+        items = ", ".join(f"{n!r}: {n}" for n in names)
+        body = f"\n    setd(v, '__dict__', {{{items}}})"
+    exec(f"def build({', '.join(names)}):\n    v = new(cls){body}\n    return v",
+         scope)
+    return scope["build"]
+
+
+# Builders for the parser's fingers and the planner's derived values.
+_finger, _middle, _descriptor = map(_trusted, (Finger, MiddleLevelData,
+                                               RibbonDescriptor))
 
 
 def make_descriptor(middle: MiddleLevelData,

@@ -13,10 +13,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, compress, count
+from operator import itemgetter
 
-from .middle import (Finger, MiddleLevelData, RibbonDescriptor, STANDARD_CAP,
-                     _derived, excess_rows, finger_graph, is_positive_ribbon)
-from .trees import kuga_blowup_cost, prune_depth
+from .middle import (MiddleLevelData, RibbonDescriptor, STANDARD_CAP,
+                     _descriptor, _middle, _trusted, finger_graph,
+                     is_positive_ribbon)
+from .trees import is_positive, kuga_blowup_cost, prune_depth
 
 
 class StabilizationError(Exception):
@@ -32,7 +35,7 @@ class StabilizationError(Exception):
 
 # -- plan steps ----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReplaceCap:
     """Swap a non-positive tree cap for a standard 2-handle."""
 
@@ -40,19 +43,20 @@ class ReplaceCap:
     cost: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormanTrick:
     """Remove a finger by tubing its target sphere into its source; every
     accessory loop through the finger breaks with it.
 
     A planned ``delta`` is always ``()``: the sinks-first order only tubes
-    into clean rows.  The verifier still recomputes and compares it."""
+    into clean rows.  The verifier checks that the row is clean and the
+    delta ``()``."""
 
     finger: str
     delta: tuple[tuple[int, int], ...]  # (target sphere, added intersections)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CancelFinger:
     """Remove a standard-capped finger by a Whitney trick; every accessory
     loop through the finger breaks with it."""
@@ -61,7 +65,7 @@ class CancelFinger:
     whitney: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CancelPair:
     """Cancel the complementary sphere pair ``ids == ("A<i>", "B<i>")``."""
 
@@ -69,6 +73,10 @@ class CancelPair:
 
 
 Step = ReplaceCap | NormanTrick | CancelFinger | CancelPair
+
+# Builders of the planner's steps, whose fields are checked ids and ints.
+_replace_cap, _norman_trick, _cancel_finger, _cancel_pair = map(
+    _trusted, (ReplaceCap, NormanTrick, CancelFinger, CancelPair))
 
 
 @dataclass(frozen=True)
@@ -95,21 +103,28 @@ def replace_nonpositive_caps(
     Returns the updated descriptor, the ReplaceCap steps, the blow-up total
     and the tower level bound k (max prune depth over replaced caps).
     """
+    caps = r.caps
+    values = list(map(itemgetter(1), caps))
+    # Cost and prune depth of each distinct non-positive tree cap.  The caps
+    # of one parsed tree share one Cap, and hashing a Cap would hash its
+    # whole tree, so caps are told apart by identity.
+    verdicts: dict[int, tuple[int, int]] = {}
+    for key, cap in dict(zip(map(id, values), values)).items():
+        if cap.tree is not None and not is_positive(cap.tree):
+            verdicts[key] = kuga_blowup_cost(cap.tree), prune_depth(cap.tree)
     steps: list[Step] = []
-    blowups = k = 0
-    caps = dict(r.caps)
-    for cid, cap in r.caps:
-        if cap.standard or cap.positive:
-            continue
-        cost = kuga_blowup_cost(cap.tree)  # raises if the tree is positive
-        steps.append(ReplaceCap(cid, cost))
+    blowups = 0
+    out = list(caps)
+    for at in compress(count(), map(verdicts.__contains__, map(id, values))):
+        cid = caps[at][0]
+        cost = verdicts[id(values[at])][0]
+        steps.append(_replace_cap(cid, cost))
         blowups += cost
-        k = max(k, prune_depth(cap.tree))
-        caps[cid] = STANDARD_CAP
+        out[at] = (cid, STANDARD_CAP)
+    # Every verdict is of a cap that is replaced.
+    k = max((depth for _, depth in verdicts.values()), default=0)
     # The same ids in the same order, some capped by a standard handle.
-    out = _derived(RibbonDescriptor, middle=r.middle,
-                   caps=tuple((cid, caps[cid]) for cid, _ in r.caps))
-    return out, steps, blowups, k
+    return _descriptor(r.middle, tuple(out)), steps, blowups, k
 
 
 def norman_trick_step(rows: dict[int, dict[int, int]], from_a: int,
@@ -158,25 +173,19 @@ def norman_eliminate(m: MiddleLevelData) -> NormanResult:
 
     Fingers are processed grouped by source sphere, sources taken sinks
     first in the finger graph, so each processed finger sees a clean target
-    row and contributes no cascade intersections.  With G as sparse excess
-    rows (:func:`excess_rows`) the clean-row check is one lookup.
+    row and contributes no cascade intersections: every delta is ``()``.
     """
     graph = finger_graph(m)
     if graph.cycles:
         return NormanResult((), cycle=graph.cycles[0])
-    rows = excess_rows(m)
-    by_source: dict[int, list[Finger]] = {}
+    by_source: dict[int, list[str]] = {}
     for f in m.fingers:
-        by_source.setdefault(f.from_a, []).append(f)
-    steps: list[NormanTrick] = []
-    for source in graph.order:
-        for f in by_source.get(source, ()):
-            if f.through_b in rows:
-                raise StabilizationError(
-                    f"target row B_{f.through_b} not clean at finger {f.id}")
-            delta = norman_trick_step(rows, f.from_a, f.through_b)
-            steps.append(NormanTrick(f.id, tuple(sorted(delta.items()))))
-    return NormanResult(tuple(steps))
+        by_source.setdefault(f.from_a, []).append(f.id)
+    # In an acyclic graph a finger a -> b has b != a, and b finishes before
+    # a, so every finger out of b is gone first: row B_b is clean.
+    return NormanResult(tuple(_norman_trick(fid, ())
+                              for source in graph.order
+                              for fid in by_source.get(source, ())))
 
 
 # -- end-to-end planning -------------------------------------------------
@@ -197,16 +206,15 @@ def stabilization_plan(r: RibbonDescriptor) -> StabilizationPlan:
             outcome=Outcome("positive-obstruction",
                             witness_loop=decision.witness_loop))
     capped, steps, blowups, k = replace_nonpositive_caps(r)
+    cap = capped.caps_by_id
     rest = []
     for f in m.fingers:
-        if capped.cap(f.whitney).standard:
-            steps.append(CancelFinger(f.id, f.whitney))
+        if cap[f.whitney].tree is None:
+            steps.append(_cancel_finger(f.id, f.whitney))
         else:
             rest.append(f)
     # Some of the checked fingers and no loops: still valid middle data.
-    result = norman_eliminate(_derived(MiddleLevelData, pairs=m.pairs,
-                                       fingers=tuple(rest),
-                                       accessory_loops=()))
+    result = norman_eliminate(_middle(m.pairs, tuple(rest), ()))
     if not result.ok:
         live = {f.id for f in rest}
         loops = [l.id for l in m.accessory_loops
@@ -217,8 +225,7 @@ def stabilization_plan(r: RibbonDescriptor) -> StabilizationPlan:
                 f"finger cycle {result.cycle} survives loop breaking"
                 + (f" (loops {loops})" if loops else ""))
     steps += result.steps
-    for i in range(1, m.pairs + 1):
-        steps.append(CancelPair((f"A{i}", f"B{i}")))
+    steps += [_cancel_pair((f"A{i}", f"B{i}")) for i in range(1, m.pairs + 1)]
     return StabilizationPlan(
         k=k, blowups=blowups, steps=tuple(steps),
         outcome=Outcome("product", note=PRODUCT_NOTE))
@@ -241,9 +248,9 @@ def verify_plan(r: RibbonDescriptor, p: StabilizationPlan) -> VerifyResult:
     carries no steps, no k and no blow-ups.  A malformed step is a failing
     step.
     Removing a finger breaks every accessory loop through it, and the
-    loop's cap leaves with it.  G is replayed as sparse excess rows
-    (:func:`excess_rows`) beside a live-finger count per sphere, so every
-    precondition is O(1)."""
+    loop's cap leaves with it.  G is replayed as counts of live fingers
+    from each A sphere and on each sphere pair, so every precondition is
+    O(1)."""
     m = r.middle
     if p.outcome.kind == "positive-obstruction":
         if p.steps or p.k or p.blowups:
@@ -259,64 +266,55 @@ def verify_plan(r: RibbonDescriptor, p: StabilizationPlan) -> VerifyResult:
         return VerifyResult(False, None,
                             f"unknown outcome {p.outcome.kind!r}")
 
-    # Live state of the replay, keyed by id.
+    # Live state of the replay, keyed by id.  G is the identity plus twice
+    # the live fingers (a pair each): a trick tubes two copies of a clean
+    # row B_b into A_a, which adds nothing, and any other trick is refused.
+    # So row A_i carries extra intersections exactly while out[i] > 0.
     fingers = dict(m.fingers_by_id)
     on_loops: dict[str, list[str]] = {}  # finger id -> loops through it
     for l in m.accessory_loops:
         for fid in l.fingers:
             on_loops.setdefault(fid, []).append(l.id)
     capmap = dict(r.caps)
-    rows = excess_rows(m)
-    on_sphere = Counter(s for f in fingers.values()  # live fingers per pair
-                        for s in (f.from_a, f.through_b))
+    sources = [f.from_a for f in m.fingers]
+    targets = [f.through_b for f in m.fingers]
+    pairs = range(1, m.pairs + 1)
+    out = dict.fromkeys(pairs, 0)  # live fingers from A_i
+    out.update(Counter(sources))
+    on_sphere = dict.fromkeys(pairs, 0)  # live fingers on pair i
+    on_sphere.update(Counter(chain(sources, targets)))
+    spheres = set(pairs)  # pairs not cancelled yet
     blowups = 0
-    spheres = set(range(1, m.pairs + 1))
-
-    def remove(f: Finger) -> None:
-        del fingers[f.id]
-        on_sphere[f.from_a] -= 1
-        on_sphere[f.through_b] -= 1
-        capmap.pop(f.whitney, None)
-        for lid in on_loops.get(f.id, ()):  # the loop breaks: its cap goes
-            capmap.pop(lid, None)
 
     for idx, step in enumerate(p.steps):
-        if isinstance(step, ReplaceCap):
-            cap = capmap.get(step.target)
-            if cap is None or cap.standard or cap.positive:
-                return VerifyResult(False, idx,
-                                    f"{step.target} has no non-positive tree cap")
-            if kuga_blowup_cost(cap.tree) != step.cost:
-                return VerifyResult(False, idx,
-                                    f"recorded cost {step.cost} is wrong")
-            capmap[step.target] = STANDARD_CAP
-            blowups += step.cost
-        elif isinstance(step, NormanTrick):
+        kind = type(step)  # the step types, most frequent first
+        if kind is CancelFinger or kind is NormanTrick:
             f = fingers.get(step.finger)
             if f is None:
                 return VerifyResult(False, idx,
                                     f"finger {step.finger} not present")
-            if f.through_b in rows:
+            if kind is CancelFinger:
+                cap = capmap.get(step.whitney)
+                if f.whitney != step.whitney or cap is None \
+                        or cap.tree is not None:
+                    return VerifyResult(
+                        False, idx, f"{step.finger}/{step.whitney} is not a "
+                                    "standard-capped pair")
+            elif out[f.through_b]:
                 return VerifyResult(
                     False, idx,
                     f"target row B_{f.through_b} not clean at {step.finger}")
-            delta = norman_trick_step(rows, f.from_a, f.through_b)
-            if tuple(sorted(delta.items())) != step.delta:
+            elif step.delta != ():  # two copies of a clean row add nothing
                 return VerifyResult(False, idx, "recorded delta rows mismatch")
-            remove(f)
-        elif isinstance(step, CancelFinger):
-            f = fingers.get(step.finger)
-            if f is None:
-                return VerifyResult(False, idx,
-                                    f"finger {step.finger} not present")
-            if f.whitney != step.whitney \
-                    or capmap.get(step.whitney) != STANDARD_CAP:
-                return VerifyResult(
-                    False, idx, f"{step.finger}/{step.whitney} is not a "
-                                "standard-capped pair")
-            _add(rows, f.from_a, f.through_b, -2)
-            remove(f)
-        elif isinstance(step, CancelPair):
+            # The finger, its pair in G, its cap and its loops' caps go.
+            del fingers[f.id]
+            out[f.from_a] -= 1
+            on_sphere[f.from_a] -= 1
+            on_sphere[f.through_b] -= 1
+            capmap.pop(f.whitney, None)
+            for lid in on_loops.get(f.id, ()):  # the loop breaks
+                capmap.pop(lid, None)
+        elif kind is CancelPair:
             a, b = step.ids if len(step.ids) == 2 else ("", "")
             if a[:1] != "A" or b[:1] != "B" or a[1:] != b[1:] \
                     or not a[1:].isdecimal():
@@ -328,10 +326,20 @@ def verify_plan(r: RibbonDescriptor, p: StabilizationPlan) -> VerifyResult:
             if on_sphere[i] > 0:
                 return VerifyResult(
                     False, idx, f"sphere pair {i} still carries fingers")
-            if i in rows:
+            if out[i]:
                 return VerifyResult(
                     False, idx, f"row A_{i} carries extra intersections")
             spheres.discard(i)
+        elif kind is ReplaceCap:
+            cap = capmap.get(step.target)
+            if cap is None or cap.standard or cap.positive:
+                return VerifyResult(False, idx,
+                                    f"{step.target} has no non-positive tree cap")
+            if kuga_blowup_cost(cap.tree) != step.cost:
+                return VerifyResult(False, idx,
+                                    f"recorded cost {step.cost} is wrong")
+            capmap[step.target] = STANDARD_CAP
+            blowups += step.cost
         else:
             return VerifyResult(False, idx, f"unknown step {step!r}")
     if blowups != p.blowups:

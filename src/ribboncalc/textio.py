@@ -42,8 +42,8 @@ from operator import itemgetter
 
 from .diagram import (COUNTS, Component, DiagramError, DOTTED, KirbyDiagram,
                       _pair)
-from .middle import (AccessoryLoop, Cap, Finger, MiddleError,
-                     MiddleLevelData, RibbonDescriptor, STANDARD_CAP)
+from .middle import (AccessoryLoop, Cap, Finger, MiddleError, MiddleLevelData,
+                     RibbonDescriptor, STANDARD_CAP, _descriptor, _finger)
 from .scripts import (ABSENT, COMMANDS, ID, INT, INTS, SIGN, STRANDS,
                       Command, Form, MoveScript, form_error, form_of, quoted)
 from .trees import SignedTree, TreeEdge, TreeError
@@ -278,7 +278,7 @@ def _parse_tree_blocks(text: str, stop_at: str | None = None):
             if len(toks) != 2:
                 raise ParseError(n, "tree header needs a name")
             if toks[1] in trees:
-                raise ParseError(n, f"duplicate tree name {toks[1]}")
+                raise ParseError(n, f"duplicate tree name {quoted(toks[1])}")
             name, header, root = toks[1], n, None
             nodes, ids, edges, finite = [], {}, [], False
         elif name is None:
@@ -341,7 +341,33 @@ def _parse_middle_block(text, lines, trees):
     started = False
     for n, toks in lines:
         kw = toks[0]
-        if kw == "middle":
+        if kw == "finger" and started:
+            if len(toks) != 5:
+                raise ParseError(n, "finger needs: finger ID FROM THRU WID")
+            _, fid, a, b, wid = toks
+            try:
+                a, b = int(a), int(b)
+            except ValueError:  # _int names the first malformed index
+                _int(a, n, "sphere index")
+                _int(b, n, "sphere index")
+            # Ids are tokens and spheres ints: MiddleLevelData judges the rest.
+            fingers.append(_finger(fid, a, b, wid))
+        elif kw == "cap" and started:
+            if len(toks) == 3 and toks[2] == "standard":
+                caps.append((toks[1], STANDARD_CAP))
+            elif len(toks) == 4 and toks[2] == "tree":
+                cap = caps_by_tree.get(toks[3])
+                if cap is None:
+                    raise ParseError(n, (
+                        f"cap names tree {quoted(toks[3])}, a finite tower, "
+                        "not a Casson handle" if toks[3] in trees else
+                        f"cap references unknown tree {quoted(toks[3])}"))
+                caps.append((toks[1], cap))
+            elif len(toks) < 3:
+                raise ParseError(n, "cap needs: cap ID standard|tree NAME")
+            else:
+                raise ParseError(n, f"malformed cap line")
+        elif kw == "middle":
             if started:
                 raise ParseError(n, "duplicate middle header")
             started = True
@@ -351,30 +377,10 @@ def _parse_middle_block(text, lines, trees):
             if len(toks) != 2 or pairs is not None:
                 raise ParseError(n, "malformed or duplicate pairs line")
             pairs = _int(toks[1], n, "pair count")
-        elif kw == "finger":
-            if len(toks) != 5:
-                raise ParseError(n, "finger needs: finger ID FROM THRU WID")
-            fingers.append(Finger(toks[1], _int(toks[2], n, "sphere index"),
-                                  _int(toks[3], n, "sphere index"), toks[4]))
         elif kw == "loop":
             if len(toks) < 3:
                 raise ParseError(n, "loop needs an id and at least one finger")
             loops.append(AccessoryLoop(toks[1], tuple(toks[2:])))
-        elif kw == "cap":
-            if len(toks) < 3:
-                raise ParseError(n, "cap needs: cap ID standard|tree NAME")
-            if toks[2] == "standard" and len(toks) == 3:
-                caps.append((toks[1], STANDARD_CAP))
-            elif toks[2] == "tree" and len(toks) == 4:
-                if toks[3] not in trees:
-                    raise ParseError(n, "cap references unknown tree "
-                                        f"{quoted(toks[3])}")
-                if toks[3] not in caps_by_tree:
-                    raise ParseError(n, f"cap names tree {quoted(toks[3])}, "
-                                        "a finite tower, not a Casson handle")
-                caps.append((toks[1], caps_by_tree[toks[3]]))
-            else:
-                raise ParseError(n, f"malformed cap line")
         else:
             raise ParseError(n, f"unknown keyword {quoted(kw)}")
     if not started:
@@ -410,8 +416,12 @@ def parse_ribbon(text: str) -> RibbonDescriptor:
     if rest is None:
         raise ParseError(1, "ribbon document has no middle block")
     m, caps = _parse_middle_block(text, rest, trees)
+    ids = m.cap_ids()
+    if tuple(map(itemgetter(0), caps)) == ids:
+        # Each cap id once, in canonical order: a valid descriptor as read.
+        return _descriptor(m, tuple(caps))
     # The caps in canonical order: that of cap_ids, unknown ids last.
-    rank = {cid: k for k, cid in enumerate(m.cap_ids())}
+    rank = {cid: k for k, cid in enumerate(ids)}
     ranks = [rank.get(cid, len(rank)) for cid, _ in caps]
     order = sorted(range(len(caps)), key=ranks.__getitem__)
     try:
@@ -460,7 +470,7 @@ def serialize_ribbon(r: RibbonDescriptor) -> str:
            *_middle_words(r.middle))
     out = [_tree_text(t) for t in trees.values()]
     out.append(_middle_text(r.middle))
-    out += [f"cap {cid} standard\n" if cap.standard
+    out += [f"cap {cid} standard\n" if cap.tree is None
             else f"cap {cid} tree {cap.tree.name}\n" for cid, cap in r.caps]
     return "".join(out)
 
@@ -474,7 +484,7 @@ def _strands(toks: list[str], n: int) -> tuple[tuple[str, int], ...]:
         if not colon:
             raise ParseError(n, f"malformed strand token {quoted(tok)}")
         if cid in strands:
-            raise ParseError(n, f"strand {cid} named twice")
+            raise ParseError(n, f"strand {quoted(cid)} named twice")
         strands[cid] = _int(mult, n, "multiplicity")
     return tuple(strands.items())
 

@@ -167,7 +167,9 @@ def validate_tree(t: SignedTree) -> None:
         k = next(k for k, n in enumerate(nodes) if n in seen or seen.add(n))
         raise TreeError(f"tree {name}: duplicate node ids", ("node", k))
     if root not in unreached:
-        raise TreeError(f"tree {name}: root {root} not declared", ("root", 0))
+        from .scripts import quoted  # trees sits below the text helpers
+        raise TreeError(f"tree {name}: root {quoted(root)} not declared",
+                        ("root", 0))
     # A TreeEdge checks its sign when it is made; any other value, a plain
     # tuple included, is refused here.
     if not {TreeEdge}.issuperset(map(type, edges)):

@@ -11,8 +11,10 @@ from dataclasses import fields
 from operator import itemgetter
 
 from ribboncalc import (AccessoryLoop, Cap, Component, Finger, KirbyDiagram,
-                        MiddleLevelData, ParseError, STANDARD_CAP, SignedTree,
-                        SizeLimit, TreeEdge, TreeError, make_descriptor)
+                        MiddleError, MiddleLevelData, ParseError,
+                        RibbonDescriptor, STANDARD_CAP, SignedTree, SizeLimit,
+                        TreeEdge, TreeError, make_descriptor)
+from ribboncalc.scripts import quoted
 
 DOTTED, FRAMED = "dotted", "framed"
 
@@ -287,7 +289,7 @@ def oracle_validate_tree(t: SignedTree) -> list[str]:
     if len(nodeset) != len(t.nodes):
         out.append(f"tree {t.name}: duplicate node ids")
     if t.root not in nodeset:
-        out.append(f"tree {t.name}: root {t.root} not declared")
+        out.append(f"tree {t.name}: root {quoted(t.root)} not declared")
         return out
     for e in t.edges:
         if e.parent not in nodeset or e.child not in nodeset:
@@ -409,7 +411,7 @@ def oracle_parse_tree_blocks(lines, stop_at=None):
             if len(toks) != 2:
                 raise ParseError(n, "tree header needs a name")
             if toks[1] in trees:
-                raise ParseError(n, f"duplicate tree name {toks[1]}")
+                raise ParseError(n, f"duplicate tree name {quoted(toks[1])}")
             cur = {"name": toks[1], "nodes": [], "root": None,
                    "root_line": None, "edges": [], "finite": False,
                    "line": n}
@@ -434,6 +436,148 @@ def oracle_parse_tree_blocks(lines, stop_at=None):
 
 
 # -- middle-level data and descriptors -----------------------------------
+
+def oracle_parse_middle_block(text, lines, trees):
+    """The middle-block parser as it read before its fingers were built by
+    a trusted builder: keywords in one order, each sphere index read by its
+    own ``_int`` call, and every Finger built by its public constructor.
+    Returns the middle data and the ``(id, cap)`` lines in file order."""
+    from ribboncalc.textio import _int, _positioned
+    caps_by_tree = {name: Cap(t) for name, t in trees.items() if not t.finite}
+    pairs = None
+    fingers, loops, caps = [], [], []
+    started = False
+    for n, toks in lines:
+        kw = toks[0]
+        if kw == "middle":
+            if started:
+                raise ParseError(n, "duplicate middle header")
+            started = True
+        elif not started:
+            raise ParseError(n, "expected 'middle' header first")
+        elif kw == "pairs":
+            if len(toks) != 2 or pairs is not None:
+                raise ParseError(n, "malformed or duplicate pairs line")
+            pairs = _int(toks[1], n, "pair count")
+        elif kw == "finger":
+            if len(toks) != 5:
+                raise ParseError(n, "finger needs: finger ID FROM THRU WID")
+            fingers.append(Finger(toks[1], _int(toks[2], n, "sphere index"),
+                                  _int(toks[3], n, "sphere index"), toks[4]))
+        elif kw == "loop":
+            if len(toks) < 3:
+                raise ParseError(n, "loop needs an id and at least one finger")
+            loops.append(AccessoryLoop(toks[1], tuple(toks[2:])))
+        elif kw == "cap":
+            if len(toks) < 3:
+                raise ParseError(n, "cap needs: cap ID standard|tree NAME")
+            if toks[2] == "standard" and len(toks) == 3:
+                caps.append((toks[1], STANDARD_CAP))
+            elif toks[2] == "tree" and len(toks) == 4:
+                if toks[3] not in trees:
+                    raise ParseError(n, "cap references unknown tree "
+                                        f"{quoted(toks[3])}")
+                if toks[3] not in caps_by_tree:
+                    raise ParseError(n, f"cap names tree {quoted(toks[3])}, "
+                                        "a finite tower, not a Casson handle")
+                caps.append((toks[1], caps_by_tree[toks[3]]))
+            else:
+                raise ParseError(n, "malformed cap line")
+        else:
+            raise ParseError(n, f"unknown keyword {quoted(kw)}")
+    if not started:
+        raise ParseError(1, "missing 'middle' header")
+    if pairs is None:
+        raise ParseError(1, "middle block has no pairs line")
+    try:
+        m = MiddleLevelData(pairs, tuple(fingers), tuple(loops))
+    except MiddleError as exc:
+        raise _positioned(exc, text, 1) from None
+    return m, caps
+
+
+def oracle_parse_ribbon(text: str) -> RibbonDescriptor:
+    """``parse_ribbon`` over ``oracle_parse_middle_block``, its caps always
+    ranked and sorted into canonical order and judged by the public
+    RibbonDescriptor."""
+    from ribboncalc.textio import _parse_tree_blocks, _positioned
+    trees, rest = _parse_tree_blocks(text, stop_at="middle")
+    if rest is None:
+        raise ParseError(1, "ribbon document has no middle block")
+    m, caps = oracle_parse_middle_block(text, rest, trees)
+    rank = {cid: k for k, cid in enumerate(m.cap_ids())}
+    ranks = [rank.get(cid, len(rank)) for cid, _ in caps]
+    order = sorted(range(len(caps)), key=ranks.__getitem__)
+    try:
+        return RibbonDescriptor(m, tuple(caps[k] for k in order))
+    except MiddleError as exc:
+        raise _positioned(exc, text, 1, order) from None
+
+
+def mutant(rng: random.Random, text: str) -> str:
+    """``text`` with one line dropped or duplicated, two lines swapped, or
+    one token replaced by a token of the text or by a junk token."""
+    lines = text.splitlines()
+    at = rng.randrange(len(lines))
+    op = rng.randrange(4)
+    if op == 0:
+        del lines[at]
+    elif op == 1:
+        lines.insert(at, lines[rng.randrange(len(lines))])
+    elif op == 2:
+        j = rng.randrange(len(lines))
+        lines[at], lines[j] = lines[j], lines[at]
+    else:
+        toks = lines[at].split() or [""]
+        pool = text.split() + ["x", "0", "-1", "1.5", "99", "cap", "tree",
+                               "finger", "standard", "loop", "pairs"]
+        toks[rng.randrange(len(toks))] = rng.choice(pool)
+        lines[at] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+def oracle_stabilization_plan(r: RibbonDescriptor):
+    """The planner as it read before its Norman tricks skipped the row
+    replay: every value built by its public constructor, each Norman delta
+    computed by ``norman_trick_step`` on the excess rows, the finger
+    graph's sinks-first order taken as given."""
+    from ribboncalc import finger_graph, kuga_blowup_cost, prune_depth
+    from ribboncalc.simplify import (PRODUCT_NOTE, CancelFinger, CancelPair,
+                                     NormanTrick, Outcome, ReplaceCap,
+                                     StabilizationPlan)
+    from ribboncalc import excess_rows, is_positive_ribbon, norman_trick_step
+    decision = is_positive_ribbon(r)
+    if decision.positive:
+        return StabilizationPlan(0, 0, (), Outcome(
+            "positive-obstruction", witness_loop=decision.witness_loop))
+    steps, blowups, k, caps = [], 0, 0, dict(r.caps)
+    for cid, cap in r.caps:
+        if cap.standard or cap.positive:
+            continue
+        steps.append(ReplaceCap(cid, kuga_blowup_cost(cap.tree)))
+        blowups += steps[-1].cost
+        k = max(k, prune_depth(cap.tree))
+        caps[cid] = STANDARD_CAP
+    m = r.middle
+    rest = []
+    for f in m.fingers:
+        if caps[f.whitney].standard:
+            steps.append(CancelFinger(f.id, f.whitney))
+        else:
+            rest.append(f)
+    left = MiddleLevelData(m.pairs, tuple(rest), ())
+    graph = finger_graph(left)
+    assert not graph.cycles
+    rows = excess_rows(left)
+    for source in graph.order:
+        for f in rest:
+            if f.from_a == source:
+                delta = norman_trick_step(rows, f.from_a, f.through_b)
+                steps.append(NormanTrick(f.id, tuple(sorted(delta.items()))))
+    steps += [CancelPair((f"A{i}", f"B{i}")) for i in range(1, m.pairs + 1)]
+    return StabilizationPlan(k, blowups, tuple(steps),
+                             Outcome("product", note=PRODUCT_NOTE))
+
 
 def random_acyclic_middle(rng: random.Random, max_pairs: int = 6,
                           max_fingers: int = 8,

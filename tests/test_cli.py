@@ -72,6 +72,20 @@ class TestCheck:
         assert err.startswith("parse error: line 2: malformed framing token")
         assert "(5000 characters)" in err and len(err) < 120
 
+    LONG = "x" * 5000
+
+    @pytest.mark.parametrize("name, text", [
+        ("r.tree", f"tree t\nnode a\nroot {LONG}\n"),
+        ("k.diagram", f"diagram b\ncomponent a {LONG} 0\n"),
+        ("c.diagram", f"diagram b\ncomponent {LONG} framed 0\n"
+                      f"component {LONG} framed 1\n"),
+        ("t.tree", f"tree {LONG}\nnode a\nroot a\ntree {LONG}\n"),
+        ("s.script", f"script s\ntwistblowup + f {LONG}:1 {LONG}:2\n")])
+    def test_long_id_is_cut_in_the_message(self, files, capsys, name, text):
+        code, out, err = run(capsys, "check", files(name, text))
+        assert code == 2 and out == ""
+        assert "(5000 characters)" in err and len(err) < 120
+
     def test_parse_error_is_exit_two(self, files, capsys):
         code, _, err = run(capsys, "check", files("x.diagram", "gibberish\n"))
         assert code == 2
@@ -218,10 +232,29 @@ class TestTree:
         assert run(capsys, "tree", "--positive",
                    files("n.tree", TREE_NEG))[0] == 1
 
+    def test_strict(self, files, capsys):
+        assert run(capsys, "tree", "--strict", files("t.tree", TREE)) == (
+            0, "strictly_positive: true\n", "")
+        # r has one positive and one negative edge: not more positive.
+        mixed = "tree m\nnode r a\nroot r\nedge r r +\nedge r a -\n"
+        assert run(capsys, "tree", "--strict", files("m.tree", mixed)) == (
+            1, "strictly_positive: false\n", "")
+
+    def test_summary(self, files, capsys):
+        assert run(capsys, "tree", files("t.tree", TREE)) == (
+            0, "nodes: 1\nfinite: false\n", "")
+        tower = "tree w\nfinite\nnode r a\nroot r\nedge r a +\n"
+        assert run(capsys, "tree", files("w.tree", tower)) == (
+            0, "nodes: 2\nfinite: true\n", "")
+
     def test_prune_depth(self, files, capsys):
         code, out, _ = run(capsys, "tree", "--prune-depth",
                            files("n.tree", TREE_NEG))
         assert code == 0 and "prune_depth: 1" in out
+
+    def test_cost(self, files, capsys):
+        assert run(capsys, "tree", "--cost", files("n.tree", TREE_NEG)) == (
+            0, "blowup_cost: 1\n", "")
 
     def test_cost_on_positive_tree_fails(self, files, capsys):
         code, _, err = run(capsys, "tree", "--cost", files("t.tree", TREE))

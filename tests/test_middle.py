@@ -80,6 +80,90 @@ class TestValidateMiddle:
             "pair count 0 must be positive", ("pairs", 0))
 
 
+class TestMiddleTypes:
+    """A value of the wrong type is refused with MiddleError naming its
+    entry, not built (it would write text its own parser refuses, or could
+    not be hashed) and not a raw TypeError."""
+
+    F = Finger("f", 1, 2, "w")
+
+    @pytest.mark.parametrize("pairs", [True, 2.0, "2", None])
+    def test_pair_count_must_be_an_int(self, pairs):
+        assert refusal(lambda: MiddleLevelData(pairs)) == (
+            f"pair count must be int, not {type(pairs).__name__}",
+            ("pairs", 0))
+
+    @pytest.mark.parametrize("fields, message", [
+        (("f", 1.0, 2, "w"), "finger sphere must be int, not float"),
+        (("f", 1, True, "w"), "finger sphere must be int, not bool"),
+        (("f", "1", 2, "w"), "finger sphere must be int, not str"),
+        ((1, 1, 2, "w"), "finger id must be str, not int"),
+        (("f", 1, 2, ["w"]), "finger whitney id must be str, not list"),
+    ])
+    def test_finger_fields(self, fields, message):
+        ok = Finger("g", 1, 2, "v")
+        assert refusal(lambda: MiddleLevelData(
+            2, (ok, Finger(*fields)))) == (message, ("finger", 1))
+
+    def test_sequences_must_be_tuples(self):
+        assert refusal(lambda: MiddleLevelData(2, [self.F])) == (
+            "fingers must be tuple, not list", None)
+        loop = AccessoryLoop("l", ("f",))
+        assert refusal(lambda: MiddleLevelData(2, (self.F,), [loop])) == (
+            "loops must be tuple, not list", None)
+        assert refusal(lambda: MiddleLevelData(
+            2, (self.F,), (AccessoryLoop("l", ["f"]),))) == (
+            "loop l fingers must be tuple, not list", ("loop", 0))
+
+    def test_entries_must_be_values(self):
+        assert refusal(lambda: MiddleLevelData(2, (("f", 1, 2, "w"),))) == (
+            "finger entry must be Finger, not tuple", ("finger", 0))
+        assert refusal(lambda: MiddleLevelData(2, (self.F,), (("l", "f"),))) \
+            == ("loop entry must be AccessoryLoop, not tuple", ("loop", 0))
+        assert refusal(lambda: MiddleLevelData(
+            2, (self.F,), (AccessoryLoop(7, ("f",)),))) == (
+            "loop id must be str, not int", ("loop", 0))
+        assert refusal(lambda: MiddleLevelData(
+            2, (self.F,), (AccessoryLoop("l", ("f", ("f",))),))) == (
+            "loop l finger must be str, not tuple", ("loop", 0))
+
+    def test_descriptor_types(self):
+        m = MiddleLevelData(2, (self.F,))
+        assert refusal(lambda: RibbonDescriptor(m, [("w", CHP)])) == (
+            "caps must be tuple, not list", None)
+        assert refusal(lambda: RibbonDescriptor(m, (("w",),))) == (
+            "cap entry is not an (id, Cap) pair", ("cap", 0))
+        assert refusal(lambda: RibbonDescriptor(m, ((1, CHP),))) == (
+            "cap id must be str, not int", ("cap", 0))
+        assert refusal(lambda: RibbonDescriptor(m, (("w", None),))) == (
+            "cap for w must be Cap, not NoneType", ("cap", 0))
+        assert refusal(lambda: RibbonDescriptor("m", ())) == (
+            "middle data must be MiddleLevelData, not str", None)
+        assert refusal(lambda: Cap("tree")) == (
+            "cap tree must be SignedTree, not str", None)
+
+    def test_no_wrong_type_builds(self):
+        # Each field of random valid data replaced by a value of another
+        # type: always MiddleError, never a value and never a TypeError.
+        rng = random.Random(53)
+        wrong = [True, 1.0, "1", None, ["x"], ("x",), 7]
+        for _ in range(200):
+            m = random_acyclic_middle(rng)
+            if not m.fingers:
+                continue
+            k = rng.randrange(len(m.fingers))
+            field = rng.choice(("id", "from_a", "through_b", "whitney"))
+            good = getattr(m.fingers[k], field)
+            value = rng.choice([w for w in wrong if type(w) is not type(good)])
+            bad = Finger(**{**{name: getattr(m.fingers[k], name) for name in
+                               ("id", "from_a", "through_b", "whitney")},
+                            field: value})
+            fingers = m.fingers[:k] + (bad,) + m.fingers[k + 1:]
+            entry = refusal(lambda: MiddleLevelData(
+                m.pairs, fingers, m.accessory_loops))[1]
+            assert entry == ("finger", k)
+
+
 class TestGeometricMatrix:
     """G as sparse excess rows, against the dense oracle."""
 

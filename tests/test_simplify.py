@@ -2,7 +2,7 @@
 
 import random
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -19,7 +19,8 @@ from ribboncalc.trees import DEFAULT_PAIR_BUDGET, SignedTree, TreeEdge
 
 from genlib import (dense_excess_rows, dense_geometric_matrix, dense_identity,
                     dense_norman_replay, dense_norman_trick_step,
-                    oracle_cycle_exists, random_acyclic_middle,
+                    oracle_cycle_exists, oracle_stabilization_plan,
+                    random_acyclic_middle,
                     random_cyclic_middle, random_nonpositive_descriptor,
                     random_nonpositive_tree)
 
@@ -161,6 +162,31 @@ class TestDerivedValues:
             public = MiddleLevelData(m.pairs, m.fingers, m.accessory_loops)
             assert m == public and not m.accessory_loops
             assert m.fingers_by_id == public.fingers_by_id
+
+
+class TestTrustedSteps:
+    """The planner builds its steps, and skips the row replay of its Norman
+    tricks; its plans equal those of the planner it replaced, and each step
+    equals the one its public constructor builds."""
+
+    def test_plans_equal_the_oracle_planner(self):
+        rng = random.Random(67)
+        for _ in range(300):
+            r = random_nonpositive_descriptor(rng)
+            plan = stabilization_plan(r)
+            assert plan == oracle_stabilization_plan(r)
+            for step in plan.steps:
+                public = type(step)(*(getattr(step, f.name)
+                                      for f in fields(step)))
+                assert step == public and hash(step) == hash(public)
+            # The Norman tricks still replay on the dense matrix of the
+            # fingers they remove.
+            tricks = [s for s in plan.steps if isinstance(s, NormanTrick)]
+            gone = {s.finger for s in tricks}
+            m = r.middle
+            left = MiddleLevelData(m.pairs, tuple(
+                f for f in m.fingers if f.id in gone), ())
+            assert dense_norman_replay(left, tricks) == dense_identity(m.pairs)
 
 
 class TestBreakLoops:
@@ -463,6 +489,39 @@ class TestVerifyPlanTampering:
     def positive_plan_source(self):
         m = middle(1, [("f1", 1, 1, "w1")], [("l1", ["f1"])])
         return make_descriptor(m, {"w1": CHP, "l1": CHP})
+
+
+class TestVerifyPlanForgeries:
+    """Forged steps are refused at their index, for their reason."""
+
+    def setup_method(self):
+        # f2 (2 -> 3) must go before f1 (1 -> 2), which tubes into row B_2.
+        m = middle(3, [("f1", 1, 2, "w1"), ("f2", 2, 3, "w2")])
+        self.r = make_descriptor(m, {"w1": CHP, "w2": CHP})
+        self.plan = stabilization_plan(self.r)
+        assert [type(s) for s in self.plan.steps[:2]] == [NormanTrick] * 2
+        assert verify_plan(self.r, self.plan).ok
+
+    def verdict(self, steps):
+        return verify_plan(self.r, replace(self.plan, steps=tuple(steps)))
+
+    def test_norman_trick_with_a_delta(self):
+        steps = list(self.plan.steps)
+        steps[1] = NormanTrick(steps[1].finger, ((3, 4),))
+        assert self.verdict(steps) == VerifyResult(
+            False, 1, "recorded delta rows mismatch")
+
+    def test_norman_trick_into_a_row_that_is_not_clean(self):
+        steps = list(self.plan.steps)
+        steps[0], steps[1] = steps[1], steps[0]
+        assert self.verdict(steps) == VerifyResult(
+            False, 0, "target row B_2 not clean at f1")
+
+    def test_cancel_finger_capped_by_a_tree(self):
+        steps = list(self.plan.steps)
+        steps[0] = CancelFinger("f2", "w2")
+        assert self.verdict(steps) == VerifyResult(
+            False, 0, "f2/w2 is not a standard-capped pair")
 
 
 def _random_step(rng, pool):

@@ -17,8 +17,10 @@ from ribboncalc.corpus import corpus_names, corpus_text
 from ribboncalc.diagram import COUNTS
 from ribboncalc.trees import DEFAULT_PAIR_BUDGET
 
-from genlib import (oracle_lines, oracle_parse_tree_blocks, random_diagram,
-                    random_nonpositive_descriptor, random_script, random_tree)
+from genlib import (mutant, oracle_lines, oracle_parse_middle_block,
+                    oracle_parse_ribbon, oracle_parse_tree_blocks,
+                    random_diagram, random_nonpositive_descriptor,
+                    random_script, random_tree)
 
 
 class TestDiagramRoundTrip:
@@ -98,6 +100,26 @@ class TestDiagramErrors:
         assert e.line == 2 and len(str(e)) < 120
         assert e.message == (f"malformed framing token {'7' * 40!r}... "
                              "(5000 characters)")
+
+    def test_every_echoed_id_is_cut(self):
+        # The values' own constructors and the parser cut a long id in the
+        # messages that echo it.
+        long = "x" * 5000
+        cases = [
+            (lambda: SignedTree("t", ("a",), long, ()), TreeError),
+            (lambda: Component("a", long, 0), ValueError),
+            (lambda: KirbyDiagram("d", (Component(long, "framed", 0),
+                                        Component(long, "framed", 1))),
+             DiagramError),
+            (lambda: parse_tree(f"tree {long}\nnode a\nroot a\n"
+                                f"tree {long}\n"), ParseError),
+            (lambda: parse_script(f"script s\ntwistblowup + f {long}:1 "
+                                  f"{long}:2\n"), ParseError)]
+        for build, error in cases:
+            with pytest.raises(error) as e:
+                build()
+            assert "(5000 characters)" in str(e.value)
+            assert len(str(e.value)) < 120
 
     @pytest.mark.parametrize("parse, text", [
         (parse_diagram, "diagram x\n{}\n"),
@@ -195,7 +217,7 @@ class TestDiagramRules:
     def test_duplicate_component_on_the_later_line(self):
         e = self.error("diagram x\ncomponent a dotted\nlink a b 1 1\n"
                        "component b framed 0\ncomponent a framed 1\n")
-        assert (e.line, e.message) == (5, "duplicate component id a")
+        assert (e.line, e.message) == (5, "duplicate component id 'a'")
 
     def test_rule_error_loses_to_a_later_syntax_error(self):
         e = self.error("diagram x\ncomponent a dotted\ncomponent a dotted\n"
@@ -457,7 +479,7 @@ class TestHeadersAndCounts:
         (parse_diagram, "diagram x y\n", 1, "diagram header needs a name"),
         (parse_diagram, "diagram x\nhidden1\n", 2, "hidden1 needs a count"),
         (parse_tree, "tree t\nnode r\nroot r\ntree t\nnode r\nroot r\n",
-         4, "duplicate tree name t"),
+         4, "duplicate tree name 't'"),
         (parse_middle, "", 1, "missing 'middle' header"),
         (parse_middle, "pairs 1\n", 1, "expected 'middle' header first"),
         (parse_middle, "middle\npairs 1\nloop l1\n", 3,
@@ -498,6 +520,51 @@ TOKENS = ("+", "-", "+1", "-1", "0", "2", "x", "n0", "n1", "tree", "node",
 LINES = ("finite", "root n0", "node n0", "node n9", "edge n0 n1 +",
          "edge n0 zz -", "edge n1 n0", "tree t", "tree", "bogus", "middle",
          "# comment", "")
+
+
+class TestMiddleBlockParserOracle:
+    """The middle-block parser, with its trusted fingers and its shortcut
+    for caps already in canonical order, against a copy of its earlier
+    version in genlib: equal values, or the same ParseError line and
+    message, on random documents and on mutants of them."""
+
+    @staticmethod
+    def outcome(parse, text):
+        try:
+            return parse(text)
+        except ParseError as e:
+            return e.line, e.message
+
+    @staticmethod
+    def oracle_middle(text):
+        m, caps = oracle_parse_middle_block(text, oracle_lines(text), {})
+        if caps:
+            raise ParseError(1, "cap lines belong to ribbon documents")
+        return m
+
+    def test_documents_and_mutants(self):
+        rng = random.Random(59)
+        values = errors = 0
+        for _ in range(250):
+            r = random_nonpositive_descriptor(rng)
+            for parse, oracle, text in (
+                    (parse_ribbon, oracle_parse_ribbon, serialize_ribbon(r)),
+                    (parse_middle, self.oracle_middle,
+                     serialize_middle(r.middle))):
+                for t in [text] + [mutant(rng, text) for _ in range(4)]:
+                    got, want = self.outcome(parse, t), self.outcome(oracle, t)
+                    assert got == want, t
+                    if isinstance(got, tuple):
+                        errors += 1
+                    else:
+                        values += 1
+                        # Every parsed finger equals the public one.
+                        fingers = (got.middle if parse is parse_ribbon
+                                   else got).fingers
+                        assert all(f == Finger(f.id, f.from_a, f.through_b,
+                                               f.whitney)
+                                   and type(f) is Finger for f in fingers)
+        assert values > 500 and errors > 500
 
 
 class TestTreeBlockParserOracle:
@@ -601,11 +668,11 @@ class TestTreeErrors:
     # tree.
     TREE_RULES = [
         ("tree t\nnode a b\nroot a\n", "node b unreachable from root"),
-        ("tree t\nnode a\nroot b\n", "root b not declared"),
+        ("tree t\nnode a\nroot b\n", "root 'b' not declared"),
         ("tree t\nfinite\nnode a b\nroot a\nedge a b +\nedge b a +\n",
          "tower contains back-edges")]
     # The entry's line below the header, by message.
-    BELOW_HEADER = {"root b not declared": 2}
+    BELOW_HEADER = {"root 'b' not declared": 2}
 
     @pytest.mark.parametrize("text, message", TREE_RULES)
     def test_tree_rule_is_positioned(self, text, message):
@@ -1041,7 +1108,7 @@ class TestScriptErrors:
 
     def test_strand_named_twice(self):
         e = self.error("script s\nblowup + e\ntwistblowup + f a:1 a:2\n")
-        assert e.line == 3 and "strand a named twice" in e.message
+        assert e.line == 3 and "strand 'a' named twice" in e.message
 
     @pytest.mark.parametrize("line", [
         "slide a b", "slide a b + c", "blowdown", "swap a b", "addpair 12 a",

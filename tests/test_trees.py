@@ -167,7 +167,7 @@ class TestValidation:
         assert first(nodes[:3] + ["b", "d"], "r", edges) == (
             "tree t: duplicate node ids", ("node", 3))
         assert first(nodes, "r", edges) == (
-            "tree t: root r not declared", ("root", 0))
+            "tree t: root 'r' not declared", ("root", 0))
         assert first(nodes, "a", edges) == (
             "tree t: edge b->z references an undeclared node", ("edge", 3))
         edges.pop()
