@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from functools import cached_property
 
+from .scripts import quoted, shown
 from .trees import DEFAULT_PAIR_BUDGET, SignedTree, is_positive
 
 
@@ -28,6 +29,11 @@ class MiddleError(Exception):
     def __init__(self, message: str, entry: tuple[str, int] | None = None):
         super().__init__(message)
         self.entry = entry
+
+
+def _listed(ids) -> str:
+    """A list of ids as its repr shows it, each id cut as ``quoted`` cuts."""
+    return f"[{', '.join(map(quoted, ids))}]"
 
 
 def _wrong(what: str, value, kind: type) -> str:
@@ -50,7 +56,8 @@ class AccessoryLoop:
 
     def __post_init__(self) -> None:
         if not self.fingers:
-            raise MiddleError(f"accessory loop {self.id} traverses no fingers")
+            raise MiddleError(f"accessory loop {shown(self.id)} traverses "
+                              "no fingers")
 
 
 @dataclass(frozen=True)
@@ -100,14 +107,15 @@ class MiddleLevelData:
                                               ("whitney id", wid, str))
                     if type(value) is not kind), ("finger", k))
             if fid in fids:
-                raise MiddleError(f"duplicate finger id {fid}", ("finger", k))
+                raise MiddleError(f"duplicate finger id {shown(fid)}",
+                                  ("finger", k))
             if wid in finger_of_whitney:
                 raise MiddleError(
-                    f"duplicate whitney id {wid} (finger "
-                    f"{finger_of_whitney[wid]} has it)", ("finger", k))
+                    f"duplicate whitney id {shown(wid)} (finger "
+                    f"{shown(finger_of_whitney[wid])} has it)", ("finger", k))
             if not (1 <= a <= pairs and 1 <= b <= pairs):
-                raise MiddleError(f"finger {fid} references sphere outside "
-                                  f"1..{pairs}", ("finger", k))
+                raise MiddleError(f"finger {shown(fid)} references sphere "
+                                  f"outside 1..{pairs}", ("finger", k))
             fids.add(fid)
             finger_of_whitney[wid] = fid
         lids: set[str] = set()
@@ -118,20 +126,23 @@ class MiddleLevelData:
             if type(l.id) is not str:
                 raise MiddleError(_wrong("loop id", l.id, str), ("loop", k))
             if type(l.fingers) is not tuple:
-                raise MiddleError(_wrong(f"loop {l.id} fingers", l.fingers,
-                                         tuple), ("loop", k))
+                raise MiddleError(_wrong(f"loop {shown(l.id)} fingers",
+                                         l.fingers, tuple), ("loop", k))
             if l.id in lids:
-                raise MiddleError(f"duplicate loop id {l.id}", ("loop", k))
+                raise MiddleError(f"duplicate loop id {shown(l.id)}",
+                                  ("loop", k))
             for fid in l.fingers:
                 if type(fid) is not str:
-                    raise MiddleError(_wrong(f"loop {l.id} finger", fid, str),
-                                      ("loop", k))
+                    raise MiddleError(_wrong(f"loop {shown(l.id)} finger",
+                                             fid, str), ("loop", k))
                 if fid not in fids:
-                    raise MiddleError(f"loop {l.id} references undeclared "
-                                      f"finger {fid}", ("loop", k))
+                    raise MiddleError(f"loop {shown(l.id)} references "
+                                      f"undeclared finger {shown(fid)}",
+                                      ("loop", k))
             if l.id in finger_of_whitney:
-                raise MiddleError(f"loop id {l.id} is the whitney id of "
-                                  f"finger {finger_of_whitney[l.id]}",
+                owner = finger_of_whitney[l.id]
+                raise MiddleError(f"loop id {shown(l.id)} is the whitney id "
+                                  f"of finger {shown(owner)}",
                                   ("loop", k))
             lids.add(l.id)
 
@@ -254,7 +265,7 @@ class Cap:
         if tree is not None and type(tree) is not SignedTree:
             raise MiddleError(_wrong("cap tree", tree, SignedTree))
         if tree is not None and tree.finite:
-            raise MiddleError(f"tree {tree.name} is a finite tower")
+            raise MiddleError(f"tree {shown(tree.name)} is a finite tower")
 
     @property
     def standard(self) -> bool:
@@ -295,21 +306,22 @@ class RibbonDescriptor:
             if type(cid) is not str:
                 raise MiddleError(_wrong("cap id", cid, str), ("cap", k))
             if type(cap) is not Cap:
-                raise MiddleError(_wrong(f"cap for {cid}", cap, Cap),
+                raise MiddleError(_wrong(f"cap for {shown(cid)}", cap, Cap),
                                   ("cap", k))
             if cid in seen:
-                raise MiddleError(f"duplicate cap for {cid}", ("cap", k))
+                raise MiddleError(f"duplicate cap for {shown(cid)}",
+                                  ("cap", k))
             seen.add(cid)
         needed = self.middle.cap_ids()
         missing = [cid for cid in needed if cid not in seen]
         if missing:
-            raise MiddleError(f"missing caps for {missing}")
+            raise MiddleError(f"missing caps for {_listed(missing)}")
         if len(self.caps) > len(needed):
             known = set(needed)
             extra = [k for k, (cid, _) in enumerate(self.caps)
                      if cid not in known]
             raise MiddleError(f"caps for unknown ids "
-                              f"{[self.caps[k][0] for k in extra]}",
+                              f"{_listed(self.caps[k][0] for k in extra)}",
                               ("cap", extra[0]))
 
     @cached_property

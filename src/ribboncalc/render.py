@@ -22,14 +22,14 @@ def tree_dot(t: SignedTree) -> str:
         shape = "doublecircle" if n == t.root else "circle"
         out.append(f"  {_q(n)} [shape={shape}];")
     seen_children: set[str] = set()
-    for e in t.edges:
-        color = "black" if e.sign == 1 else "red"
-        label = "+" if e.sign == 1 else "-"
+    for parent, child, sign in t.edges:
+        color = "black" if sign == 1 else "red"
+        label = "+" if sign == 1 else "-"
         # Back-edges (into the root, or into an already-entered node) dashed.
-        back = e.child == t.root or e.child in seen_children
-        seen_children.add(e.child)
+        back = child == t.root or child in seen_children
+        seen_children.add(child)
         style = " style=dashed" if back else ""
-        out.append(f"  {_q(e.parent)} -> {_q(e.child)} "
+        out.append(f"  {_q(parent)} -> {_q(child)} "
                    f"[label={_q(label)} color={color}{style}];")
     out.append("}")
     return "\n".join(out) + "\n"

@@ -129,6 +129,13 @@ def quoted(tok: str) -> str:
             else f"{tok[:40]!r}... ({len(tok)} characters)")
 
 
+def shown(tok) -> str:
+    """``tok`` as an error shows it bare: as ``str`` makes it, or past 40
+    characters cut and sized as :func:`quoted` does."""
+    text = str(tok)
+    return text if len(text) <= 40 else quoted(text)
+
+
 def form_error(op: str) -> str:
     """What is wrong with a command of this op that fits none of its rows."""
     usages = " | ".join(f.usage for f in COMMANDS if f.op == op)

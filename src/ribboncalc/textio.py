@@ -45,8 +45,9 @@ from .diagram import (COUNTS, Component, DiagramError, DOTTED, KirbyDiagram,
 from .middle import (AccessoryLoop, Cap, Finger, MiddleError, MiddleLevelData,
                      RibbonDescriptor, STANDARD_CAP, _descriptor, _finger)
 from .scripts import (ABSENT, COMMANDS, ID, INT, INTS, SIGN, STRANDS,
-                      Command, Form, MoveScript, form_error, form_of, quoted)
-from .trees import SignedTree, TreeEdge, TreeError
+                      Command, Form, MoveScript, form_error, form_of, quoted,
+                      shown)
+from .trees import SignedTree, TreeError
 
 
 class ParseError(Exception):
@@ -234,7 +235,7 @@ def parse_tree(text: str) -> SignedTree:
 def _tree_block(text, header, name, nodes, root, edges, finite):
     """The tree of a finished block of ``text`` headed on line ``header``."""
     if root is None:
-        raise ParseError(header, f"tree {name} has no root")
+        raise ParseError(header, f"tree {shown(name)} has no root")
     try:
         return SignedTree(name, tuple(nodes), root, tuple(edges), finite)
     except TreeError as exc:  # a rule of validate_tree, on its entry's line
@@ -251,7 +252,7 @@ def _parse_tree_blocks(text: str, stop_at: str | None = None):
     name = header = root = None
     nodes: list[str] = []
     ids: dict[str, str] = {}
-    edges: list[TreeEdge] = []
+    edges: list[tuple[str, str, int]] = []
     finite = False
     for n, toks in lines:
         kw = toks[0]
@@ -260,10 +261,8 @@ def _parse_tree_blocks(text: str, stop_at: str | None = None):
                 raise ParseError(n, "edge needs: edge PARENT CHILD SIGN")
             # The edge holds the declared id strings, not its line's copies.
             _, parent, child, sign = toks
-            # The sign is +1 or -1, so the edge skips TreeEdge's check.
-            edges.append(tuple.__new__(TreeEdge, (
-                ids.get(parent, parent), ids.get(child, child),
-                _SIGNS.get(sign) or _sign(sign, n))))
+            edges.append((ids.get(parent, parent), ids.get(child, child),
+                          _SIGNS.get(sign) or _sign(sign, n)))
         elif kw == "node" and name is not None:
             for nid in toks[1:]:
                 nodes.append(nid)

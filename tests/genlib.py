@@ -168,9 +168,9 @@ def oracle_positive_states(t: SignedTree, depth: int) -> set[tuple[str, int]]:
         node, d = frontier.pop()
         if d == depth:
             continue
-        for e in t.edges:
-            if e.parent == node and e.sign == 1:
-                state = (e.child, d + 1)
+        for parent, child, sign in t.edges:
+            if parent == node and sign == 1:
+                state = (child, d + 1)
                 if state not in seen:
                     seen.add(state)
                     frontier.append(state)
@@ -207,13 +207,13 @@ def oracle_frontier_negatives(t: SignedTree) -> int:
         node, d = frontier.pop()
         if d >= bound:
             raise ValueError("tree has an infinite positive branch")
-        for e in t.edges:
-            if e.parent != node:
+        for parent, child, sign in t.edges:
+            if parent != node:
                 continue
-            if e.sign == -1:
+            if sign == -1:
                 total += 1
             else:
-                frontier.append((e.child, d + 1))
+                frontier.append((child, d + 1))
     return total
 
 
@@ -227,10 +227,12 @@ def random_nonpositive_tree(rng: random.Random,
 
 def unvalidated(nodes, root, edges, finite=False, name="t") -> SignedTree:
     """A SignedTree built without running validation, to see every
-    message ``validate_tree`` reports instead of the first one."""
+    message ``validate_tree`` reports instead of the first one.  Its edges
+    are stored as a SignedTree stores them, as plain tuples; the signs are
+    checked by TreeEdge."""
     t = object.__new__(SignedTree)
     values = (name, tuple(nodes), root,
-              tuple(TreeEdge(p, c, s) for p, c, s in edges), finite)
+              tuple(tuple(TreeEdge(p, c, s)) for p, c, s in edges), finite)
     for f, v in zip(fields(SignedTree), values):
         object.__setattr__(t, f.name, v)
     return t
@@ -291,22 +293,22 @@ def oracle_validate_tree(t: SignedTree) -> list[str]:
     if t.root not in nodeset:
         out.append(f"tree {t.name}: root {quoted(t.root)} not declared")
         return out
-    for e in t.edges:
-        if e.parent not in nodeset or e.child not in nodeset:
-            out.append(f"tree {t.name}: edge {e.parent}->{e.child} references "
+    for parent, child, _ in t.edges:
+        if parent not in nodeset or child not in nodeset:
+            out.append(f"tree {t.name}: edge {parent}->{child} references "
                        "an undeclared node")
             return out
     reach = {t.root}
     frontier = [t.root]
     while frontier:
-        for e in t.out_edges(frontier.pop()):
-            if e.child not in reach:
-                reach.add(e.child)
-                frontier.append(e.child)
+        for _, child, _ in t.out_edges(frontier.pop()):
+            if child not in reach:
+                reach.add(child)
+                frontier.append(child)
     for n in t.nodes:
         if n not in reach:
             out.append(f"tree {t.name}: node {n} unreachable from root")
-    children = [e.child for e in t.edges]
+    children = [child for _, child, _ in t.edges]
     covered = set(children)
     for n in t.nodes:
         if n != t.root and n not in covered:
@@ -329,17 +331,65 @@ def oracle_truncate(t: SignedTree, n: int, node_budget: int) -> SignedTree:
     for _ in range(n):
         below = []
         for uid, node in level:
-            for e in t.out_edges(node):
+            for _, child, sign in t.out_edges(node):
                 child_uid = f"{t.root}.{len(nodes)}"
                 nodes.append(child_uid)
                 if len(nodes) > node_budget:
                     raise SizeLimit(f"unrolling {t.name} to depth {n} "
                                     f"exceeds {node_budget} nodes")
-                edges.append(TreeEdge(uid, child_uid, e.sign))
-                below.append((child_uid, e.child))
+                edges.append(TreeEdge(uid, child_uid, sign))
+                below.append((child_uid, child))
         level = below
     return SignedTree(f"{t.name}^{n}", tuple(nodes), t.root, tuple(edges),
                       finite=True)
+
+
+def oracle_tower_answers(t: SignedTree):
+    """``(positive branch, strict, prune depth, Kuga cost)`` of a tower as
+    the library read them off the built tower before it counted levels: one
+    depth-first search of the positive subgraph from the root, in post-order,
+    and a walk down the levels for the deepest one.  The prune depth and
+    the cost are None when a positive branch exists."""
+    index: dict[str, list[tuple[str, int]]] = {}
+    for parent, child, sign in t.edges:
+        index.setdefault(parent, []).append((child, sign))
+    order: list[str] = []  # every node after its positive children
+    path, todo = [t.root], [iter(index.get(t.root, ()))]
+    while todo:
+        for child, sign in todo[-1]:
+            if sign == 1:
+                path.append(child)
+                todo.append(iter(index.get(child, ())))
+                break
+        else:
+            order.append(path.pop())
+            todo.pop()
+    branch = any(v not in index for v in order)
+    level = [t.root]
+    while True:
+        below = [child for v in level for child, _ in index.get(v, ())]
+        if not below:
+            break
+        level = below
+    exempt = set(level)
+    strict = all(sum(sign for _, sign in index.get(v, ())) > 0
+                 for v in t.nodes if v not in exempt)
+    if branch:
+        return branch, strict, None, None
+    longest: dict[str, int] = {}
+    paths = dict.fromkeys(order, 0)
+    paths[t.root] = 1
+    cost = 0
+    for v in order:
+        longest[v] = max((1 + longest[child] for child, sign
+                          in index.get(v, ()) if sign == 1), default=0)
+    for v in reversed(order):
+        for child, sign in index.get(v, ()):
+            if sign == 1:
+                paths[child] += paths[v]
+            else:
+                cost += paths[v]
+    return branch, strict, 1 + longest[t.root], cost
 
 
 def oracle_lines(text: str):

@@ -86,6 +86,56 @@ class TestCheck:
         assert code == 2 and out == ""
         assert "(5000 characters)" in err and len(err) < 120
 
+    # Files whose judge's message echoes a 5000-character name or id.
+    JUDGED = dict([
+        # validate_tree: the tree name and node ids.
+        ("dup.tree", f"tree {LONG}\nnode a a\nroot a\n"),
+        ("root.tree", f"tree {LONG}\nnode a\nroot b\n"),
+        ("edge.tree", f"tree t\nnode a\nroot a\nedge a {LONG} +\n"),
+        ("reach.tree", f"tree t\nnode a {LONG}\nroot a\n"),
+        ("back.tree", f"tree {LONG}\nfinite\nnode a\nroot a\nedge a a +\n"),
+        ("noroot.tree", f"tree {LONG}\nnode a\n"),
+        # The middle judges: finger, whitney, loop and cap ids.
+        ("f.middle", f"middle\npairs 1\nfinger {LONG} 1 1 w\n"
+                     f"finger {LONG} 1 1 v\n"),
+        ("w.middle", f"middle\npairs 1\nfinger f 1 1 {LONG}\n"
+                     f"finger g 1 1 {LONG}\n"),
+        ("s.middle", f"middle\npairs 1\nfinger {LONG} 1 2 w\n"),
+        ("l.middle", f"middle\npairs 1\nfinger f 1 1 w\nloop {LONG} f\n"
+                     f"loop {LONG} f\n"),
+        ("u.middle", f"middle\npairs 1\nfinger f 1 1 w\nloop l {LONG}\n"),
+        ("v.middle", f"middle\npairs 1\nfinger f 1 1 w\nloop {LONG} g\n"),
+        ("x.middle", f"middle\npairs 1\nfinger f 1 1 {LONG}\n"
+                     f"loop {LONG} f\n"),
+        ("miss.ribbon", f"middle\npairs 1\nfinger f 1 1 {LONG}\n"
+                        "loop l f\ncap l standard\n"),
+        ("extra.ribbon", "middle\npairs 1\nfinger f 1 1 w\ncap w standard\n"
+                         f"cap {LONG} standard\n"),
+        ("twice.ribbon", f"middle\npairs 1\nfinger f 1 1 {LONG}\n"
+                         f"cap {LONG} standard\ncap {LONG} standard\n")])
+
+    @pytest.mark.parametrize("name", JUDGED)
+    def test_long_id_is_cut_in_a_judges_message(self, files, capsys, name):
+        # A judge's message echoes names and ids cut past 40 characters.
+        text = self.JUDGED[name]
+        with pytest.raises(ribboncalc.ParseError) as e:
+            ribboncalc.parse_any(text)
+        message = e.value.message
+        assert "(5000 characters)" in message and len(message) < 120
+        code, out, err = run(capsys, "check", files(name, text))
+        assert code == 2 and out == ""
+        assert err == f"parse error: line {e.value.line}: {message}\n"
+
+    @pytest.mark.parametrize("flag, edges", [("--truncate=40", "+ -"),
+                                             ("--cost", "+")])
+    def test_long_name_is_cut_in_a_refusal(self, files, capsys, flag, edges):
+        # Past the node budget, and the cost of a positive handle.
+        text = f"tree {self.LONG}\nnode r\nroot r\n" + "".join(
+            f"edge r r {sign}\n" for sign in edges.split())
+        code, out, err = run(capsys, "tree", files("t.tree", text), flag)
+        assert code == 1 and out == ""
+        assert "(5000 characters)" in err and len(err) < 120
+
     def test_parse_error_is_exit_two(self, files, capsys):
         code, _, err = run(capsys, "check", files("x.diagram", "gibberish\n"))
         assert code == 2

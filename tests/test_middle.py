@@ -264,6 +264,25 @@ class TestCapsAndDescriptors:
             m, (("w1", neg), ("w1", neg)))) == (
             "duplicate cap for w1", ("cap", 1))
 
+    def test_long_ids_are_cut_in_messages(self):
+        # Judges whose messages no document can reach; a document can reach
+        # the others (see test_cli).  Shorter ids are shown as they are.
+        long = "x" * 5000
+        m = middle(1, [("f1", 1, 1, "w1")])
+        tower = SignedTree(long, ("r",), "r", (), finite=True)
+        for build in (lambda: AccessoryLoop(long, ()),
+                      lambda: Cap(tower),
+                      lambda: RibbonDescriptor(m, ((long, "cap"),)),
+                      lambda: MiddleLevelData(
+                          1, (Finger("f", 1, 1, "w"),),
+                          (AccessoryLoop(long, ["f"]),)),
+                      lambda: MiddleLevelData(
+                          1, (), (AccessoryLoop(long, (5,)),))):
+            message = refusal(build)[0]
+            assert "(5000 characters)" in message and len(message) < 120
+        assert refusal(lambda: AccessoryLoop("l" * 40, ())) == (
+            f"accessory loop {'l' * 40} traverses no fingers", None)
+
     def test_whitney_set(self):
         m = middle(2, [("f1", 1, 2, "w1"), ("f2", 1, 2, "w2")],
                    [("l1", ["f1", "f2"]), ("l2", ["f2"])])

@@ -22,7 +22,7 @@ class TestTreeDot:
     def test_negative_edges_red(self):
         t = random_tree(random.Random(1))
         dot = tree_dot(t)
-        negs = sum(1 for e in t.edges if e.sign == -1)
+        negs = sum(1 for _, _, sign in t.edges if sign == -1)
         assert dot.count("color=red") == negs
         assert dot.count("color=black") == len(t.edges) - negs
 

@@ -24,6 +24,7 @@ from ribboncalc.textio import (parse_any, parse_ribbon, parse_tree,
 
 from genlib import (BROKEN_TREE_KINDS, broken_tree, oracle_frontier_negatives,
                     oracle_is_positive, oracle_longest_positive_path,
+                    oracle_positive_states, oracle_tower_answers,
                     oracle_truncate, oracle_validate_tree,
                     random_nonpositive_tree, random_tree, unvalidated)
 
@@ -110,15 +111,41 @@ class TestTreeEdge:
 
 class TestValidation:
     def test_plain_tuple_edges_are_refused(self):
-        # A plain tuple equals a TreeEdge but has no sign check and no
-        # field names; construction refuses it whatever its sign.
-        for sign in (1, 5):
-            with pytest.raises(TreeError, match="is not a TreeEdge") as e:
+        # Edges are stored as exact (parent, child, sign) tuples.  A plain
+        # tuple skips TreeEdge's sign check, so construction checks its
+        # sign, the type included; any other value is refused by its shape.
+        good = ("r", "a", 1)
+        assert SignedTree("t", ("r", "a"), "r", (good,)).edges == (good,)
+        for sign in (5, True, 1.0):
+            with pytest.raises(TreeError) as e:
                 SignedTree("t", ("r", "a"), "r", (("r", "a", sign),))
+            assert str(e.value) == (f"tree t: edge r->a has sign {sign!r}, "
+                                    "not +1 or -1")
             assert e.value.entry == ("edge", 0)
-        with pytest.raises(TreeError, match="is not a TreeEdge") as e:
-            SignedTree("t", ("r", "a"), "r", (TreeEdge("r", "a", 1), "ra+"))
-        assert e.value.entry == ("edge", 1)
+
+        class Other(tuple):
+            pass
+
+        for bad in ("ra+", ["r", "a", 1], ("r", "a"), ("r", "a", 1, 1),
+                    Other(good)):
+            with pytest.raises(TreeError) as e:
+                SignedTree("t", ("r", "a"), "r", (TreeEdge("r", "a", 1), bad))
+            assert str(e.value) == (f"tree t: edge {bad!r} is not a "
+                                    "(parent, child, sign) tuple")
+            assert e.value.entry == ("edge", 1)
+
+    def test_tree_edges_are_stored_as_plain_tuples(self):
+        # A TreeEdge is stored as the equal exact tuple, hashing alike, and
+        # is read back by name with TreeEdge._make.
+        given = (TreeEdge("r", "a", 1), ("a", "r", -1))
+        t = SignedTree("t", ("r", "a"), "r", given)
+        assert t.edges == given and hash(t.edges) == hash(given)
+        assert [type(e) for e in t.edges] == [tuple, tuple]
+        assert TreeEdge._make(t.edges[1]).sign == -1
+        assert t == SignedTree("t", ("r", "a"), "r", tuple(map(tuple, given)))
+        # Exact tuples are kept as given, the edge tuple itself included.
+        plain = tuple(map(tuple, given))
+        assert SignedTree("t", ("r", "a"), "r", plain).edges is plain
 
     def test_sign_column_is_checked(self):
         # A TreeEdge made past its constructor still meets the sign rule,
@@ -162,12 +189,28 @@ class TestValidation:
             assert str(e.value) == oracle_first(t)
             return str(e.value), e.value.entry
 
+        def shaped(nodes, root, edges):  # the oracle reads no shapes
+            t = unvalidated(nodes, root, [], finite=True)
+            object.__setattr__(t, "edges", tuple(edges))
+            with pytest.raises(TreeError) as e:
+                validate_tree(t)
+            return str(e.value), e.value.entry
+
         nodes = ["a", "b", "c", "d"]
         edges = [("a", "b", 1), ("b", "a", 1), ("c", "c", -1), ("b", "z", 1)]
         assert first(nodes[:3] + ["b", "d"], "r", edges) == (
             "tree t: duplicate node ids", ("node", 3))
         assert first(nodes, "r", edges) == (
             "tree t: root 'r' not declared", ("root", 0))
+        # The shape of each edge, then its sign, come before its endpoints.
+        assert shaped(nodes, "a", edges + [("z", "a")]) == (
+            "tree t: edge ('z', 'a') is not a (parent, child, sign) tuple",
+            ("edge", 4))
+        assert shaped(nodes, "a", edges + [TreeEdge("z", "a", 1)]) == (
+            "tree t: edge TreeEdge(parent='z', child='a', sign=1) is not a "
+            "(parent, child, sign) tuple", ("edge", 4))
+        assert shaped(nodes, "a", edges + [("z", "a", 1.0)]) == (
+            "tree t: edge z->a has sign 1.0, not +1 or -1", ("edge", 4))
         assert first(nodes, "a", edges) == (
             "tree t: edge b->z references an undeclared node", ("edge", 3))
         edges.pop()
@@ -187,6 +230,43 @@ class TestValidation:
         rng = random.Random(3)
         for _ in range(200):
             assert validate_tree(random_tree(rng)) is None
+
+
+class TestLongNames:
+    """Messages cut a name or id longer than 40 characters, as
+    ``scripts.quoted`` does, and show a shorter one as it is."""
+
+    LONG = "x" * 5000
+
+    def refused(self, build, error=TreeError):
+        with pytest.raises(error) as e:
+            build()
+        message = str(e.value)
+        assert " characters)" in message and len(message) < 120
+        return message
+
+    def test_judge_messages(self):
+        # The rules no document can break; test_cli reaches the others.
+        long = self.LONG
+        self.refused(lambda: SignedTree("t", ("a",), "a", (("a", long, 5),)))
+        self.refused(lambda: SignedTree(long, ("a",), "a", (("a", 5, 1),)))
+        self.refused(lambda: SignedTree("t", ("a",), "a", ((long, "a"),)))
+        self.refused(lambda: SignedTree("t", ("a",), "a", ((long, "a", 5),)))
+
+    def test_query_messages(self):
+        long = self.LONG
+        handle = chplus(long)
+        tower = truncate(handle, 3)
+        self.refused(lambda: truncate(handle, 10 ** 6), SizeLimit)
+        self.refused(lambda: is_positive(tower))
+        self.refused(lambda: tower_has_positive_branch(handle))
+        self.refused(lambda: kuga_blowup_cost(handle))
+        self.refused(lambda: kuga_blowup_cost(tower))
+        short = chplus("h" * 40)
+        with pytest.raises(SizeLimit) as e:
+            truncate(short, 10 ** 6)
+        assert str(e.value) == (f"unrolling {'h' * 40} to depth 1000000 "
+                                "exceeds 100000 nodes")
 
 
 class TestAgainstOracles:
@@ -261,6 +341,55 @@ class TestAgainstOracles:
                 with pytest.raises(SizeLimit):
                     truncate(t, depth, size - 1)
 
+    def test_tower_answers(self):
+        # truncate counts a tower's answers a level at a time on the handle.
+        # The oracle's tower, read by the depth-first oracle and by brute
+        # force, must give the same answers, and so must the tower rebuilt
+        # without the answers that truncate filled in.
+        rng = random.Random(59)
+        checked = 0
+        for _ in range(400):
+            h = random_tree(rng, max_nodes=8)
+            depth = rng.randint(1, 12)
+            try:
+                want = oracle_truncate(h, depth, 5000)
+            except SizeLimit:
+                continue
+            tower = truncate(h, depth, 5000)
+            assert (tower.nodes, tower.edges) == (want.nodes, want.edges)
+            oracle = oracle_tower_answers(want)
+            rebuilt = SignedTree(tower.name, tower.nodes, tower.root,
+                                 tower.edges, True)
+            for t in (tower, rebuilt):
+                got = (tower_has_positive_branch(t), is_strictly_positive(t),
+                       prune_depth(t), None if oracle[0] else
+                       kuga_blowup_cost(t))
+                assert got == oracle, (h, depth)
+            # By brute force: positive walks of the tower, and each node's
+            # level found by climbing to the root.
+            leaves = set(want.nodes) - {p for p, _, _ in want.edges}
+            branch = any(v in leaves
+                         for v, _ in oracle_positive_states(want, depth))
+            assert oracle[0] == branch
+            if not branch:
+                assert oracle[2] == 1 + oracle_longest_positive_path(want)
+                assert oracle[3] == oracle_frontier_negatives(want)
+            up = {c: p for p, c, _ in want.edges}
+            level = {}
+            for v in want.nodes:
+                w, k = v, 0
+                while w != want.root:
+                    w, k = up[w], k + 1
+                level[v] = k
+            signs = dict.fromkeys(want.nodes, 0)
+            for p, _, sign in want.edges:
+                signs[p] += sign
+            deepest = max(level.values())
+            assert oracle[1] == all(signs[v] > 0 for v in want.nodes
+                                    if level[v] < deepest)
+            checked += 1
+        assert checked > 300
+
 
 class TestTrustedEdgesAndReachability:
     """The parser and truncate build edges without TreeEdge's sign check,
@@ -268,6 +397,8 @@ class TestTrustedEdgesAndReachability:
     back to the out-index."""
 
     def test_built_edges_are_tree_edges(self):
+        # Every builder stores exact (parent, child, sign) tuples, which
+        # the GC can untrack: the parser, truncate and the corpus caps.
         handle = parse_tree("tree t\nnode r a\nroot r\nedge r a +\n"
                             "edge a r -\nedge r r +1\nedge a a -1\n")
         tower = truncate(handle, 6)
@@ -278,8 +409,9 @@ class TestTrustedEdgesAndReachability:
                 built += [cap.tree for _, cap in r.caps if cap.tree]
         assert len(built) > 3
         for t in built:
-            assert t.edges and all(type(e) is TreeEdge for e in t.edges)
-            assert {e.sign for e in t.edges} <= {1, -1}
+            assert t.edges and {type(e) for e in t.edges} == {tuple}
+            assert {len(e) for e in t.edges} == {3}
+            assert {sign for _, _, sign in t.edges} <= {1, -1}
 
     def test_unreachable_two_cycle_in_a_tower(self):
         # Each node has one parent and the counts of a tower hold, so only
@@ -384,20 +516,20 @@ class TestTruncate:
         t = truncate(chplus(), 1)
         assert t.finite
         assert len(t.nodes) == 2
-        assert t.edges[0].sign == 1
+        assert t.edges[0][2] == 1
 
     def test_unrolls_back_edges(self):
         t = truncate(ALTERNATING, 4)
         assert t.finite
         # Path a -> b -> a -> b -> a: one node per level.
         assert len(t.nodes) == 5
-        assert [e.sign for e in t.edges] == [1, -1, 1, -1]
+        assert [sign for _, _, sign in t.edges] == [1, -1, 1, -1]
 
     def test_ids_in_creation_order(self):
         binary = tree(["r"], "r", [("r", "r", 1), ("r", "r", -1)])
         t = truncate(binary, 2)
         assert t.nodes == ("r",) + tuple(f"r.{i}" for i in range(1, 7))
-        assert [(e.parent, e.child, e.sign) for e in t.edges] == [
+        assert list(t.edges) == [
             ("r", "r.1", 1), ("r", "r.2", -1),
             ("r.1", "r.3", 1), ("r.1", "r.4", -1),
             ("r.2", "r.5", 1), ("r.2", "r.6", -1)]
@@ -436,15 +568,24 @@ class TestTruncate:
             with pytest.raises(SizeLimit, match=f"exceeds {size - 1} nodes"):
                 truncate(binary, depth, node_budget=size - 1)
 
-    def test_wide_level_raises_before_it_is_built(self, monkeypatch):
-        loops = SignedTree("w", ("r",), "r", (TreeEdge("r", "r", 1),) * 200_000)
-
-        def built(*args):
-            raise AssertionError("the level was built")
-
-        monkeypatch.setattr(trees, "TreeEdge", built)
-        with pytest.raises(SizeLimit, match="exceeds 100000 nodes"):
-            truncate(loops, 1)
+    def test_wide_level_raises_before_it_is_built(self):
+        # Building the 200 000-node level would allocate tens of MB of ids
+        # and edges; refusing it from the node count allocates almost none.
+        loops = SignedTree("w", ("r",), "r", (("r", "r", 1),) * 200_000)
+        loops._out_index  # indexed before the measurement
+        outer = tracemalloc.is_tracing()
+        if not outer:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(SizeLimit, match="exceeds 100000 nodes"):
+                truncate(loops, 1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not outer:
+                tracemalloc.stop()
+        assert peak < 1e6, f"traced peak {peak / 1e6:.1f} MB: level built"
 
     def test_truncation_reaches_full_depth_iff_positive(self):
         # An all-positive path through the whole depth-(n+1) truncation
@@ -459,9 +600,9 @@ class TestTruncate:
                 continue
 
             def deepest(v, depth=0):
-                outs = [e for e in tower.edges
-                        if e.parent == v and e.sign == 1]
-                return max((deepest(e.child, depth + 1) for e in outs),
+                outs = [child for parent, child, sign in tower.edges
+                        if parent == v and sign == 1]
+                return max((deepest(child, depth + 1) for child in outs),
                            default=depth)
 
             assert (deepest(tower.root) == n) == is_positive(t)
@@ -517,31 +658,54 @@ class TestKugaBlowupCost:
             assert kuga_blowup_cost(t) == oracle_frontier_negatives(t)
 
 
+def walk(*args):
+    raise AssertionError("the tree was walked again")
+
+
 class TestPruningQuantitiesCached:
     def test_second_call_reads_the_cached_value(self, monkeypatch):
         t = random_nonpositive_tree(random.Random(23))
         handle = chplus()
         tower = tree(["a", "b"], "a", [("a", "b", 1)], finite=True)
+        pruned = tree(["a", "b", "c", "d"], "a",
+                      [("a", "b", 1), ("a", "c", -1), ("b", "d", -1)],
+                      finite=True)
 
         def observe():
-            out = [prune_depth(x) for x in (t, handle, tower)]
-            out.append(kuga_blowup_cost(t))
+            out = [prune_depth(x) for x in (t, handle, tower, pruned)]
+            out += [kuga_blowup_cost(x) for x in (t, pruned)]
+            out += [f(x) for x in (tower, pruned)
+                    for f in (tower_has_positive_branch, is_strictly_positive)]
             for x in (handle, tower):
                 with pytest.raises(TreeError) as e:
                     kuga_blowup_cost(x)
                 out.append(str(e.value))
             return out
 
-        def walk(*args):
-            raise AssertionError("the tree was walked again")
-
         first = observe()
-        assert first[1] is None and first[2] is None
-        # Both cached quantities start from _prunable_order, so a
-        # recomputation that walks the out-index directly is seen too.
+        assert first[1:4] == [None, None, 2] and first[5] == 2
+        # The handle quantities start from _prunable_order and the tower
+        # answers from _tower_summary, so a recomputation that walks the
+        # out-index directly is seen too.
         monkeypatch.setattr(SignedTree, "out_edges", walk)
-        monkeypatch.setattr(ribboncalc.trees, "_prunable_order", walk)
+        monkeypatch.setattr(trees, "_prunable_order", walk)
+        monkeypatch.setattr(trees, "_tower_summary", walk)
         assert observe() == first
+
+    def test_truncate_fills_in_the_tower_answers(self, monkeypatch):
+        h = tree(["r", "a"], "r", [("r", "a", 1), ("r", "r", -1),
+                                   ("a", "r", -1), ("a", "a", -1)])
+        for depth in (2, 3, 7):
+            tower = truncate(h, depth)
+            rebuilt = SignedTree(tower.name, tower.nodes, tower.root,
+                                 tower.edges, True)
+            assert tower._summary == rebuilt._summary
+            assert tower._summary.nodes == len(tower.nodes)
+            with monkeypatch.context() as m:
+                m.setattr(trees, "_tower_summary", walk)
+                assert (tower_has_positive_branch(tower),
+                        is_strictly_positive(tower), prune_depth(tower),
+                        kuga_blowup_cost(tower)) == oracle_tower_answers(tower)
 
 
 # Prints seconds taken, characters of text and peak RSS in KiB.
